@@ -77,14 +77,13 @@ from .studies import (
     EquivalenceRecord,
     LifespanRecord,
     SmallnessReport,
-    StudyConfig,
     conservation_study,
     equivalence_spread_monotone,
     equivalence_study,
     lifespan_study,
     smallness_check,
 )
-from .config import RunConfig, config_help, parse_config
+from .config import RunConfig, StudyConfig, config_help, parse_config
 
 __all__ = [
     "__version__",

@@ -15,6 +15,7 @@ result, not a failure: it is recorded in the event log and exits 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,9 +29,7 @@ from .evolution import BlowUpSignal, SchemeConfig, default_dt, evolve
 from .initial_data import make_initial_state
 from .snapshots import load_state, write_snapshot
 from .studies import (
-    StudyConfig,
     conservation_study,
-    equivalence_spread_monotone,
     equivalence_study,
     fmt,
     lifespan_study,
@@ -69,19 +68,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(args) -> RunConfig:
+    cfg = parse_config(args.config, args.overrides)
+    return dataclasses.replace(cfg, kind=args.command)
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_manifest(out: Path, command: str, cfg: RunConfig, derived: dict) -> None:
-    from . import __version__
-
-    doc = {"command": command, "config": cfg.echo(), "derived": derived,
-           "version": __version__}
-    path = out / f"{command}_manifest.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _plot_script(csv_name: str, xcol: str, ycols: tuple[str, ...],
@@ -121,19 +116,6 @@ def _maybe_plot(cfg: RunConfig, out: Path, csv_name: str, xcol: str,
             _plot_script(csv_name, xcol, ycols, logy=logy))
 
 
-def _study_config(cfg: RunConfig, kind: str) -> StudyConfig:
-    return StudyConfig(
-        kind=kind, params=cfg.params, grid=cfg.grid, scheme=cfg.scheme,
-        dt=cfg.dt, max_t=cfg.max_t, cadence=cfg.cadence, dealias=cfg.dealias,
-        profile=cfg.profile, amplitude=cfg.amplitude, seed=cfg.seed,
-        width=cfg.width, mode_k=cfg.mode_k, velocity=cfg.velocity,
-        out_dir=cfg.out_dir, epsilons=cfg.epsilons, mus=cfg.mus,
-        growth_factor=cfg.growth_factor, s=cfg.s, dts=cfg.dts,
-        num_states=cfg.num_states, smallness_target=cfg.smallness_target,
-        case_override=cfg.case_override,
-    )
-
-
 def _initial_state(cfg: RunConfig):
     if cfg.snapshot is not None:
         return load_state(cfg.snapshot, cfg.params)
@@ -144,18 +126,19 @@ def _initial_state(cfg: RunConfig):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = parse_config(args.config, args.overrides)
+    cfg = _load_config(args)
     out = _out_dir(cfg)
     state = _initial_state(cfg)
     dt = cfg.dt if cfg.dt is not None else default_dt(state, cfg.scheme)
     scheme = SchemeConfig(dt=dt, max_t=cfg.max_t, scheme=cfg.scheme,
                           cadence=cfg.cadence, dealias=cfg.dealias)
 
+    case = cfg.case
     rows: list[str] = []
     calls = {"n": 0}
 
     def report_monitor(snap):
-        rows.append(energy_report(snap, s=0.0, case=cfg.case).csv_row())
+        rows.append(energy_report(snap, s=0.0, case=case).csv_row())
 
     def snap_monitor(snap):
         i = calls["n"]
@@ -178,8 +161,7 @@ def _cmd_simulate(args) -> int:
     (out / "report.csv").write_text("\n".join([csv_header()] + rows) + "\n")
     (out / "events.jsonl").write_text(
         "".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
-    _write_manifest(out, "simulate", cfg,
-                    {"dt": dt, "steps": steps, "terminated_by": terminated_by})
+    cfg.write_manifest({"dt": dt, "steps": steps, "terminated_by": terminated_by})
     _maybe_plot(cfg, out, "report.csv", "t",
                 ("hamiltonian", "x0_norm", "noncav", "smallness"))
     print(f"simulate: {steps} steps, terminated by {terminated_by}; wrote {out}")
@@ -187,56 +169,46 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_lifespan(args) -> int:
-    cfg = parse_config(args.config, args.overrides)
+    cfg = _load_config(args)
     out = _out_dir(cfg)
-    records = lifespan_study(_study_config(cfg, "lifespan"))
+    records = lifespan_study(cfg)
     for r in records:
         print(f"lifespan: epsilon={r.epsilon:g} T_obs={r.T_obs:g} "
               f"product={r.product:g} ({r.terminated_by})")
-    _write_manifest(out, "lifespan", cfg, {})
     _maybe_plot(cfg, out, "lifespan.csv", "epsilon", ("T_obs", "product"), logy=True)
     print(f"lifespan: wrote {out}")
     return 0
 
 
 def _cmd_conserve(args) -> int:
-    cfg = parse_config(args.config, args.overrides)
+    cfg = _load_config(args)
     out = _out_dir(cfg)
-    result = conservation_study(_study_config(cfg, "conservation"))
+    result = conservation_study(cfg)
     for h, drift in zip(result.dts, result.drifts):
         print(f"conserve: dt={h:g} drift={drift:.3e}")
     print(f"conserve: order fit {result.order_fit:.2f}; wrote {out}")
-    _write_manifest(out, "conserve", cfg, {"order_fit": result.order_fit})
     _maybe_plot(cfg, out, "conservation.csv", "dt", ("drift",), logy=True)
     return 0
 
 
 def _cmd_smallness(args) -> int:
-    cfg = parse_config(args.config, args.overrides)
+    cfg = _load_config(args)
     out = _out_dir(cfg)
-    report = smallness_check(_study_config(cfg, "smallness"))
+    report = smallness_check(cfg)
     print(f"smallness: initial={report.initial_smallness:g} "
           f"max={report.max_smallness:g} invariant_held={report.invariant_held} "
           f"precondition_ok={report.precondition_ok} ({report.terminated_by})")
-    _write_manifest(out, "smallness", cfg, {
-        "invariant_held": report.invariant_held,
-        "precondition_ok": report.precondition_ok,
-        "max_smallness": report.max_smallness,
-    })
     _maybe_plot(cfg, out, "smallness.csv", "t", ("smallness", "noncav", "x0_norm"))
     return 0
 
 
 def _cmd_equivalence(args) -> int:
-    cfg = parse_config(args.config, args.overrides)
+    cfg = _load_config(args)
     out = _out_dir(cfg)
-    records = equivalence_study(_study_config(cfg, "equivalence"))
+    records = equivalence_study(cfg)
     for r in records:
         print(f"equivalence: epsilon={r.epsilon:g} mu={r.mu:g} case={r.case_id} "
               f"ratio in [{r.ratio_min:.6g}, {r.ratio_max:.6g}]")
-    _write_manifest(out, "equivalence", cfg, {
-        "spread_monotone": equivalence_spread_monotone(records),
-    })
     _maybe_plot(cfg, out, "equivalence.csv", "epsilon",
                 ("ratio_min", "ratio_max"), logy=True)
     print(f"equivalence: wrote {out}")
@@ -244,7 +216,7 @@ def _cmd_equivalence(args) -> int:
 
 
 def _cmd_symbols(args) -> int:
-    cfg = parse_config(args.config, args.overrides)
+    cfg = _load_config(args)
     out = _out_dir(cfg)
     grid = cfg.grid
     table = symbol_table(grid, cfg.params)
@@ -267,7 +239,7 @@ def _cmd_symbols(args) -> int:
     for i in range(data[0].size):
         lines.append(",".join(fmt(col[i]) for col in data))
     (out / "symbols.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "symbols", cfg, {"rows": int(data[0].size)})
+    cfg.write_manifest({"rows": int(data[0].size)})
     _maybe_plot(cfg, out, "symbols.csv", "xi",
                 ("sigma", "A", "g", "omega1", "omega2", "im_lambda_plus"))
     print(f"symbols: {data[0].size} rows; wrote {out}")

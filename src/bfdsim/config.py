@@ -11,10 +11,13 @@ the output manifest so a run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import configparser
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
+from . import __version__
 from .errors import ConfigError
 from .initial_data import PROFILES, VELOCITIES
 from .params import CaseClass, ModelParams, classify_case, params_from_alphas
@@ -129,34 +132,50 @@ def _parse_list(raw: str, where: str, conv) -> tuple:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved and validated settings for one CLI invocation."""
+    """Fully resolved settings for one run: a CLI command or a study call.
+
+    parse_config builds one from the key registry; library callers build
+    one by keyword, where every field but params and grid has a default.
+    kind is the command name and names the manifest.
+    """
 
     params: ModelParams
-    case: CaseClass
     grid: GridSpec
-    scheme: str
-    dt: float | None
-    max_t: float
-    cadence: int
-    dealias: bool
-    profile: str
-    amplitude: float
-    seed: int
-    width: float | None
-    mode_k: tuple[int, ...] | None
-    velocity: str
-    snapshot: str | None
-    out_dir: str
-    snapshot_every: int
-    plot_script: bool
-    epsilons: tuple[float, ...]
-    mus: tuple[float, ...] | None
-    growth_factor: float
-    s: float | None
-    dts: tuple[float, ...]
-    num_states: int
-    smallness_target: float
-    case_override: int | None
+    kind: str = "run"
+    scheme: str = SCHEME_EXPONENTIAL
+    dt: float | None = None
+    max_t: float = 100.0
+    cadence: int = 10
+    dealias: bool = True
+    profile: str = "gaussian"
+    amplitude: float = 0.1
+    seed: int = 1234
+    width: float | None = None
+    mode_k: tuple[int, ...] | None = None
+    velocity: str = "right-mover"
+    snapshot: str | None = None
+    out_dir: str | None = None
+    snapshot_every: int = 0
+    plot_script: bool = False
+    epsilons: tuple[float, ...] = ()
+    mus: tuple[float, ...] | None = None
+    growth_factor: float = 2.0
+    s: float | None = None
+    dts: tuple[float, ...] = ()
+    num_states: int = 100
+    smallness_target: float = 0.25
+    case_override: int | None = None
+
+    @property
+    def case(self) -> CaseClass:
+        """Coefficient case of params, or the one case_override forces."""
+        return classify_case(self.params, self.case_override)
+
+    def monitor_s(self, grid: GridSpec) -> float:
+        """Sobolev index of the monitored norm: s, else 4 in 2D and 3 in 1D."""
+        if self.s is not None:
+            return self.s
+        return 4.0 if grid.dim == 2 else 3.0
 
     def echo(self) -> dict:
         """Every key of the registry with its resolved value (for manifests)."""
@@ -182,6 +201,27 @@ class RunConfig:
                       "dts": list(self.dts), "num_states": self.num_states,
                       "smallness_target": self.smallness_target},
         }
+
+    def write_manifest(self, derived: dict | None = None) -> Path | None:
+        """Write <kind>_manifest.json into out_dir and return its path.
+
+        The document holds the command, the echo of every key, the results
+        the run derived, and the package version.  Nothing is written when
+        out_dir is None.
+        """
+        if self.out_dir is None:
+            return None
+        out = Path(self.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        doc = {"command": self.kind, "config": self.echo(),
+               "derived": derived or {}, "version": __version__}
+        path = out / f"{self.kind}_manifest.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        return path
+
+
+# The name the study API has always used for the same settings.
+StudyConfig = RunConfig
 
 
 def _check_registry(cp: configparser.ConfigParser):
@@ -289,7 +329,7 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
         return default
 
     params, case_override = _build_params(get)
-    case = classify_case(params, case_override)
+    classify_case(params, case_override)  # reject a bad case up front
     grid = _build_grid(get)
 
     scheme = get("scheme", "scheme", SCHEME_EXPONENTIAL)
@@ -365,7 +405,7 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
             f"study.smallness_target must be a positive number, got {smallness_target}")
 
     return RunConfig(
-        params=params, case=case, grid=grid,
+        params=params, grid=grid,
         scheme=scheme, dt=dt, max_t=max_t, cadence=cadence, dealias=dealias,
         profile=profile, amplitude=amplitude, seed=seed, width=width,
         mode_k=mode_k, velocity=velocity, snapshot=snapshot,

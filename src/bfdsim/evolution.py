@@ -13,6 +13,7 @@ path, and are conserved bitwise on both paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,7 +24,7 @@ from .errors import ParameterDomainError, UnsupportedCaseError
 from .params import ModelParams
 from .spectral import GridSpec, SpectralField
 from .symbols import SymbolTable, symbol_table
-from .system import FieldState, rhs_hat
+from .system import FieldState, quadratic_products, rhs_hat
 
 BLOWUP_NORM = 1e6
 
@@ -167,17 +168,7 @@ def nonlinear_f_pm(diag: DiagState, use_dealias: bool = True):
     zhat, vhats = _reconstruct_hats(diag, tab)
     zr = grid.ifft_real(zhat)
     vr = [grid.ifft_real(vh) for vh in vhats]
-    mask = grid.dealias_mask if use_dealias else None
-
-    div_zv = np.zeros(grid.n, dtype=np.complex128)
-    for xi, comp in zip(grid.xi_mesh, vr):
-        prod = grid.fft(zr * comp)
-        if mask is not None:
-            prod = prod * mask
-        div_zv += 1j * xi * prod
-    vsq = grid.fft(sum(comp * comp for comp in vr))
-    if mask is not None:
-        vsq = vsq * mask
+    div_zv, vsq = quadratic_products(zr, vr, grid, use_dealias)
 
     eps, gamma = p.epsilon, p.gamma
     common = eps / gamma * div_zv / tab.helmholtz_b
@@ -258,8 +249,10 @@ def step(state, cfg: SchemeConfig):
 
 def default_dt(state: FieldState, scheme: str = SCHEME_EXPONENTIAL) -> float:
     """Advective CFL guess: 0.9*dx/(eps*max|v|/gamma + 1); the classical
-    scheme is additionally capped at 2.8/Omega_max for stability of RK4 on
-    the imaginary axis."""
+    scheme is additionally capped at 2.8/max(Omega_sys) for stability of
+    RK4 on the imaginary axis.  Omega_sys = Omega*sqrt(g) =
+    |xi| sqrt(A(1-gamma)(1-c mu|xi|^2) / (gamma(1+b mu|xi|^2)(1+d mu|xi|^2)))
+    is the frequency step_classical integrates; it is Omega when b = d."""
     grid = state.grid
     p = state.params
     vmag = np.zeros(grid.n)
@@ -268,10 +261,27 @@ def default_dt(state: FieldState, scheme: str = SCHEME_EXPONENTIAL) -> float:
     vmax = float(np.sqrt(np.max(vmag)))
     dt = 0.9 * min(grid.dx) / (p.epsilon * vmax / p.gamma + 1.0)
     if scheme == SCHEME_CLASSICAL:
-        om_max = float(np.max(symbol_table(grid, p).Omega))
+        tab = symbol_table(grid, p)
+        om_max = float(np.max(tab.Omega * np.sqrt(tab.g)))
         if om_max > 0.0:
             dt = min(dt, 2.8 / om_max)
     return dt
+
+
+def _step_plan(span: float, dt: float) -> tuple[int, float]:
+    """Step count and last step length that land on t0 + span.
+
+    When span/dt is an integer up to roundoff, every step is dt and the
+    count is that integer; otherwise a short last step lands on the end.
+    """
+    ratio = span / dt
+    whole = round(ratio)
+    if abs(ratio - whole) <= 1e-9 * max(1.0, abs(ratio)):
+        return max(0, whole), dt
+    full = math.floor(ratio)
+    if full < 0:
+        return 0, dt
+    return full + 1, span - full * dt
 
 
 @dataclass
@@ -286,6 +296,9 @@ def evolve(state: FieldState, cfg: SchemeConfig,
            monitors: Sequence[Callable[[FieldState], None]] = (),
            stop_when: Callable[[FieldState], bool] | None = None) -> EvolveSummary:
     """March to cfg.max_t, invoking monitors every cfg.cadence steps.
+
+    When cfg.dt does not divide the interval, a short last step lands the
+    run on cfg.max_t exactly.
 
     Monitors receive immutable snapshots (on the exponential path the state
     is reconstructed for them).  Raises BlowUpSignal when a non-finite
@@ -303,7 +316,7 @@ def evolve(state: FieldState, cfg: SchemeConfig,
         current = state
 
     t0 = state.t
-    n_steps = max(0, int(round((cfg.max_t - t0) / cfg.dt)))
+    n_steps, last_dt = _step_plan(cfg.max_t - t0, cfg.dt)
     events: list[dict] = []
 
     def snapshot():
@@ -337,11 +350,12 @@ def evolve(state: FieldState, cfg: SchemeConfig,
                              terminated_by="threshold")
 
     for k in range(1, n_steps + 1):
+        h = last_dt if k == n_steps else cfg.dt
         if exponential:
-            current = step_exponential(current, cfg.dt, use_dealias=cfg.dealias)
+            current = step_exponential(current, h, use_dealias=cfg.dealias)
         else:
-            current = step_classical(current, cfg.dt, use_dealias=cfg.dealias)
-        current.t = t0 + k * cfg.dt
+            current = step_classical(current, h, use_dealias=cfg.dealias)
+        current.t = t0 + k * cfg.dt if h == cfg.dt else cfg.max_t
         if k % cfg.cadence == 0 or k == n_steps:
             snap = snapshot()
             norm = check_finite(snap, k)

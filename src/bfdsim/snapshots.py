@@ -55,6 +55,8 @@ def read_snapshot(path):
             if len(buf) != 8 * count:
                 raise ValueError(f"{path}: truncated {MAGIC} payload")
             fields.append(np.frombuffer(buf, dtype="<f8").reshape(n).copy())
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after {MAGIC} payload")
     return t, grid, fields[0], tuple(fields[1:])
 
 

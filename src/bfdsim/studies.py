@@ -9,16 +9,15 @@ written with 17 significant digits so re-runs are byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from .config import RunConfig
 from .energy import (
     calE_s,
     energy_report,
@@ -28,15 +27,14 @@ from .energy import (
 )
 from .errors import ConfigError, UnsupportedCaseError
 from .evolution import (
-    SCHEME_EXPONENTIAL,
     BlowUpSignal,
     SchemeConfig,
     default_dt,
     evolve,
 )
 from .initial_data import make_initial_state
-from .params import ModelParams, classify_case
-from .spectral import GridSpec, SpectralField
+from .params import classify_case
+from .spectral import SpectralField
 from .system import FieldState
 
 
@@ -63,80 +61,7 @@ def _run_jobs(jobs):
         return [f.result() for f in futures]
 
 
-@dataclass
-class StudyConfig:
-    """Resolved settings for one study invocation."""
-
-    kind: str
-    params: ModelParams
-    grid: GridSpec
-    scheme: str = SCHEME_EXPONENTIAL
-    dt: float | None = None
-    max_t: float = 100.0
-    cadence: int = 10
-    dealias: bool = True
-    profile: str = "gaussian"
-    amplitude: float = 0.1
-    seed: int = 1234
-    width: float | None = None
-    mode_k: tuple[int, ...] | None = None
-    velocity: str = "right-mover"
-    out_dir: str | None = None
-    epsilons: tuple[float, ...] = ()
-    mus: tuple[float, ...] | None = None
-    growth_factor: float = 2.0
-    s: float | None = None
-    dts: tuple[float, ...] = ()
-    num_states: int = 100
-    smallness_target: float = 0.25
-    case_override: int | None = None
-
-    def monitor_s(self, grid: GridSpec) -> float:
-        if self.s is not None:
-            return self.s
-        return 4.0 if grid.dim == 2 else 3.0
-
-    def manifest_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "model": {
-                "gamma": self.params.gamma, "epsilon": self.params.epsilon,
-                "mu": self.params.mu, "mu2": self.params.mu2,
-                "a": self.params.a, "b": self.params.b,
-                "c": self.params.c, "d": self.params.d,
-            },
-            "grid": {"n": list(self.grid.n), "length": list(self.grid.length)},
-            "scheme": {"scheme": self.scheme, "dt": self.dt, "max_t": self.max_t,
-                       "cadence": self.cadence, "dealias": self.dealias},
-            "initial": {"profile": self.profile, "amplitude": self.amplitude,
-                        "seed": self.seed, "width": self.width,
-                        "mode_k": None if self.mode_k is None else list(self.mode_k),
-                        "velocity": self.velocity},
-            "study": {"epsilons": list(self.epsilons),
-                      "mus": None if self.mus is None else list(self.mus),
-                      "growth_factor": self.growth_factor, "s": self.s,
-                      "dts": list(self.dts), "num_states": self.num_states,
-                      "smallness_target": self.smallness_target,
-                      "case_override": self.case_override},
-            "version": __version__,
-        }
-        return out
-
-
-def write_manifest(cfg: StudyConfig, extra: dict | None = None) -> Path | None:
-    if cfg.out_dir is None:
-        return None
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = cfg.manifest_dict()
-    if extra:
-        doc.update(extra)
-    path = out / f"{cfg.kind}_manifest.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return path
-
-
-def _write_csv(cfg: StudyConfig, name: str, header: str, rows: list[str]) -> Path | None:
+def _write_csv(cfg: RunConfig, name: str, header: str, rows: list[str]) -> Path | None:
     if cfg.out_dir is None:
         return None
     out = Path(cfg.out_dir)
@@ -146,7 +71,7 @@ def _write_csv(cfg: StudyConfig, name: str, header: str, rows: list[str]) -> Pat
     return path
 
 
-def _sweep_pairs(cfg: StudyConfig):
+def _sweep_pairs(cfg: RunConfig):
     if not cfg.epsilons:
         raise ConfigError("study requires a nonempty epsilons list")
     if cfg.mus is None:
@@ -168,7 +93,7 @@ class LifespanRecord:
     terminated_by: str
 
 
-def _lifespan_point(cfg: StudyConfig, eps: float, mu: float) -> LifespanRecord:
+def _lifespan_point(cfg: RunConfig, eps: float, mu: float) -> LifespanRecord:
     params = cfg.params.replace(epsilon=eps, mu=mu)
     case = classify_case(params, cfg.case_override)
     state = make_initial_state(cfg.grid, params, profile=cfg.profile,
@@ -202,7 +127,7 @@ def _lifespan_point(cfg: StudyConfig, eps: float, mu: float) -> LifespanRecord:
                           product=eps * t_obs, terminated_by=term)
 
 
-def lifespan_study(cfg: StudyConfig) -> list[LifespanRecord]:
+def lifespan_study(cfg: RunConfig) -> list[LifespanRecord]:
     """Observed norm-doubling horizon per epsilon; emits CSV + manifest."""
     pairs = _sweep_pairs(cfg)
     records = _run_jobs([
@@ -211,7 +136,7 @@ def lifespan_study(cfg: StudyConfig) -> list[LifespanRecord]:
     rows = [",".join([fmt(r.epsilon), fmt(r.mu), fmt(r.T_obs), fmt(r.product),
                       r.terminated_by]) for r in records]
     _write_csv(cfg, "lifespan.csv", "epsilon,mu,T_obs,product,terminated_by", rows)
-    write_manifest(cfg)
+    cfg.write_manifest()
     return records
 
 
@@ -226,7 +151,7 @@ class ConservationResult:
     order_fit: float
 
 
-def _drift_for_dt(cfg: StudyConfig, dt: float) -> float:
+def _drift_for_dt(cfg: RunConfig, dt: float) -> float:
     params = cfg.params
     state = make_initial_state(cfg.grid, params, profile=cfg.profile,
                                amplitude=cfg.amplitude, seed=cfg.seed,
@@ -247,7 +172,7 @@ def _drift_for_dt(cfg: StudyConfig, dt: float) -> float:
     return worst
 
 
-def conservation_study(cfg: StudyConfig) -> ConservationResult:
+def conservation_study(cfg: RunConfig) -> ConservationResult:
     """Hamiltonian drift over a dt-halving sequence, with order fit."""
     if cfg.params.b != cfg.params.d:
         raise UnsupportedCaseError(
@@ -273,7 +198,7 @@ def conservation_study(cfg: StudyConfig) -> ConservationResult:
     rows = [",".join([fmt(h), fmt(dr), fmt(po)])
             for h, dr, po in zip(dts, drifts, pair_orders)]
     _write_csv(cfg, "conservation.csv", "dt,drift,order_fit", rows)
-    write_manifest(cfg)
+    cfg.write_manifest({"order_fit": order_fit})
     return ConservationResult(dts=tuple(dts), drifts=tuple(drifts),
                               pair_orders=tuple(pair_orders), order_fit=order_fit)
 
@@ -295,7 +220,7 @@ class SmallnessReport:
     terminated_by: str
 
 
-def smallness_check(cfg: StudyConfig) -> SmallnessReport:
+def smallness_check(cfg: RunConfig) -> SmallnessReport:
     """Long-horizon run monitoring eps*||zeta||^2_{L2} against 1/2.
 
     mu is tied to epsilon.  Data are rescaled so the initial smallness
@@ -360,13 +285,7 @@ def smallness_check(cfg: StudyConfig) -> SmallnessReport:
         invariant_held=tracker["max_small"] < 0.5,
         terminated_by=terminated,
     )
-    write_manifest(cfg, extra={"report": {
-        "precondition_ok": report.precondition_ok,
-        "invariant_held": report.invariant_held,
-        "max_smallness": report.max_smallness,
-        "max_x0": report.max_x0,
-        "terminated_by": report.terminated_by,
-    }})
+    cfg.write_manifest(asdict(report))
     return report
 
 
@@ -382,7 +301,7 @@ class EquivalenceRecord:
     ratio_max: float
 
 
-def _equivalence_point(cfg: StudyConfig, eps: float, mu: float) -> EquivalenceRecord:
+def _equivalence_point(cfg: RunConfig, eps: float, mu: float) -> EquivalenceRecord:
     params = cfg.params.replace(epsilon=eps, mu=mu)
     case = classify_case(params, cfg.case_override)
     s = cfg.monitor_s(cfg.grid)
@@ -436,7 +355,7 @@ def equivalence_spread_monotone(records: list[EquivalenceRecord],
     return True
 
 
-def equivalence_study(cfg: StudyConfig) -> list[EquivalenceRecord]:
+def equivalence_study(cfg: RunConfig) -> list[EquivalenceRecord]:
     """Min/max of E_s/calE_s over random states per (epsilon, mu) point.
 
     When mus is given the sweep is the full Cartesian product, ordered by
@@ -455,7 +374,5 @@ def equivalence_study(cfg: StudyConfig) -> list[EquivalenceRecord]:
     rows = [",".join([fmt(r.epsilon), fmt(r.mu), str(r.case_id),
                       fmt(r.ratio_min), fmt(r.ratio_max)]) for r in records]
     _write_csv(cfg, "equivalence.csv", "epsilon,mu,case,ratio_min,ratio_max", rows)
-    write_manifest(cfg, extra={
-        "spread_monotone": equivalence_spread_monotone(records),
-    })
+    cfg.write_manifest({"spread_monotone": equivalence_spread_monotone(records)})
     return records

@@ -217,8 +217,8 @@ def test_conserve_command_writes_drift_table(tmp_path, capsys):
     assert "order fit" in stdout
     rows = read_rows(out / "conservation.csv")
     assert [float(r["dt"]) for r in rows] == [0.1, 0.05]
-    # the study writes its own manifest; the command adds one with the echo
-    assert (out / "conservation_manifest.json").is_file()
+    # one manifest, named after the command, not after the study
+    assert not (out / "conservation_manifest.json").exists()
     manifest = json.loads((out / "conserve_manifest.json").read_text())
     assert manifest["command"] == "conserve"
     assert "order_fit" in manifest["derived"]
@@ -238,6 +238,8 @@ def test_smallness_command_reports_the_invariant(tmp_path, capsys):
     assert manifest["derived"]["invariant_held"] is True
     assert manifest["derived"]["precondition_ok"] is True
     assert manifest["derived"]["max_smallness"] < 0.5
+    assert manifest["derived"]["max_x0"] > 0.0
+    assert manifest["derived"]["terminated_by"] == "max_t"
 
 
 def test_equivalence_command_reports_ratio_bounds(tmp_path, capsys):
@@ -253,6 +255,28 @@ def test_equivalence_command_reports_ratio_bounds(tmp_path, capsys):
     assert 0.0 < float(rows[0]["ratio_min"]) <= float(rows[0]["ratio_max"])
     manifest = json.loads((out / "equivalence_manifest.json").read_text())
     assert isinstance(manifest["derived"]["spread_monotone"], bool)
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", ["grid.n=32", "scheme.dt=0.1", "scheme.max_t=0.2"]),
+    ("lifespan", ["grid.n=32", "scheme.dt=0.1", "scheme.max_t=0.2",
+                  "study.epsilons=0.1"]),
+    ("conserve", ["grid.n=32", "scheme.max_t=0.2", "study.dts=0.1,0.05"]),
+    ("smallness", ["grid.n=32", "scheme.dt=0.05", "scheme.max_t=0.1"]),
+    ("equivalence", ["grid.n=16", "study.num_states=2", "study.epsilons=0.1"]),
+    ("symbols", ["grid.n=16"]),
+])
+def test_each_command_leaves_one_manifest(tmp_path, capsys, command, overrides):
+    out = tmp_path / command
+    assert run(command, *sets(out, *overrides)) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.glob("*manifest*")) == \
+        [f"{command}_manifest.json"]
+    manifest = json.loads((out / f"{command}_manifest.json").read_text())
+    assert sorted(manifest) == ["command", "config", "derived", "version"]
+    assert manifest["command"] == command
+    assert manifest["config"] == \
+        parse_config(None, [f"output.dir={out}"] + overrides).echo()
 
 
 def test_plot_script_emission(tmp_path, capsys):

@@ -415,6 +415,27 @@ def test_default_dt_formulas():
                                                                   rel=1e-12)
 
 
+@pytest.mark.parametrize("b, d", [(0.25, 1.0 / 6.0), (5.0 / 12.0, 0.0)],
+                         ids=["case1", "case3"])
+def test_default_dt_classical_stable_for_distinct_coefficients(b, d):
+    """The classical cap uses the frequency of the primitive system,
+    |xi| sqrt(A(1-gamma)(1-c mu|xi|^2) / (gamma(1+b mu|xi|^2)(1+d mu|xi|^2))),
+    so a linear run on the automatic dt stays finite."""
+    grid = GridSpec.square(256, TWO_PI, dim=1)
+    p = _params(gamma=0.5, epsilon=0.0, b=b, d=d)
+    state = make_initial_state(grid, p, profile="gaussian", amplitude=0.1)
+    dt = default_dt(state, scheme="classical")
+    k2 = grid.abs2_xi
+    A = symbol_table(grid, p).A
+    om_sys = np.sqrt(k2 * A * (1.0 - p.gamma) * (1.0 - p.c * p.mu * k2)
+                     / (p.gamma * (1.0 + p.b * p.mu * k2) * (1.0 + p.d * p.mu * k2)))
+    assert dt * np.max(om_sys) <= 2.8 * (1.0 + 1e-12)
+    summary = evolve(state, SchemeConfig(dt=dt, max_t=2000 * dt,
+                                         scheme="classical", cadence=2000))
+    assert summary.steps == 2000
+    assert summary.final_state.is_finite()
+
+
 # ---------------------------------------------------------------------------
 # evolve(): monitors, events, termination
 # ---------------------------------------------------------------------------
@@ -496,3 +517,25 @@ def test_evolve_starts_from_state_time():
     summary = evolve(state, SchemeConfig(dt=0.25, max_t=2.0))
     assert summary.steps == 4
     assert summary.final_state.t == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("scheme", ["exponential", "classical"])
+def test_evolve_lands_on_max_t_with_a_short_last_step(scheme):
+    """dt = 0.3 does not divide [0, 1]: three full steps, then one of 0.1."""
+    grid = GridSpec.square(16, TWO_PI, dim=1)
+    state = _random_state(grid, _params(), 19)
+    times = []
+    summary = evolve(state, SchemeConfig(dt=0.3, max_t=1.0, scheme=scheme),
+                     monitors=(lambda s: times.append(s.t),))
+    assert summary.terminated_by == "max_t"
+    assert summary.steps == 4
+    assert summary.final_state.t == 1.0
+    assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-15)
+
+    manual = diagonalize(state) if scheme == "exponential" else state
+    stepper = step_exponential if scheme == "exponential" else step_classical
+    for h in (0.3, 0.3, 0.3, 1.0 - 3 * 0.3):
+        manual = stepper(manual, h)
+    if scheme == "exponential":
+        manual = undiagonalize(manual)
+    assert _state_diff(summary.final_state, manual) == 0.0

@@ -90,3 +90,13 @@ def test_truncated_payload_rejected(tmp_path):
     (tmp_path / "cut.bfd").write_bytes(blob[:-16])
     with pytest.raises(ValueError, match="truncated BFDv1 payload"):
         read_snapshot(tmp_path / "cut.bfd")
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    grid = GridSpec.square(8, TWO_PI, dim=1)
+    state = _state(grid, seed=3)
+    path = tmp_path / "t.bfd"
+    write_snapshot(path, state)
+    (tmp_path / "long.bfd").write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes after BFDv1 payload"):
+        read_snapshot(tmp_path / "long.bfd")

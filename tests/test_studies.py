@@ -118,9 +118,10 @@ def test_lifespan_artifacts(tmp_path):
     assert csv[0] == "epsilon,mu,T_obs,product,terminated_by"
     assert len(csv) == 2
     manifest = json.loads((tmp_path / "lifespan_manifest.json").read_text())
-    assert manifest["kind"] == "lifespan"
-    for key in ("model", "grid", "scheme", "initial", "study", "version"):
-        assert key in manifest
+    assert manifest["command"] == "lifespan"
+    assert manifest["config"] == cfg.echo()
+    assert manifest["derived"] == {}
+    assert "version" in manifest
 
 
 def test_lifespan_deterministic(tmp_path):
@@ -190,7 +191,8 @@ def test_conservation_fourth_order_drift(tmp_path):
     csv = (tmp_path / "conservation.csv").read_text().splitlines()
     assert csv[0] == "dt,drift,order_fit"
     assert len(csv) == 3
-    assert json.loads((tmp_path / "conservation_manifest.json").read_text())
+    manifest = json.loads((tmp_path / "conservation_manifest.json").read_text())
+    assert manifest["derived"]["order_fit"] == result.order_fit
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,9 @@ def test_smallness_normal_run(tmp_path):
     assert csv[0] == "t,smallness,noncav,hamiltonian,x0_norm"
     assert len(csv) > 2
     manifest = json.loads((tmp_path / "smallness_manifest.json").read_text())
-    assert manifest["report"]["invariant_held"] is True
+    assert manifest["derived"]["invariant_held"] is True
+    assert manifest["derived"]["max_x0"] == report.max_x0
+    assert manifest["derived"]["terminated_by"] == "max_t"
 
 
 def test_smallness_inflated_data_flagged_but_runs():
@@ -278,7 +282,7 @@ def test_equivalence_tied_sweep(tmp_path):
     assert csv[0] == "epsilon,mu,case,ratio_min,ratio_max"
     assert len(csv) == 3
     manifest = json.loads((tmp_path / "equivalence_manifest.json").read_text())
-    assert isinstance(manifest["spread_monotone"], bool)
+    assert isinstance(manifest["derived"]["spread_monotone"], bool)
 
 
 def test_equivalence_cartesian_sweep():
