@@ -118,7 +118,13 @@ def _maybe_plot(cfg: RunConfig, out: Path, csv_name: str, xcol: str,
 
 def _initial_state(cfg: RunConfig):
     if cfg.snapshot is not None:
-        return load_state(cfg.snapshot, cfg.params)
+        state = load_state(cfg.snapshot, cfg.params)
+        if state.grid != cfg.grid:
+            raise ConfigError(
+                f"snapshot {cfg.snapshot} is on the grid n={state.grid.n}, "
+                f"length={state.grid.length}, but [grid] is n={cfg.grid.n}, "
+                f"length={cfg.grid.length}")
+        return state
     return make_initial_state(cfg.grid, cfg.params, profile=cfg.profile,
                               amplitude=cfg.amplitude, seed=cfg.seed,
                               width=cfg.width, mode_k=cfg.mode_k,

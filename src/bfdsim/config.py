@@ -53,7 +53,7 @@ CONFIG_KEYS: dict[str, tuple[Key, ...]] = {
     ),
     "scheme": (
         Key("scheme", SCHEME_EXPONENTIAL,
-            f"{SCHEME_EXPONENTIAL} (b = d only) or {SCHEME_CLASSICAL}"),
+            f"{SCHEME_EXPONENTIAL} or {SCHEME_CLASSICAL}"),
         Key("dt", "(auto)", "time step; empty = advective CFL guess"),
         Key("max_t", "10", "final time"),
         Key("cadence", "10", "steps between diagnostic rows"),
@@ -66,7 +66,7 @@ CONFIG_KEYS: dict[str, tuple[Key, ...]] = {
         Key("width", "(auto)", "gaussian width; empty = min(length)/16"),
         Key("mode_k", "1 per axis", "integer mode numbers for profile=mode"),
         Key("velocity", "right-mover", "velocity recipe: " + " | ".join(VELOCITIES)),
-        Key("snapshot", "(unset)", "BFDv1 file to start from instead of a profile"),
+        Key("snapshot", "(unset)", "BFDv1 file to start from; its grid must match [grid]"),
     ),
     "output": (
         Key("dir", "out", "output directory"),

@@ -211,23 +211,16 @@ def hamiltonian(state: FieldState) -> float:
         - (1-gamma)*c*mu*|grad zeta|^2 - (a*mu/gamma)|grad v|^2
         + (1/gamma^2)sqrt(mu/mu2)|sigma^{1/2} v|^2
         + (1/gamma^3)(mu/mu2)|sigma v|^2.
+    Mode by mode its quadratic part is (1-gamma)(1 - c*mu*|xi|^2)|zeta_hat|^2
+    + (1/gamma) A(xi)|v_hat|^2.
     """
     grid = state.grid
     p = state.params
     tab = symbol_table(grid, p)
     gamma = p.gamma
-    zhat = state.zeta.hat
-    vhats = [c.hat for c in state.v]
 
-    total = (1.0 - gamma) * grid.spectral_l2_sq(zhat)
-    total -= (1.0 - gamma) * p.c * p.mu * grid.spectral_l2_sq(zhat, weight=grid.abs2_xi)
-    ratio = p.mu / p.mu2
-    for vh in vhats:
-        total += grid.spectral_l2_sq(vh) / gamma
-        total -= p.a * p.mu / gamma * grid.spectral_l2_sq(vh, weight=grid.abs2_xi)
-        total += math.sqrt(ratio) / gamma**2 * grid.spectral_l2_sq(vh, weight=tab.sigma)
-        total += ratio / gamma**3 * grid.spectral_l2_sq(vh, weight=tab.sigma**2)
-
+    total = (1.0 - gamma) * grid.spectral_l2_sq(state.zeta.hat, weight=tab.one_minus_cmu)
+    total += sum(grid.spectral_l2_sq(c.hat, weight=tab.A) for c in state.v) / gamma
     if p.epsilon != 0.0:
         vsq = sum(c.values**2 for c in state.v)
         vsq_d = grid.ifft_real(grid.dealias_mask * grid.fft(vsq))
@@ -244,9 +237,7 @@ def variational_gradients(state: FieldState):
     mask = grid.dealias_mask
 
     dz = (1.0 - gamma) * tab.one_minus_cmu * state.zeta.hat
-    linear_v = (1.0 / gamma - p.a * p.mu / gamma * grid.abs2_xi
-                + math.sqrt(p.mu / p.mu2) / gamma**2 * tab.sigma
-                + (p.mu / p.mu2) / gamma**3 * tab.sigma**2)
+    linear_v = tab.A / gamma
     dv = [linear_v * c.hat for c in state.v]
 
     if p.epsilon != 0.0:

@@ -1,14 +1,15 @@
 """Time integration: exact-phase exponential stepping and classical RK4.
 
-For b = d the linear flow diagonalizes exactly: W = |D|^{-1} curl v is
-frozen, and the dispersive movers Z+- = zeta +- sqrt(omega1/omega2)
-(1/(i|D|)) div v obey  dt Z+- = -(+-) i Omega Z+- + f+- with Omega(xi) =
-|xi| sqrt(omega1 omega2).  The exponential path applies an
-integrating-factor RK4 whose linear part is the exact phase, so eps = 0
-evolution is exact to roundoff.  The classical path runs RK4 on the
-Helmholtz-inverted primitive equations and works for every coefficient
-case.  The xi = 0 modes decouple, are stored separately on the diagonal
-path, and are conserved bitwise on both paths.
+The linear flow diagonalizes in every coefficient case: W = |D|^{-1}
+curl v is frozen, and the dispersive movers Z+- = zeta +- r (1/(i|D|))
+div v, with the impedance r = sqrt(omega1/(g*omega2)), obey
+dt Z+- = -(+-) i Omega_sys Z+- + f+- with Omega_sys(xi) =
+|xi| sqrt(omega1 omega2 g) (see bfdsim.symbols; g = 1 when b = d).  The
+exponential path applies an integrating-factor RK4 whose linear part is
+the exact phase, so eps = 0 evolution is exact to roundoff.  The classical
+path runs RK4 on the Helmholtz-inverted primitive equations; it is kept as
+a cross-check.  The xi = 0 modes decouple, are stored separately on the
+diagonal path, and are conserved bitwise on both paths.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .energy import x_norm_state
-from .errors import ParameterDomainError, UnsupportedCaseError
+from .errors import ParameterDomainError
 from .params import ModelParams
 from .spectral import GridSpec, SpectralField
 from .symbols import SymbolTable, symbol_table
@@ -62,7 +63,11 @@ class BlowUpSignal(RuntimeError):
 
 @dataclass
 class DiagState:
-    """State in the diagonal variables of the b = d case.
+    """State in the diagonal variables of the linear flow.
+
+    With u = xi/|xi| and the impedance r = sqrt(omega1/(g*omega2)), the
+    movers are Z+- = zeta_hat +- r u.v_hat and W_hat = i(u1 v2_hat -
+    u2 v1_hat) is the frozen rotational part.
 
     Spectra store 0 at xi = 0; the (conserved) means live in zero_mode as
     (zeta_hat(0), (v_hat(0), ...)).  W_hat is None in one dimension, where
@@ -85,16 +90,8 @@ class DiagState:
                          params=self.params)
 
 
-def _require_diagonalizable(params: ModelParams):
-    if params.b != params.d:
-        raise UnsupportedCaseError(
-            f"diagonalization requires b = d, got b={params.b}, d={params.d}"
-        )
-
-
 def diagonalize(state: FieldState) -> DiagState:
     """Split the state into frozen-rotational and dispersive-mover spectra."""
-    _require_diagonalizable(state.params)
     grid = state.grid
     tab = symbol_table(grid, state.params)
     origin = (0,) * grid.dim
@@ -155,8 +152,8 @@ def nonlinear_f_pm(diag: DiagState, use_dealias: bool = True):
     """Quadratic forcing spectra (f+_hat, f-_hat) of the mover equations.
 
     f+- = (eps/gamma)(1 - b*mu*Lap)^{-1} div(zeta v)
-          +- (eps/(2*gamma)) sqrt(omega1/omega2) i|xi|
-             (1 - b*mu*Lap)^{-1} (|v|^2).
+          +- (eps/(2*gamma)) sqrt(omega1/(g*omega2)) i|xi|
+             (1 - d*mu*Lap)^{-1} (|v|^2).
     Both terms carry a factor xi, so the xi = 0 component is exactly 0.
     """
     grid = diag.grid
@@ -173,14 +170,14 @@ def nonlinear_f_pm(diag: DiagState, use_dealias: bool = True):
     eps, gamma = p.epsilon, p.gamma
     common = eps / gamma * div_zv / tab.helmholtz_b
     split = (eps / (2.0 * gamma) * tab.ratio_sqrt * 1j * grid.abs_xi
-             * vsq / tab.helmholtz_b)
+             * vsq / tab.helmholtz_d)
     return common + split, common - split
 
 
 def step_exponential(diag: DiagState, dt: float, use_dealias: bool = True) -> DiagState:
     """One integrating-factor RK4 step in the diagonal variables.
 
-    The linear phase e^{-+ i dt Omega} is applied exactly; W_hat and the
+    The linear phase e^{-+ i dt Omega_sys} is applied exactly; W_hat and the
     zero mode are carried through untouched.
     """
     tab = symbol_table(diag.grid, diag.params)
@@ -250,9 +247,8 @@ def step(state, cfg: SchemeConfig):
 def default_dt(state: FieldState, scheme: str = SCHEME_EXPONENTIAL) -> float:
     """Advective CFL guess: 0.9*dx/(eps*max|v|/gamma + 1); the classical
     scheme is additionally capped at 2.8/max(Omega_sys) for stability of
-    RK4 on the imaginary axis.  Omega_sys = Omega*sqrt(g) =
-    |xi| sqrt(A(1-gamma)(1-c mu|xi|^2) / (gamma(1+b mu|xi|^2)(1+d mu|xi|^2)))
-    is the frequency step_classical integrates; it is Omega when b = d."""
+    RK4 on the imaginary axis, with Omega_sys = |xi| sqrt(omega1 omega2 g)
+    the frequency of the linear flow (SymbolTable.Omega)."""
     grid = state.grid
     p = state.params
     vmag = np.zeros(grid.n)
@@ -261,8 +257,7 @@ def default_dt(state: FieldState, scheme: str = SCHEME_EXPONENTIAL) -> float:
     vmax = float(np.sqrt(np.max(vmag)))
     dt = 0.9 * min(grid.dx) / (p.epsilon * vmax / p.gamma + 1.0)
     if scheme == SCHEME_CLASSICAL:
-        tab = symbol_table(grid, p)
-        om_max = float(np.max(tab.Omega * np.sqrt(tab.g)))
+        om_max = float(np.max(symbol_table(grid, p).Omega))
         if om_max > 0.0:
             dt = min(dt, 2.8 / om_max)
     return dt

@@ -6,7 +6,8 @@ modes |k| <= n/8 with <xi>^-2 decay).  The default velocity is the linear
 right-mover: a real field cannot put all content in one mover globally
 (realness pairs Z-(-xi) with Z+(xi)), so Z- is zeroed on the half-lattice
 where the first nonzero wavenumber component is positive, which in 1D is
-the classical v_hat = sqrt(omega2/omega1) * zeta_hat.
+the classical v_hat = zeta_hat / r with the mover impedance
+r = sqrt(omega1/(g*omega2)) of bfdsim.symbols (g = 1 when b = d).
 """
 
 from __future__ import annotations

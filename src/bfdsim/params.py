@@ -91,7 +91,6 @@ class CaseClass:
     k: int
     k_prime: int
     hamiltonian: bool
-    diagonalizable: bool
     variant: str
 
 
@@ -179,9 +178,8 @@ def classify_case(params: ModelParams, case_override: int | None = None) -> Case
         variant = symmetrizer_variant(params)
     else:
         variant = _variant_for_case(case_id, params)
-    ham = params.b == params.d
     return CaseClass(case_id=case_id, k=k, k_prime=k_prime,
-                     hamiltonian=ham, diagonalizable=ham, variant=variant)
+                     hamiltonian=params.b == params.d, variant=variant)
 
 
 def _variant_for_case(case_id: int, params: ModelParams) -> str:

@@ -8,11 +8,16 @@ s -> 0 and to s as s -> inf.  The combined symbol
     A(xi) = 1 - a*mu*|xi|^2 + (1/gamma)*sqrt(mu/mu2)*sigma
               + (1/gamma^2)*(mu/mu2)*sigma^2
 
-drives the surface equation, and the linear modes travel with frequencies
-Omega(xi) = |xi|*sqrt(omega1*omega2) where
+drives the surface equation, and with the paper weights
 
     omega1 = (1/gamma)*A(xi)/(1 + b*mu*|xi|^2),
-    omega2 = (1 - gamma)*(1 - c*mu*|xi|^2)/(1 + b*mu*|xi|^2).
+    omega2 = (1 - gamma)*(1 - c*mu*|xi|^2)/(1 + b*mu*|xi|^2),
+    g = (1 + b*mu*|xi|^2)/(1 + d*mu*|xi|^2)
+
+the longitudinal pair of every coefficient case oscillates at
+Omega_sys(xi) = |xi|*sqrt(omega1*omega2*g), and the movers
+zeta +- r*(xi/|xi|).v split with the impedance r = sqrt(omega1/(g*omega2)).
+When b = d, g is exactly 1.
 """
 
 from __future__ import annotations
@@ -42,43 +47,11 @@ def sigma_of(s: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
-class SymbolTable:
-    """Multiplier arrays over one grid for one parameter set."""
-
-    grid: GridSpec
-    params: ModelParams
-    sigma: np.ndarray = field(repr=False)
-    A: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
-    omega1: np.ndarray = field(repr=False)
-    omega2: np.ndarray = field(repr=False)
-    lambda_plus: np.ndarray = field(repr=False)
-    helmholtz_b: np.ndarray = field(repr=False)
-    helmholtz_d: np.ndarray = field(repr=False)
-    one_minus_cmu: np.ndarray = field(repr=False)
-
-    @property
-    def Omega(self) -> np.ndarray:
-        """Dispersion relation |xi|*sqrt(omega1*omega2) = Im lambda_plus."""
-        return self.lambda_plus.imag
-
-    @property
-    def ratio_sqrt(self) -> np.ndarray:
-        """sqrt(omega1/omega2), the mode-splitting impedance."""
-        return np.sqrt(self.omega1 / self.omega2)
-
-    @property
-    def lambda_minus(self) -> np.ndarray:
-        return np.conj(self.lambda_plus)
-
-
-@lru_cache(maxsize=64)
-def symbol_table(grid: GridSpec, params: ModelParams) -> SymbolTable:
-    """Build (or fetch the cached) symbol table for a grid/parameter pair."""
+def multipliers(abs2, params: ModelParams) -> dict[str, np.ndarray]:
+    """Every linear multiplier at |xi|^2 = abs2, keyed by SymbolTable field."""
     mu, mu2, gamma = params.mu, params.mu2, params.gamma
-    abs_xi = grid.abs_xi
-    abs2 = grid.abs2_xi
+    abs2 = np.asarray(abs2, dtype=np.float64)
+    abs_xi = np.sqrt(abs2)
 
     sig = sigma_of(np.sqrt(mu2) * abs_xi)
     ratio = mu / mu2
@@ -91,9 +64,47 @@ def symbol_table(grid: GridSpec, params: ModelParams) -> SymbolTable:
     g = helm_b / helm_d
     omega1 = A / (gamma * helm_b)
     omega2 = (1.0 - gamma) * one_minus_cmu / helm_b
-    lam = 1j * abs_xi * np.sqrt(omega1 * omega2)
+    return dict(sigma=sig, A=A, g=g, omega1=omega1, omega2=omega2,
+                Omega=abs_xi * np.sqrt(omega1 * omega2 * g),
+                impedance=np.sqrt(omega1 / (g * omega2)),
+                helmholtz_b=helm_b, helmholtz_d=helm_d,
+                one_minus_cmu=one_minus_cmu)
 
-    return SymbolTable(grid=grid, params=params, sigma=sig, A=A, g=g,
-                       omega1=omega1, omega2=omega2, lambda_plus=lam,
-                       helmholtz_b=helm_b, helmholtz_d=helm_d,
-                       one_minus_cmu=one_minus_cmu)
+
+@dataclass(eq=False)
+class SymbolTable:
+    """Multiplier arrays over one grid for one parameter set."""
+
+    grid: GridSpec
+    params: ModelParams
+    sigma: np.ndarray = field(repr=False)
+    A: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+    omega1: np.ndarray = field(repr=False)
+    omega2: np.ndarray = field(repr=False)
+    Omega: np.ndarray = field(repr=False)
+    impedance: np.ndarray = field(repr=False)
+    helmholtz_b: np.ndarray = field(repr=False)
+    helmholtz_d: np.ndarray = field(repr=False)
+    one_minus_cmu: np.ndarray = field(repr=False)
+
+    @property
+    def ratio_sqrt(self) -> np.ndarray:
+        """sqrt(omega1/(g*omega2)), the mode-splitting impedance."""
+        return self.impedance
+
+    @property
+    def lambda_plus(self) -> np.ndarray:
+        """Eigenvalue i*Omega_sys of the linear flow."""
+        return 1j * self.Omega
+
+    @property
+    def lambda_minus(self) -> np.ndarray:
+        return np.conj(self.lambda_plus)
+
+
+@lru_cache(maxsize=64)
+def symbol_table(grid: GridSpec, params: ModelParams) -> SymbolTable:
+    """Build (or fetch the cached) symbol table for a grid/parameter pair."""
+    return SymbolTable(grid=grid, params=params,
+                       **multipliers(grid.abs2_xi, params))

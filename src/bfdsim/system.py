@@ -29,7 +29,7 @@ from .params import (
     symmetrizer_variant,
 )
 from .spectral import GridSpec, SpectralField, _check_same_grid
-from .symbols import SymbolTable, sigma_of, symbol_table
+from .symbols import SymbolTable, multipliers, symbol_table
 
 
 @dataclass
@@ -110,26 +110,19 @@ def rhs_hat(zhat: np.ndarray, vhats: tuple[np.ndarray, ...], grid: GridSpec,
         table = symbol_table(grid, params)
     gamma, eps = params.gamma, params.epsilon
 
-    div_Av = np.zeros(grid.n, dtype=np.complex128)
+    num_z = np.zeros(grid.n, dtype=np.complex128)
     for xi, vh in zip(grid.xi_mesh, vhats):
-        div_Av += 1j * xi * (table.A * vh)
+        num_z += 1j * xi * (table.A * vh)
+    num_v = (1.0 - gamma) * table.one_minus_cmu * zhat
 
     if eps != 0.0:
         zr = grid.ifft_real(zhat)
         vr = [grid.ifft_real(vh) for vh in vhats]
         div_zv, vsq_hat = quadratic_products(zr, vr, grid, use_dealias)
-        dz = -(div_Av - eps * div_zv) / (gamma * table.helmholtz_b)
-        dv = tuple(
-            -(1j * xi * ((1.0 - gamma) * table.one_minus_cmu * zhat
-                         - eps / (2.0 * gamma) * vsq_hat)) / table.helmholtz_d
-            for xi in grid.xi_mesh
-        )
-    else:
-        dz = -div_Av / (gamma * table.helmholtz_b)
-        dv = tuple(
-            -(1.0 - gamma) * 1j * xi * table.one_minus_cmu * zhat / table.helmholtz_d
-            for xi in grid.xi_mesh
-        )
+        num_z = num_z - eps * div_zv
+        num_v = num_v - eps / (2.0 * gamma) * vsq_hat
+    dz = -num_z / (gamma * table.helmholtz_b)
+    dv = tuple(-(1j * xi * num_v) / table.helmholtz_d for xi in grid.xi_mesh)
     return dz, dv
 
 
@@ -180,14 +173,8 @@ def frozen_symbol_matrices(xi, zeta_bar: float, v_bar, params: ModelParams,
 
     gamma, eps, mu = params.gamma, params.epsilon, params.mu
     abs2 = sum(c * c for c in xi)
-    sig = float(sigma_of(np.sqrt(params.mu2 * abs2)))
-    A = (1.0 - params.a * mu * abs2
-         + math.sqrt(mu / params.mu2) / gamma * sig
-         + (mu / params.mu2) / gamma**2 * sig**2)
-    helm_b = 1.0 + params.b * mu * abs2
-    helm_d = 1.0 + params.d * mu * abs2
-    omc = 1.0 - params.c * mu * abs2
-    g = helm_b / helm_d
+    sym = multipliers(abs2, params)
+    A, helm_d, omc, g = (float(sym[k]) for k in ("A", "helmholtz_d", "one_minus_cmu", "g"))
     Aez = A - eps * zeta_bar
     ixi = [1j * c for c in xi]
     v_dot_ixi = sum(vb * ix for vb, ix in zip(v_bar, ixi))

@@ -146,6 +146,24 @@ def test_simulate_resumes_from_a_snapshot(tmp_path, capsys):
         (first / "final.bfd").read_bytes()
 
 
+def test_simulate_resume_rejects_a_different_grid(tmp_path, capsys):
+    first = tmp_path / "first"
+    rc = run("simulate", *sets(first, "grid.n=32", "scheme.dt=0.1",
+                               "scheme.max_t=0.1", "initial.amplitude=0.05"))
+    assert rc == 0
+    capsys.readouterr()
+    second = tmp_path / "second"
+    rc = run("simulate", *sets(second, "grid.n=16", "scheme.dt=0.1",
+                               "scheme.max_t=0.2",
+                               f"initial.snapshot={first / 'final.bfd'}"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert "n=(32,)" in err and "n=(16,)" in err
+    assert not (second / "simulate_manifest.json").exists()
+    assert not (second / "final.bfd").exists()
+
+
 def test_simulate_is_deterministic(tmp_path, capsys):
     outs = []
     for name in ("a", "b"):
@@ -180,6 +198,21 @@ def test_symbols_dumps_the_nonnegative_ray(tmp_path, capsys):
         math.cosh(1.0) / math.sinh(1.0), rel=1e-13)
     manifest = json.loads((out / "symbols_manifest.json").read_text())
     assert manifest["derived"] == {"rows": 8}
+
+
+def test_symbols_prints_the_system_frequency(tmp_path, capsys):
+    """For b != d the im_lambda_plus column is Omega_sys = |xi|
+    sqrt(omega1 omega2 g), the frequency the primitive system oscillates at."""
+    out = tmp_path / "sym"
+    rc = run("symbols", *sets(out, "grid.n=16", "model.b=0.25",
+                              "model.d=0.1666666666666667"))
+    assert rc == 0
+    capsys.readouterr()
+    last = read_rows(out / "symbols.csv")[-1]
+    col = {k: float(v) for k, v in last.items()}
+    expected = abs(col["xi"]) * math.sqrt(col["omega1"] * col["omega2"] * col["g"])
+    assert col["im_lambda_plus"] == pytest.approx(expected, rel=1e-12)
+    assert col["g"] != 1.0
 
 
 def test_symbols_two_dimensional_grid_uses_the_first_axis(tmp_path, capsys):

@@ -13,7 +13,6 @@ from bfdsim import (
     ParameterDomainError,
     SchemeConfig,
     SpectralField,
-    UnsupportedCaseError,
     default_dt,
     diagonalize,
     evolve,
@@ -37,6 +36,21 @@ def _params(**kw):
                 a=0.0, b=5.0 / 24.0, c=-1.0 / 12.0, d=5.0 / 24.0)
     base.update(kw)
     return ModelParams(**base)
+
+
+# (b, c, d) of cases 2 (b = d), 1 (b != d), 3 (d = 0), 5 (b = 0), 7 (b = d = 0)
+COEFFS = {
+    "case2": (5.0 / 24.0, -1.0 / 12.0, 5.0 / 24.0),
+    "case1": (0.25, -1.0 / 12.0, 1.0 / 6.0),
+    "case3": (5.0 / 12.0, -1.0 / 12.0, 0.0),
+    "case5": (0.0, -1.0 / 12.0, 5.0 / 24.0),
+    "case7": (0.0, -1.0 / 12.0, 0.0),
+}
+
+
+def _case_params(case, **kw):
+    b, c, d = COEFFS[case]
+    return _params(b=b, c=c, d=d, **kw)
 
 
 def _random_state(grid, params, seed, scale=0.1):
@@ -87,11 +101,12 @@ def test_diagonal_round_trip(dim):
         assert _state_diff(state, back) < 1e-12
 
 
-def test_diagonalize_requires_equal_coefficients():
+def test_diagonalize_accepts_distinct_coefficients():
     grid = GridSpec.square(8, TWO_PI, dim=2)
-    state = _random_state(grid, _params(b=0.25, d=1.0 / 6.0), 0)
-    with pytest.raises(UnsupportedCaseError):
-        diagonalize(state)
+    for case in ("case1", "case3", "case5"):
+        state = _random_state(grid, _case_params(case), 0, scale=0.5)
+        back = undiagonalize(diagonalize(state))
+        assert _state_diff(state, back) < 1e-12
 
 
 def test_gradient_velocity_has_no_rotation():
@@ -118,11 +133,12 @@ def test_solenoidal_velocity_is_pure_rotation():
     assert np.max(np.abs(diag.Zm_hat)) < 1e-10 * scale
 
 
-def test_right_mover_lives_on_one_branch():
+@pytest.mark.parametrize("case", list(COEFFS))
+def test_right_mover_lives_on_one_branch(case):
     """The paired initial velocity puts the positive half-lattice entirely
     in the forward mover."""
     grid = GridSpec.square(32, TWO_PI, dim=1)
-    p = _params()
+    p = _case_params(case)
     state = make_initial_state(grid, p, profile="random_bandlimited",
                                amplitude=0.2, seed=5, velocity="right-mover")
     diag = diagonalize(state)
@@ -199,7 +215,7 @@ def test_forcing_single_mode_convolution_oracle():
     the two-term hand convolution."""
     grid = GridSpec.square(16, TWO_PI, dim=1)
     gamma, eps = 0.5, 0.4
-    p = _params(gamma=gamma, epsilon=eps)
+    p = _case_params("case1", gamma=gamma, epsilon=eps)
     alpha, beta = 0.25, 0.4
     x = grid.x_mesh[0]
     state = FieldState.from_arrays(grid, p, alpha * np.cos(x),
@@ -215,7 +231,7 @@ def test_forcing_single_mode_convolution_oracle():
     xi2 = 2.0
     common = eps / gamma * (1j * xi2 * zv_hat2) / tab.helmholtz_b[2]
     split = (eps / (2 * gamma) * tab.ratio_sqrt[2] * 1j * xi2 * vsq_hat2
-             / tab.helmholtz_b[2])
+             / tab.helmholtz_d[2])
     assert fp[2] == pytest.approx(common + split, rel=1e-12)
     assert fm[2] == pytest.approx(common - split, rel=1e-12)
     # nothing anywhere else except the conjugate mode
@@ -290,9 +306,10 @@ def test_classical_step_order_four():
     assert 12.0 < ratio < 20.0
 
 
-def test_cross_scheme_agreement():
+@pytest.mark.parametrize("case", list(COEFFS))
+def test_cross_scheme_agreement(case):
     grid = GridSpec.square(32, TWO_PI, dim=1)
-    p = _params(gamma=0.5, epsilon=0.3)
+    p = _case_params(case, gamma=0.5, epsilon=0.3)
     state = make_initial_state(grid, p, profile="gaussian", amplitude=0.3,
                                width=1.0, seed=2)
     cfg_exp = SchemeConfig(dt=1e-3, max_t=0.2, scheme="exponential")
@@ -500,14 +517,14 @@ def test_evolve_blow_up_on_nonfinite_data():
     assert math.isinf(err.value.norm)
 
 
-def test_evolve_rejects_exponential_for_distinct_coefficients():
+def test_evolve_exponential_for_distinct_coefficients():
     grid = GridSpec.square(16, TWO_PI, dim=1)
     p = _params(b=0.25, d=1.0 / 6.0)
     state = _random_state(grid, p, 17)
-    with pytest.raises(UnsupportedCaseError):
-        evolve(state, SchemeConfig(dt=0.1, max_t=0.5))
-    summary = evolve(state, SchemeConfig(dt=0.1, max_t=0.5, scheme="classical"))
-    assert summary.terminated_by == "max_t"
+    for scheme in ("exponential", "classical"):
+        summary = evolve(state, SchemeConfig(dt=0.1, max_t=0.5, scheme=scheme))
+        assert summary.terminated_by == "max_t"
+        assert summary.final_state.t == 0.5
 
 
 def test_evolve_starts_from_state_time():

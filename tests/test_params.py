@@ -151,9 +151,7 @@ def test_case_weights_frozen():
 
 def test_hamiltonian_flag_tracks_bd():
     assert classify_case(_params()).hamiltonian          # b = d
-    assert classify_case(_params()).diagonalizable
-    mixed = classify_case(_params(b=0.25, d=1.0 / 6.0))
-    assert not mixed.hamiltonian and not mixed.diagonalizable
+    assert not classify_case(_params(b=0.25, d=1.0 / 6.0)).hamiltonian
 
 
 def test_illposed_rejection_names_violations():

@@ -93,6 +93,14 @@ def test_table_formulas_componentwise():
     np.testing.assert_allclose(
         tab.omega2, (1 - p.gamma) * tab.one_minus_cmu / tab.helmholtz_b,
         rtol=1e-15)
+    # b != d: Omega_sys and the impedance carry both Helmholtz factors
+    lin = (1 - p.gamma) * tab.one_minus_cmu / (p.gamma * tab.helmholtz_b * tab.helmholtz_d)
+    np.testing.assert_allclose(tab.Omega, np.sqrt(abs2 * tab.A * lin), rtol=1e-14)
+    np.testing.assert_allclose(
+        tab.ratio_sqrt,
+        np.sqrt(tab.A * tab.helmholtz_d / (p.gamma * (1 - p.gamma) * tab.one_minus_cmu
+                                           * tab.helmholtz_b)),
+        rtol=1e-14)
 
 
 def test_table_zero_mode_value():
