@@ -24,13 +24,9 @@ from .params import (
 from .spectral import (
     GridSpec,
     SpectralField,
-    apply_multiplier,
     dealias,
     divergence,
     gradient,
-    laplacian,
-    perp_gradient,
-    scalar_curl,
 )
 from .symbols import SymbolTable, sigma_of, symbol_table
 from .system import (
@@ -42,7 +38,6 @@ from .system import (
     rescale_from_unit,
     rescale_to_unit,
     rhs_hat,
-    rhs_primitive,
 )
 from .energy import (
     EnergyReport,
@@ -65,7 +60,6 @@ from .evolution import (
     default_dt,
     diagonalize,
     evolve,
-    step,
     step_classical,
     step_exponential,
     undiagonalize,
@@ -94,21 +88,20 @@ __all__ = [
     "CASE_WEIGHTS", "CaseClass", "ModelParams", "classify_case",
     "params_from_alphas", "symmetrizer_variant",
     # grids and fields
-    "GridSpec", "SpectralField", "apply_multiplier", "dealias", "divergence",
-    "gradient", "laplacian", "perp_gradient", "scalar_curl",
+    "GridSpec", "SpectralField", "dealias", "divergence", "gradient",
     # symbols
     "SymbolTable", "sigma_of", "symbol_table",
     # system
     "FieldState", "FrozenSymbolMatrices", "frozen_symbol_matrices",
     "hermitian_defect", "noncavitation_margin", "rescale_from_unit",
-    "rescale_to_unit", "rhs_hat", "rhs_primitive",
+    "rescale_to_unit", "rhs_hat",
     # energies
     "EnergyReport", "calE_s", "energy_Es", "energy_report",
     "equivalence_ratio", "hamiltonian", "hamiltonian_coercivity_form",
     "variational_check", "variational_gradients", "x_norm", "x_norm_state",
     # evolution
     "BlowUpSignal", "DiagState", "EvolveSummary", "SchemeConfig", "default_dt",
-    "diagonalize", "evolve", "step", "step_classical", "step_exponential",
+    "diagonalize", "evolve", "step_classical", "step_exponential",
     "undiagonalize",
     # I/O and data
     "load_state", "read_snapshot", "write_snapshot",

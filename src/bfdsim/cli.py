@@ -25,8 +25,7 @@ import numpy as np
 from .config import RunConfig, config_help, parse_config
 from .energy import csv_header, energy_report
 from .errors import ConfigError, ParameterDomainError, UnsupportedCaseError
-from .evolution import BlowUpSignal, SchemeConfig, default_dt, evolve
-from .initial_data import make_initial_state
+from .evolution import BlowUpSignal, evolve
 from .snapshots import load_state, write_snapshot
 from .studies import (
     conservation_study,
@@ -125,19 +124,14 @@ def _initial_state(cfg: RunConfig):
                 f"length={state.grid.length}, but [grid] is n={cfg.grid.n}, "
                 f"length={cfg.grid.length}")
         return state
-    return make_initial_state(cfg.grid, cfg.params, profile=cfg.profile,
-                              amplitude=cfg.amplitude, seed=cfg.seed,
-                              width=cfg.width, mode_k=cfg.mode_k,
-                              velocity=cfg.velocity)
+    return cfg.initial_state()
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg)
     state = _initial_state(cfg)
-    dt = cfg.dt if cfg.dt is not None else default_dt(state, cfg.scheme)
-    scheme = SchemeConfig(dt=dt, max_t=cfg.max_t, scheme=cfg.scheme,
-                          cadence=cfg.cadence, dealias=cfg.dealias)
+    scheme = cfg.scheme_config(state)
 
     case = cfg.case
     rows: list[str] = []
@@ -167,7 +161,7 @@ def _cmd_simulate(args) -> int:
     (out / "report.csv").write_text("\n".join([csv_header()] + rows) + "\n")
     (out / "events.jsonl").write_text(
         "".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
-    cfg.write_manifest({"dt": dt, "steps": steps, "terminated_by": terminated_by})
+    cfg.write_manifest({"dt": scheme.dt, "steps": steps, "terminated_by": terminated_by})
     _maybe_plot(cfg, out, "report.csv", "t",
                 ("hamiltonian", "x0_norm", "noncav", "smallness"))
     print(f"simulate: {steps} steps, terminated by {terminated_by}; wrote {out}")

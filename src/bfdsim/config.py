@@ -19,10 +19,11 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import ConfigError
-from .initial_data import PROFILES, VELOCITIES
+from .initial_data import PROFILES, VELOCITIES, make_initial_state
 from .params import CaseClass, ModelParams, classify_case, params_from_alphas
-from .evolution import SCHEME_CLASSICAL, SCHEME_EXPONENTIAL
+from .evolution import SCHEME_CLASSICAL, SCHEME_EXPONENTIAL, SchemeConfig, default_dt
 from .spectral import TWO_PI, GridSpec
+from .system import FieldState
 
 
 class Key(NamedTuple):
@@ -57,7 +58,6 @@ CONFIG_KEYS: dict[str, tuple[Key, ...]] = {
         Key("dt", "(auto)", "time step; empty = advective CFL guess"),
         Key("max_t", "10", "final time"),
         Key("cadence", "10", "steps between diagnostic rows"),
-        Key("dealias", "true", "two-thirds truncation of quadratic products"),
     ),
     "initial": (
         Key("profile", "gaussian", "surface profile: " + " | ".join(PROFILES)),
@@ -146,7 +146,6 @@ class RunConfig:
     dt: float | None = None
     max_t: float = 100.0
     cadence: int = 10
-    dealias: bool = True
     profile: str = "gaussian"
     amplitude: float = 0.1
     seed: int = 1234
@@ -177,6 +176,23 @@ class RunConfig:
             return self.s
         return 4.0 if grid.dim == 2 else 3.0
 
+    def initial_state(self, params: ModelParams | None = None) -> FieldState:
+        """The [initial] recipe on grid, with params (default self.params)."""
+        return make_initial_state(self.grid, self.params if params is None else params,
+                                  profile=self.profile, amplitude=self.amplitude,
+                                  seed=self.seed, width=self.width,
+                                  mode_k=self.mode_k, velocity=self.velocity)
+
+    def scheme_config(self, state: FieldState, dt: float | None = None) -> SchemeConfig:
+        """The [scheme] settings for a run from state.
+
+        The step is dt if given, else self.dt, else default_dt(state).
+        """
+        if dt is None:
+            dt = self.dt if self.dt is not None else default_dt(state, self.scheme)
+        return SchemeConfig(dt=dt, max_t=self.max_t, scheme=self.scheme,
+                            cadence=self.cadence)
+
     def echo(self) -> dict:
         """Every key of the registry with its resolved value (for manifests)."""
         p = self.params
@@ -188,7 +204,7 @@ class RunConfig:
             "grid": {"n": list(self.grid.n), "length": list(self.grid.length),
                      "dim": self.grid.dim},
             "scheme": {"scheme": self.scheme, "dt": self.dt, "max_t": self.max_t,
-                       "cadence": self.cadence, "dealias": self.dealias},
+                       "cadence": self.cadence},
             "initial": {"profile": self.profile, "amplitude": self.amplitude,
                         "seed": self.seed, "width": self.width,
                         "mode_k": None if self.mode_k is None else list(self.mode_k),
@@ -344,7 +360,6 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     cadence = _parse_int(get("scheme", "cadence", "10"), "scheme.cadence")
     if cadence < 1:
         raise ConfigError(f"scheme.cadence must be >= 1, got {cadence}")
-    dealias = _parse_bool(get("scheme", "dealias", "true"), "scheme.dealias")
 
     profile = get("initial", "profile", "gaussian")
     if profile not in PROFILES:
@@ -406,7 +421,7 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
 
     return RunConfig(
         params=params, grid=grid,
-        scheme=scheme, dt=dt, max_t=max_t, cadence=cadence, dealias=dealias,
+        scheme=scheme, dt=dt, max_t=max_t, cadence=cadence,
         profile=profile, amplitude=amplitude, seed=seed, width=width,
         mode_k=mode_k, velocity=velocity, snapshot=snapshot,
         out_dir=out_dir, snapshot_every=snapshot_every, plot_script=plot_script,

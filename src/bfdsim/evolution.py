@@ -28,6 +28,7 @@ from .symbols import SymbolTable, symbol_table
 from .system import FieldState, quadratic_products, rhs_hat
 
 BLOWUP_NORM = 1e6
+NYQUIST_TOL = 1e-12
 
 SCHEME_EXPONENTIAL = "exponential"
 SCHEME_CLASSICAL = "classical"
@@ -39,7 +40,6 @@ class SchemeConfig:
     max_t: float
     scheme: str = SCHEME_EXPONENTIAL
     cadence: int = 1
-    dealias: bool = True
 
     def __post_init__(self):
         if self.scheme not in (SCHEME_EXPONENTIAL, SCHEME_CLASSICAL):
@@ -148,7 +148,7 @@ def undiagonalize(diag: DiagState) -> FieldState:
                       params=diag.params)
 
 
-def nonlinear_f_pm(diag: DiagState, use_dealias: bool = True):
+def nonlinear_f_pm(diag: DiagState):
     """Quadratic forcing spectra (f+_hat, f-_hat) of the mover equations.
 
     f+- = (eps/gamma)(1 - b*mu*Lap)^{-1} div(zeta v)
@@ -165,7 +165,7 @@ def nonlinear_f_pm(diag: DiagState, use_dealias: bool = True):
     zhat, vhats = _reconstruct_hats(diag, tab)
     zr = grid.ifft_real(zhat)
     vr = [grid.ifft_real(vh) for vh in vhats]
-    div_zv, vsq = quadratic_products(zr, vr, grid, use_dealias)
+    div_zv, vsq = quadratic_products(zr, vr, grid)
 
     eps, gamma = p.epsilon, p.gamma
     common = eps / gamma * div_zv / tab.helmholtz_b
@@ -174,11 +174,13 @@ def nonlinear_f_pm(diag: DiagState, use_dealias: bool = True):
     return common + split, common - split
 
 
-def step_exponential(diag: DiagState, dt: float, use_dealias: bool = True) -> DiagState:
+def step_exponential(diag: DiagState, dt: float) -> DiagState:
     """One integrating-factor RK4 step in the diagonal variables.
 
     The linear phase e^{-+ i dt Omega_sys} is applied exactly; W_hat and the
-    zero mode are carried through untouched.
+    zero mode are carried through untouched.  Precondition: no content on
+    the Nyquist modes (evolve checks it), or the step leaves a
+    non-Hermitian spectrum.
     """
     tab = symbol_table(diag.grid, diag.params)
     Om = tab.Omega
@@ -191,7 +193,7 @@ def step_exponential(diag: DiagState, dt: float, use_dealias: bool = True) -> Di
         probe = DiagState(t=t, Zp_hat=Zp, Zm_hat=Zm, W_hat=diag.W_hat,
                           zero_mode=diag.zero_mode, grid=diag.grid,
                           params=diag.params)
-        return nonlinear_f_pm(probe, use_dealias=use_dealias)
+        return nonlinear_f_pm(probe)
 
     t0 = diag.t
     Zp0, Zm0 = diag.Zp_hat, diag.Zm_hat
@@ -209,8 +211,12 @@ def step_exponential(diag: DiagState, dt: float, use_dealias: bool = True) -> Di
                      zero_mode=diag.zero_mode, grid=diag.grid, params=diag.params)
 
 
-def step_classical(state: FieldState, dt: float, use_dealias: bool = True) -> FieldState:
-    """One RK4 step on the Helmholtz-inverted primitive equations."""
+def step_classical(state: FieldState, dt: float) -> FieldState:
+    """One RK4 step on the Helmholtz-inverted primitive equations.
+
+    Precondition: no content on the Nyquist modes (evolve checks it), or
+    the step leaves a non-Hermitian spectrum.
+    """
     grid = state.grid
     p = state.params
     tab = symbol_table(grid, p)
@@ -218,7 +224,7 @@ def step_classical(state: FieldState, dt: float, use_dealias: bool = True) -> Fi
     v0 = tuple(c.hat for c in state.v)
 
     def f(zh, vh):
-        return rhs_hat(zh, vh, grid, p, table=tab, use_dealias=use_dealias)
+        return rhs_hat(zh, vh, grid, p, table=tab)
 
     k1z, k1v = f(z0, v0)
     k2z, k2v = f(z0 + dt / 2 * k1z, tuple(a + dt / 2 * b for a, b in zip(v0, k1v)))
@@ -232,16 +238,6 @@ def step_classical(state: FieldState, dt: float, use_dealias: bool = True) -> Fi
                       zeta=SpectralField(grid, hat=z1),
                       v=tuple(SpectralField(grid, hat=h) for h in v1),
                       params=p)
-
-
-def step(state, cfg: SchemeConfig):
-    """Advance one step; accepts FieldState or DiagState per the scheme."""
-    if cfg.scheme == SCHEME_EXPONENTIAL:
-        diag = state if isinstance(state, DiagState) else diagonalize(state)
-        return step_exponential(diag, cfg.dt, use_dealias=cfg.dealias)
-    if isinstance(state, DiagState):
-        state = undiagonalize(state)
-    return step_classical(state, cfg.dt, use_dealias=cfg.dealias)
 
 
 def default_dt(state: FieldState, scheme: str = SCHEME_EXPONENTIAL) -> float:
@@ -279,6 +275,31 @@ def _step_plan(span: float, dt: float) -> tuple[int, float]:
     return full + 1, span - full * dt
 
 
+def _require_no_nyquist(state: FieldState) -> None:
+    """Reject a state with content on the Nyquist modes k_j = -n_j/2.
+
+    The odd multipliers (i*xi in rhs_hat, xi/|xi| in diagonalize) see the
+    wavenumber -n_j/2 without its mirror image, so one step would make the
+    spectrum non-Hermitian and ifft_real would drop the imaginary part.
+    """
+    grid = state.grid
+    nyquist = np.zeros(grid.n, dtype=bool)
+    for axis, m in enumerate(grid.n):
+        index = [slice(None)] * grid.dim
+        index[axis] = m // 2
+        nyquist[tuple(index)] = True
+    content = total = 0.0
+    for hat in (state.zeta.hat, *(c.hat for c in state.v)):
+        mag = hat.real**2 + hat.imag**2
+        content += float(np.sum(mag[nyquist]))
+        total += float(np.sum(mag))
+    if content > NYQUIST_TOL**2 * total:
+        raise ParameterDomainError(
+            f"the start state has Nyquist content "
+            f"{math.sqrt(content / total):.3e} relative in spectral L2 "
+            f"(limit {NYQUIST_TOL:g}); dealias it first (bfdsim.dealias)")
+
+
 @dataclass
 class EvolveSummary:
     final_state: FieldState
@@ -293,7 +314,8 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     """March to cfg.max_t, invoking monitors every cfg.cadence steps.
 
     When cfg.dt does not divide the interval, a short last step lands the
-    run on cfg.max_t exactly.
+    run on cfg.max_t exactly.  A state with Nyquist content above
+    NYQUIST_TOL relative in spectral L2 raises ParameterDomainError.
 
     Monitors receive immutable snapshots (on the exponential path the state
     is reconstructed for them).  Raises BlowUpSignal when a non-finite
@@ -304,6 +326,7 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     happenings only (blow-up, threshold); an uneventful run returns an
     empty log.
     """
+    _require_no_nyquist(state)
     exponential = cfg.scheme == SCHEME_EXPONENTIAL
     if exponential:
         current = diagonalize(state)
@@ -347,9 +370,9 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     for k in range(1, n_steps + 1):
         h = last_dt if k == n_steps else cfg.dt
         if exponential:
-            current = step_exponential(current, h, use_dealias=cfg.dealias)
+            current = step_exponential(current, h)
         else:
-            current = step_classical(current, h, use_dealias=cfg.dealias)
+            current = step_classical(current, h)
         current.t = t0 + k * cfg.dt if h == cfg.dt else cfg.max_t
         if k % cfg.cadence == 0 or k == n_steps:
             snap = snapshot()

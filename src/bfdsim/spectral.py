@@ -4,7 +4,9 @@ Fields live on uniform grids over [0, L1) x [0, L2) (or an interval in 1D)
 with full complex spectra in numpy fft layout.  The wavenumbers are
 xi_j = 2*pi*k_j/L_j for integer k_j.  Quadrature on the torus is the
 rectangle rule, which is exact for band-limited integrands, and Parseval
-takes the form  integral |u|^2 dx = (cell/N) * sum |u_hat|^2.
+takes the form  integral |u|^2 dx = (cell/N) * sum |u_hat|^2.  The
+operators on fields are gradient, divergence and dealias (the two-thirds
+truncation); every other multiplier multiplies a spectrum directly.
 """
 
 from __future__ import annotations
@@ -235,23 +237,9 @@ def _check_same_grid(*fields):
     return grid
 
 
-def apply_multiplier(field: SpectralField, symbol: np.ndarray) -> SpectralField:
-    """Apply a Fourier multiplier given as an array over the full spectrum."""
-    symbol = np.asarray(symbol)
-    if symbol.shape != field.grid.n:
-        raise GridMismatchError(
-            f"symbol shape {symbol.shape} does not match grid {field.grid.n}"
-        )
-    return SpectralField(field.grid, hat=field.hat * symbol)
-
-
 def dealias(field: SpectralField) -> SpectralField:
     """Zero all modes beyond the two-thirds cutoff.  Idempotent."""
     return SpectralField(field.grid, hat=field.hat * field.grid.dealias_mask)
-
-
-def dealias_hat(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
-    return hat * grid.dealias_mask
 
 
 def gradient(field: SpectralField) -> tuple[SpectralField, ...]:
@@ -268,26 +256,3 @@ def divergence(vec: tuple[SpectralField, ...]) -> SpectralField:
     for xi, comp in zip(grid.xi_mesh, vec):
         out = out + 1j * xi * comp.hat
     return SpectralField(grid, hat=out)
-
-
-def laplacian(field: SpectralField) -> SpectralField:
-    return SpectralField(field.grid, hat=-field.grid.abs2_xi * field.hat)
-
-
-def scalar_curl(vec: tuple[SpectralField, ...]) -> SpectralField:
-    """d1 v2 - d2 v1 for a planar vector field."""
-    grid = _check_same_grid(*vec)
-    if grid.dim != 2 or len(vec) != 2:
-        raise GridMismatchError("scalar_curl needs a 2-component planar field")
-    xi1, xi2 = grid.xi_mesh
-    return SpectralField(grid, hat=1j * xi1 * vec[1].hat - 1j * xi2 * vec[0].hat)
-
-
-def perp_gradient(field: SpectralField) -> tuple[SpectralField, ...]:
-    """(-d2 f, d1 f), the rotated gradient in the plane."""
-    grid = field.grid
-    if grid.dim != 2:
-        raise GridMismatchError("perp_gradient is only defined in 2D")
-    xi1, xi2 = grid.xi_mesh
-    return (SpectralField(grid, hat=-1j * xi2 * field.hat),
-            SpectralField(grid, hat=1j * xi1 * field.hat))

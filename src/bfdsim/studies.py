@@ -19,19 +19,13 @@ import numpy as np
 
 from .config import RunConfig
 from .energy import (
-    calE_s,
     energy_report,
     equivalence_ratio,
     hamiltonian,
     x_norm_state,
 )
 from .errors import ConfigError, UnsupportedCaseError
-from .evolution import (
-    BlowUpSignal,
-    SchemeConfig,
-    default_dt,
-    evolve,
-)
+from .evolution import BlowUpSignal, evolve
 from .initial_data import make_initial_state
 from .params import classify_case
 from .spectral import SpectralField
@@ -96,10 +90,7 @@ class LifespanRecord:
 def _lifespan_point(cfg: RunConfig, eps: float, mu: float) -> LifespanRecord:
     params = cfg.params.replace(epsilon=eps, mu=mu)
     case = classify_case(params, cfg.case_override)
-    state = make_initial_state(cfg.grid, params, profile=cfg.profile,
-                               amplitude=cfg.amplitude, seed=cfg.seed,
-                               width=cfg.width, mode_k=cfg.mode_k,
-                               velocity=cfg.velocity)
+    state = cfg.initial_state(params)
     s = cfg.monitor_s(cfg.grid)
     initial = x_norm_state(state, s, case.k, case.k_prime)
     threshold = cfg.growth_factor * initial
@@ -109,9 +100,7 @@ def _lifespan_point(cfg: RunConfig, eps: float, mu: float) -> LifespanRecord:
             return False
         return x_norm_state(snap, s, case.k, case.k_prime) > threshold
 
-    dt = cfg.dt if cfg.dt is not None else default_dt(state, cfg.scheme)
-    scheme = SchemeConfig(dt=dt, max_t=cfg.max_t, scheme=cfg.scheme,
-                          cadence=cfg.cadence, dealias=cfg.dealias)
+    scheme = cfg.scheme_config(state)
     try:
         summary = evolve(state, scheme, stop_when=crossed)
         if summary.terminated_by == "threshold":
@@ -152,11 +141,7 @@ class ConservationResult:
 
 
 def _drift_for_dt(cfg: RunConfig, dt: float) -> float:
-    params = cfg.params
-    state = make_initial_state(cfg.grid, params, profile=cfg.profile,
-                               amplitude=cfg.amplitude, seed=cfg.seed,
-                               width=cfg.width, mode_k=cfg.mode_k,
-                               velocity=cfg.velocity)
+    state = cfg.initial_state()
     h0 = hamiltonian(state)
     worst = 0.0
 
@@ -166,9 +151,7 @@ def _drift_for_dt(cfg: RunConfig, dt: float) -> float:
         denom = abs(h0) if h0 != 0.0 else 1.0
         worst = max(worst, abs(h - h0) / denom)
 
-    scheme = SchemeConfig(dt=dt, max_t=cfg.max_t, scheme=cfg.scheme,
-                          cadence=cfg.cadence, dealias=cfg.dealias)
-    evolve(state, scheme, monitors=(watch,))
+    evolve(state, cfg.scheme_config(state, dt), monitors=(watch,))
     return worst
 
 
@@ -240,10 +223,7 @@ def smallness_check(cfg: RunConfig) -> SmallnessReport:
         raise ConfigError("smallness study requires epsilon > 0")
     params = cfg.params.replace(mu=eps)
     classify_case(params, cfg.case_override)
-    state = make_initial_state(cfg.grid, params, profile=cfg.profile,
-                               amplitude=cfg.amplitude, seed=cfg.seed,
-                               width=cfg.width, mode_k=cfg.mode_k,
-                               velocity=cfg.velocity)
+    state = cfg.initial_state(params)
     grid = cfg.grid
     z_sq = grid.spectral_l2_sq(state.zeta.hat)
     if z_sq > 0.0:
@@ -266,9 +246,7 @@ def smallness_check(cfg: RunConfig) -> SmallnessReport:
         rows.append(",".join([fmt(snap.t), fmt(rep.smallness), fmt(rep.noncav),
                               fmt(rep.hamiltonian), fmt(rep.x0_norm)]))
 
-    dt = cfg.dt if cfg.dt is not None else default_dt(state, cfg.scheme)
-    scheme = SchemeConfig(dt=dt, max_t=cfg.max_t, scheme=cfg.scheme,
-                          cadence=cfg.cadence, dealias=cfg.dealias)
+    scheme = cfg.scheme_config(state)
     terminated = "max_t"
     try:
         evolve(state, scheme, monitors=(watch,))
@@ -322,9 +300,9 @@ def _equivalence_point(cfg: RunConfig, eps: float, mu: float) -> EquivalenceReco
                     for vj in state.v),
             params=params,
         )
-        if calE_s(state, s, case) == 0.0:
-            continue
         ratio, _, _ = equivalence_ratio(state, s, case)
+        if math.isnan(ratio):  # zero energy
+            continue
         lo = min(lo, ratio)
         hi = max(hi, ratio)
     return EquivalenceRecord(epsilon=eps, mu=mu, case_id=case.case_id,

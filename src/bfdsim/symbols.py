@@ -98,10 +98,6 @@ class SymbolTable:
         """Eigenvalue i*Omega_sys of the linear flow."""
         return 1j * self.Omega
 
-    @property
-    def lambda_minus(self) -> np.ndarray:
-        return np.conj(self.lambda_plus)
-
 
 @lru_cache(maxsize=64)
 def symbol_table(grid: GridSpec, params: ModelParams) -> SymbolTable:

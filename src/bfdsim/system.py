@@ -74,33 +74,26 @@ class FieldState:
         return all(np.all(np.isfinite(c.hat)) for c in self.v)
 
 
-def quadratic_products(zr: np.ndarray, vr, grid: GridSpec,
-                       use_dealias: bool = True):
+def quadratic_products(zr: np.ndarray, vr, grid: GridSpec):
     """Spectra (div(zeta v)_hat, (|v|^2)_hat) of the quadratic terms.
 
     zr and vr are zeta and the velocity components in physical space.  The
-    products are formed pointwise and, unless use_dealias is False,
-    truncated by the two-thirds rule.  The caller owns the physical fields:
-    freeing them here, before the caller's next large temporaries, made a
-    256^2 mover step fault in about 6x more pages and run 25-30% slower
-    (glibc malloc, numpy 2.4).
+    products are formed pointwise and truncated by the two-thirds rule.
+    The caller owns the physical fields: freeing them here, before the
+    caller's next large temporaries, made a 256^2 mover step fault in about
+    6x more pages and run 25-30% slower (glibc malloc, numpy 2.4).
     """
-    mask = grid.dealias_mask if use_dealias else None
+    mask = grid.dealias_mask
     div_zv = np.zeros(grid.n, dtype=np.complex128)
     for xi, comp in zip(grid.xi_mesh, vr):
-        prod_hat = grid.fft(zr * comp)
-        if mask is not None:
-            prod_hat = prod_hat * mask
+        prod_hat = grid.fft(zr * comp) * mask
         div_zv += 1j * xi * prod_hat
-    vsq_hat = grid.fft(sum(comp * comp for comp in vr))
-    if mask is not None:
-        vsq_hat = vsq_hat * mask
+    vsq_hat = grid.fft(sum(comp * comp for comp in vr)) * mask
     return div_zv, vsq_hat
 
 
 def rhs_hat(zhat: np.ndarray, vhats: tuple[np.ndarray, ...], grid: GridSpec,
-            params: ModelParams, table: SymbolTable | None = None,
-            use_dealias: bool = True):
+            params: ModelParams, table: SymbolTable | None = None):
     """Tendency spectra (dt zeta_hat, dt v_hat) of the primitive system.
 
     The quadratic terms come from quadratic_products.  At eps = 0 no
@@ -118,21 +111,12 @@ def rhs_hat(zhat: np.ndarray, vhats: tuple[np.ndarray, ...], grid: GridSpec,
     if eps != 0.0:
         zr = grid.ifft_real(zhat)
         vr = [grid.ifft_real(vh) for vh in vhats]
-        div_zv, vsq_hat = quadratic_products(zr, vr, grid, use_dealias)
+        div_zv, vsq_hat = quadratic_products(zr, vr, grid)
         num_z = num_z - eps * div_zv
         num_v = num_v - eps / (2.0 * gamma) * vsq_hat
     dz = -num_z / (gamma * table.helmholtz_b)
     dv = tuple(-(1j * xi * num_v) / table.helmholtz_d for xi in grid.xi_mesh)
     return dz, dv
-
-
-def rhs_primitive(state: FieldState, use_dealias: bool = True):
-    """Tendency of the state as spectral fields (dt zeta, dt v)."""
-    grid = state.grid
-    dz, dv = rhs_hat(state.zeta.hat, tuple(c.hat for c in state.v),
-                     grid, state.params, use_dealias=use_dealias)
-    return (SpectralField(grid, hat=dz),
-            tuple(SpectralField(grid, hat=h) for h in dv))
 
 
 # frozen-coefficient algebra ----------------------------------------------

@@ -9,11 +9,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from bfdsim import __version__, parse_config
+from bfdsim import FieldState, GridSpec, __version__, parse_config
 from bfdsim.cli import main
-from bfdsim.snapshots import load_state
+from bfdsim.snapshots import load_state, write_snapshot
+from bfdsim.spectral import TWO_PI
 
 # The full key registry as promised to users via --help.  Kept as a
 # literal list (not derived from the config module) so that renaming or
@@ -22,7 +24,7 @@ HELP_KEYS = [
     "gamma", "epsilon", "mu", "mu2", "a", "b", "c", "d",
     "alpha1", "beta", "alpha2", "case_override",
     "n", "length", "dim",
-    "scheme", "dt", "max_t", "cadence", "dealias",
+    "scheme", "dt", "max_t", "cadence",
     "profile", "amplitude", "seed", "width", "mode_k", "velocity", "snapshot",
     "dir", "snapshot_every", "plot_script",
     "epsilons", "mus", "growth_factor", "s", "dts", "num_states",
@@ -162,6 +164,27 @@ def test_simulate_resume_rejects_a_different_grid(tmp_path, capsys):
     assert "n=(32,)" in err and "n=(16,)" in err
     assert not (second / "simulate_manifest.json").exists()
     assert not (second / "final.bfd").exists()
+
+
+def test_simulate_resume_rejects_nyquist_content(tmp_path, capsys):
+    """A snapshot of an undealiased state carries content on the Nyquist
+    modes, which no step can evolve with a real spectrum: exit 2."""
+    grid = GridSpec.square(16, TWO_PI, dim=1)
+    rng = np.random.default_rng(5)
+    state = FieldState.from_arrays(grid, parse_config().params,
+                                   0.05 * rng.standard_normal(grid.n),
+                                   (0.05 * rng.standard_normal(grid.n),))
+    snap = tmp_path / "noisy.bfd"
+    write_snapshot(snap, state)
+    out = tmp_path / "out"
+    rc = run("simulate", *sets(out, "grid.n=16", "scheme.dt=0.1",
+                               "scheme.max_t=0.2", f"initial.snapshot={snap}"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert "Nyquist" in err and "dealias" in err
+    assert not (out / "simulate_manifest.json").exists()
+    assert not (out / "final.bfd").exists()
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):

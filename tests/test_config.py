@@ -32,7 +32,6 @@ def test_defaults_resolve_without_any_input():
     assert cfg.dt is None
     assert cfg.max_t == 10.0
     assert cfg.cadence == 10
-    assert cfg.dealias is True
     assert cfg.profile == "gaussian"
     assert cfg.amplitude == 0.1
     assert cfg.seed == 1234
@@ -68,7 +67,7 @@ def test_ini_file_sets_every_section(tmp_path):
         "[grid]\n"
         "n = 32, 64\nlength = 7.0, 8.0\ndim = 2\n"
         "[scheme]\n"
-        "scheme = classical\ndt = 0.01\nmax_t = 2.5\ncadence = 3\ndealias = no\n"
+        "scheme = classical\ndt = 0.01\nmax_t = 2.5\ncadence = 3\n"
         "[initial]\n"
         "profile = mode\namplitude = 0.7\nseed = 99\nmode_k = 2, -1\n"
         "velocity = zero\n"
@@ -89,7 +88,6 @@ def test_ini_file_sets_every_section(tmp_path):
     assert cfg.dt == 0.01
     assert cfg.max_t == 2.5
     assert cfg.cadence == 3
-    assert cfg.dealias is False
     assert cfg.profile == "mode"
     assert cfg.amplitude == 0.7
     assert cfg.seed == 99
@@ -138,6 +136,9 @@ def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigError, match="unknown key model.zeta") as err:
         cfg_from("model.zeta=1")
     assert "known:" in str(err.value)
+    # two-thirds dealiasing is always on; the old switch is gone
+    with pytest.raises(ConfigError, match="unknown key scheme.dealias"):
+        cfg_from("scheme.dealias=true")
 
 
 @pytest.mark.parametrize("bad", ["model.gamma", "gamma=0.5", "=0.5"])
@@ -202,7 +203,7 @@ def test_model_domain_violations_surface_from_model_layer():
         ("scheme.scheme=rk2", "scheme.scheme must be exponential or classical"),
         ("scheme.dt=0", "scheme.dt must be > 0"),
         ("scheme.cadence=0", "scheme.cadence must be >= 1"),
-        ("scheme.dealias=maybe", "scheme.dealias must be a boolean"),
+        ("output.plot_script=maybe", "plot_script must be a boolean"),
         ("initial.profile=blob", "initial.profile must be one of"),
         ("initial.amplitude=-0.5", "initial.amplitude must be >= 0"),
         ("initial.width=0", "initial.width must be > 0"),
@@ -259,7 +260,7 @@ def test_echo_default_values():
     }
     assert echo["grid"] == {"n": [256], "length": [2.0 * math.pi], "dim": 1}
     assert echo["scheme"] == {"scheme": "exponential", "dt": None, "max_t": 10.0,
-                              "cadence": 10, "dealias": True}
+                              "cadence": 10}
     assert echo["initial"] == {"profile": "gaussian", "amplitude": 0.1,
                                "seed": 1234, "width": None, "mode_k": None,
                                "velocity": "right-mover", "snapshot": None}

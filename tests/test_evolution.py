@@ -23,11 +23,10 @@ from bfdsim.evolution import (
     BLOWUP_NORM,
     DiagState,
     nonlinear_f_pm,
-    step,
     step_classical,
     step_exponential,
 )
-from bfdsim.spectral import TWO_PI, divergence, gradient, perp_gradient
+from bfdsim.spectral import TWO_PI, dealias, divergence, gradient
 from bfdsim.symbols import symbol_table
 
 
@@ -54,8 +53,10 @@ def _case_params(case, **kw):
 
 
 def _random_state(grid, params, seed, scale=0.1):
+    """Smooth random state, dealiased like every make_initial_state recipe
+    (evolve rejects Nyquist content)."""
     rng = np.random.default_rng(seed)
-    band = 1.0 / (1.0 + grid.abs2_xi) ** 2
+    band = grid.dealias_mask / (1.0 + grid.abs2_xi) ** 2
 
     def field():
         hat = grid.fft(rng.standard_normal(grid.n)) * band
@@ -65,6 +66,12 @@ def _random_state(grid, params, seed, scale=0.1):
 
     return FieldState(t=0.0, zeta=field(),
                       v=tuple(field() for _ in range(grid.dim)), params=params)
+
+
+def _rotated_gradient(psi: SpectralField):
+    """(-d2 psi, d1 psi), a divergence-free planar field."""
+    d1, d2 = gradient(psi)
+    return (-1.0 * d2, d1)
 
 
 def _state_diff(a: FieldState, b: FieldState) -> float:
@@ -126,7 +133,7 @@ def test_solenoidal_velocity_is_pure_rotation():
     rng = np.random.default_rng(4)
     psi = SpectralField(grid, real=rng.standard_normal(grid.n))
     state = FieldState(t=0.0, zeta=SpectralField.zeros(grid),
-                       v=perp_gradient(psi), params=p)
+                       v=_rotated_gradient(psi), params=p)
     diag = diagonalize(state)
     scale = np.max(np.abs(diag.W_hat))
     assert np.max(np.abs(diag.Zp_hat)) < 1e-10 * scale
@@ -373,16 +380,33 @@ def test_means_conserved_bitwise(scheme):
         assert comp.hat[0, 0] == m
 
 
+@pytest.mark.parametrize("scheme", ["exponential", "classical"])
+def test_evolve_rejects_nyquist_content(scheme):
+    """On an even grid the Nyquist wavenumber -n/2 has no mirror image, so a
+    step would leave a non-Hermitian spectrum: evolve refuses such a state,
+    and the dealiased state runs."""
+    cfg = SchemeConfig(dt=0.01, max_t=0.05, scheme=scheme)
+    for grid in (GridSpec.square(16, TWO_PI, dim=2), GridSpec.square(64, TWO_PI, dim=1)):
+        rng = np.random.default_rng(21)
+        noise = [0.05 * rng.standard_normal(grid.n) for _ in range(grid.dim + 1)]
+        state = FieldState.from_arrays(grid, _params(), noise[0], noise[1:])
+        with pytest.raises(ParameterDomainError, match="Nyquist content .* dealias"):
+            evolve(state, cfg)
+        clean = FieldState(t=0.0, zeta=dealias(state.zeta),
+                           v=tuple(dealias(c) for c in state.v), params=state.params)
+        assert evolve(clean, cfg).terminated_by == "max_t"
+
+
 def test_rotation_frozen_nonlinearly():
     """W = |D|^-1 curl v never moves: bitwise on the exponential path,
     to roundoff on the classical path."""
     grid = GridSpec.square(16, TWO_PI, dim=2)
     p = _params(epsilon=0.4)
     rng = np.random.default_rng(13)
-    psi = SpectralField(grid, real=rng.standard_normal(grid.n))
+    psi = dealias(SpectralField(grid, real=rng.standard_normal(grid.n)))
     zeta = make_initial_state(grid, p, amplitude=0.2, seed=13).zeta
     grad = gradient(zeta)
-    rot = perp_gradient(psi)
+    rot = _rotated_gradient(psi)
     v = tuple(0.1 * a + 0.05 * b for a, b in zip(grad, rot))
     state = FieldState(t=0.0, zeta=zeta, v=v, params=p)
     W0 = diagonalize(state).W_hat
@@ -396,26 +420,8 @@ def test_rotation_frozen_nonlinearly():
 
 
 # ---------------------------------------------------------------------------
-# step() dispatch and default_dt
+# default_dt
 # ---------------------------------------------------------------------------
-
-def test_step_dispatch_accepts_both_representations():
-    grid = GridSpec.square(16, TWO_PI, dim=1)
-    p = _params()
-    state = _random_state(grid, p, 14)
-    cfg_exp = SchemeConfig(dt=0.01, max_t=1.0)
-    out = step(state, cfg_exp)
-    assert isinstance(out, DiagState)
-    out2 = step(diagonalize(state), cfg_exp)
-    assert isinstance(out2, DiagState)
-    np.testing.assert_allclose(out.Zp_hat, out2.Zp_hat, atol=1e-15)
-
-    cfg_cls = SchemeConfig(dt=0.01, max_t=1.0, scheme="classical")
-    out3 = step(diagonalize(state), cfg_cls)
-    assert isinstance(out3, FieldState)
-    out4 = step(state, cfg_cls)
-    assert _state_diff(out3, out4) < 1e-12
-
 
 def test_default_dt_formulas():
     grid = GridSpec.square(32, TWO_PI, dim=1)

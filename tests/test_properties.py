@@ -1,13 +1,17 @@
-"""Property tests of one step of each scheme over the eight coefficient cases.
+"""Property tests of one step of each scheme over the eight coefficient
+cases, and of the config and snapshot round trips.
 
-Each property runs on a 16^2 grid and a 64-point line.  Hypothesis draws
-the state seed, the amplitude parameter and the step length; it is
+Each step property runs on a 16^2 grid and a 64-point line.  Hypothesis
+draws the state seed, the amplitude parameter and the step length; it is
 derandomized with few examples so the suite stays deterministic and quick.
 States are dealiased, as every make_initial_state recipe is, so they carry
 no Nyquist content: on an even grid the Nyquist mode is its own mirror
 image, and an odd multiplier such as i*xi makes it complex.  Steps stay
 inside classical RK4's stability bound dt*max(Omega_sys) <= 2.8.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +25,13 @@ from bfdsim import (
     SpectralField,
     classify_case,
     diagonalize,
+    parse_config,
+    read_snapshot,
     undiagonalize,
+    write_snapshot,
 )
 from bfdsim.evolution import step_classical, step_exponential
+from bfdsim.initial_data import PROFILES, VELOCITIES
 from bfdsim.spectral import TWO_PI, dealias
 from bfdsim.symbols import symbol_table
 
@@ -129,3 +137,115 @@ def test_linear_step_is_the_exact_phase(case, seed, dt):
         phase = np.exp(-1j * dt * omega_sys)
         assert np.max(np.abs(out.Zp_hat - phase * diag.Zp_hat)) <= 1e-12 * scale
         assert np.max(np.abs(out.Zm_hat - np.conj(phase) * diag.Zm_hat)) <= 1e-12 * scale
+
+
+# round trips ----------------------------------------------------------------
+
+ROUND_TRIP = settings(max_examples=25, derandomize=True, deadline=None,
+                      phases=(Phase.explicit, Phase.generate))
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, **kw)
+
+
+def _float_list(lo, hi, **kw):
+    return st.lists(_floats(lo, hi, **kw), min_size=1, max_size=4)
+
+
+def _csv(values) -> str:
+    return ",".join(repr(v) for v in values)
+
+
+@st.composite
+def overrides(draw) -> list[str]:
+    """--set overrides for every key, each drawn inside its domain."""
+    dim = draw(st.sampled_from([1, 2]))
+    sets = {
+        "model.gamma": draw(_floats(0.01, 0.99)),
+        "model.epsilon": draw(_floats(0.0, 1.0)),
+        "model.mu": draw(_floats(1e-3, 10.0)),
+        "model.mu2": draw(_floats(1e-3, 10.0)),
+        "model.a": draw(_floats(-1.0, 0.0)),
+        "model.b": draw(st.just(0.0) | _floats(0.0, 1.0)),
+        "model.c": draw(st.just(0.0) | _floats(-1.0, 0.0)),
+        "model.d": draw(st.just(0.0) | _floats(0.0, 1.0)),
+        "model.case_override": draw(st.none() | st.sampled_from([1, 3, 7, 8])),
+        "grid.n": _csv(draw(st.lists(st.integers(2, 256).map(lambda k: 2 * k),
+                                     min_size=dim, max_size=dim))),
+        "grid.length": _csv(draw(st.lists(_floats(1e-3, 1e3, exclude_min=True),
+                                          min_size=dim, max_size=dim))),
+        "scheme.scheme": draw(st.sampled_from(["exponential", "classical"])),
+        "scheme.dt": draw(st.none() | _floats(1e-6, 1.0)),
+        "scheme.max_t": draw(_floats(0.0, 1e4)),
+        "scheme.cadence": draw(st.integers(1, 1000)),
+        "initial.profile": draw(st.sampled_from(PROFILES)),
+        "initial.amplitude": draw(_floats(0.0, 10.0)),
+        "initial.seed": draw(st.integers(0, 2**31)),
+        "initial.width": draw(st.none() | _floats(1e-3, 100.0)),
+        "initial.mode_k": draw(st.none() | st.lists(st.integers(-8, 8), min_size=dim,
+                                                    max_size=dim).map(_csv)),
+        "initial.velocity": draw(st.sampled_from(VELOCITIES)),
+        "initial.snapshot": draw(st.none() | st.sampled_from(["start.bfd", "runs/a b.bfd"])),
+        "output.dir": draw(st.sampled_from(["out", "runs/x", "a b"])),
+        "output.snapshot_every": draw(st.integers(0, 100)),
+        "output.plot_script": draw(st.booleans()),
+        "study.epsilons": _csv(draw(_float_list(1e-4, 1.0))),
+        "study.mus": draw(st.none() | _float_list(1e-4, 1.0).map(_csv)),
+        "study.growth_factor": draw(_floats(1.0, 10.0, exclude_min=True)),
+        "study.s": draw(st.none() | _floats(0.0, 8.0)),
+        "study.dts": _csv(draw(_float_list(1e-4, 1.0))),
+        "study.num_states": draw(st.integers(1, 1000)),
+        "study.smallness_target": draw(_floats(1e-3, 10.0)),
+    }
+    return [f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
+            for key, value in sets.items() if value is not None]
+
+
+def _ini(echo: dict) -> str:
+    """An INI file holding every echoed value (None as an empty value)."""
+    lines = []
+    for section, keys in echo.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if value is None:
+                text = ""
+            elif isinstance(value, list):
+                text = _csv(value)
+            else:
+                text = repr(value) if isinstance(value, float) else str(value)
+            lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+@ROUND_TRIP
+@given(sets=overrides())
+def test_config_echo_reparses_to_the_same_config(sets):
+    cfg = parse_config(None, sets)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "echo.ini"
+        path.write_text(_ini(cfg.echo()))
+        assert parse_config(str(path)) == cfg
+
+
+@ROUND_TRIP
+@given(n=st.lists(st.integers(2, 24).map(lambda k: 2 * k), min_size=1, max_size=2),
+       lengths=st.lists(_floats(1e-6, 1e6, exclude_min=True), min_size=2, max_size=2),
+       t=st.floats(allow_nan=False, allow_infinity=False),
+       seed=seeds)
+def test_snapshot_round_trip_is_bit_exact(n, lengths, t, seed):
+    """Every float64 bit pattern, NaNs and signed zeros included, comes back."""
+    grid = GridSpec(n=tuple(n), length=tuple(lengths[:len(n)]))
+    rng = np.random.default_rng(seed)
+    bits = [rng.integers(0, 2**64, size=grid.n, dtype=np.uint64, endpoint=False)
+            for _ in range(grid.dim + 1)]
+    state = FieldState.from_arrays(grid, _params(2, 0.1), bits[0].view(np.float64),
+                                   [b.view(np.float64) for b in bits[1:]], t=t)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.bfd"
+        write_snapshot(path, state)
+        t_read, grid_read, zeta, v = read_snapshot(path)
+    assert repr(t_read) == repr(t)
+    assert grid_read == grid
+    for got, want in zip((zeta, *v), bits):
+        assert np.array_equal(got.view(np.uint64), want)

@@ -122,7 +122,6 @@ def test_dispersion_relation_shape():
     assert tab.Omega[0, 0] == 0.0
     np.testing.assert_allclose(
         tab.Omega, np.sqrt(grid.abs2_xi * tab.omega1 * tab.omega2), atol=1e-14)
-    np.testing.assert_allclose(tab.lambda_minus, np.conj(tab.lambda_plus))
     np.testing.assert_allclose(tab.ratio_sqrt, np.sqrt(tab.omega1 / tab.omega2))
 
 

@@ -14,10 +14,9 @@ from bfdsim import (
     frozen_symbol_matrices,
     hermitian_defect,
     noncavitation_margin,
-    rhs_primitive,
 )
 from bfdsim.errors import GridMismatchError
-from bfdsim.spectral import TWO_PI, scalar_curl
+from bfdsim.spectral import TWO_PI
 from bfdsim.system import rescale_from_unit, rescale_to_unit, rhs_hat
 
 
@@ -40,6 +39,12 @@ def _random_state(grid, params, seed, scale=0.1):
 
     return FieldState(t=0.0, zeta=field(),
                       v=tuple(field() for _ in range(grid.dim)), params=params)
+
+
+def _tendency(state):
+    """rhs_hat of the state: spectra (dt zeta_hat, dt v_hats)."""
+    return rhs_hat(state.zeta.hat, tuple(c.hat for c in state.v),
+                   state.grid, state.params)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +103,10 @@ def test_rhs_surface_gradient_only():
     x = g.x_mesh[0]
     state = FieldState.from_arrays(g, p, amp * np.cos(x), (np.zeros(g.n),))
 
-    dz, (dv,) = rhs_primitive(state)
-    np.testing.assert_allclose(dz.values, 0.0, atol=1e-15)
+    dz, (dv,) = _tendency(state)
+    np.testing.assert_allclose(g.ifft_real(dz), 0.0, atol=1e-15)
     expect = (1 - gamma) * amp * (1 - c * mu) / (1 + d * mu) * np.sin(x)
-    np.testing.assert_allclose(dv.values, expect, atol=1e-13)
+    np.testing.assert_allclose(g.ifft_real(dv), expect, atol=1e-13)
 
 
 def test_rhs_velocity_mode_closed_form():
@@ -116,7 +121,7 @@ def test_rhs_velocity_mode_closed_form():
     x = g.x_mesh[0]
     state = FieldState.from_arrays(g, p, np.zeros(g.n), (amp * np.cos(x),))
 
-    dz, (dv,) = rhs_primitive(state)
+    dz, (dv,) = _tendency(state)
 
     # independent sigma evaluation straight from the hyperbolic cotangent
     s = math.sqrt(mu2) * 1.0
@@ -124,19 +129,19 @@ def test_rhs_velocity_mode_closed_form():
     delta = math.sqrt(mu / mu2)
     A1 = 1 - a * mu + delta / gamma * sig + (delta / gamma) ** 2 * sig ** 2
     expect_dz = amp * A1 / (gamma * (1 + b * mu)) * np.sin(x)
-    np.testing.assert_allclose(dz.values, expect_dz, atol=1e-13)
+    np.testing.assert_allclose(g.ifft_real(dz), expect_dz, atol=1e-13)
 
     expect_dv = -(eps / (2 * gamma)) * amp ** 2 * np.sin(2 * x) / (1 + 4 * d * mu)
-    np.testing.assert_allclose(dv.values, expect_dv, atol=1e-13)
+    np.testing.assert_allclose(g.ifft_real(dv), expect_dv, atol=1e-13)
 
 
 def test_rhs_zero_state_is_fixed_point():
     g = GridSpec.square(16, TWO_PI, dim=2)
     state = FieldState.from_arrays(g, _params(), np.zeros(g.n),
                                    (np.zeros(g.n), np.zeros(g.n)))
-    dz, dv = rhs_primitive(state)
-    assert np.all(dz.hat == 0.0)
-    assert all(np.all(c.hat == 0.0) for c in dv)
+    dz, dv = _tendency(state)
+    assert np.all(dz == 0.0)
+    assert all(np.all(c == 0.0) for c in dv)
 
 
 def test_rhs_linear_at_eps_zero():
@@ -146,8 +151,8 @@ def test_rhs_linear_at_eps_zero():
     u2 = _random_state(g, p, 6)
 
     def rhs_vec(state):
-        dz, dv = rhs_primitive(state)
-        return np.concatenate([dz.hat.ravel()] + [c.hat.ravel() for c in dv])
+        dz, dv = _tendency(state)
+        return np.concatenate([dz.ravel()] + [c.ravel() for c in dv])
 
     summed = FieldState(t=0.0, zeta=u1.zeta + u2.zeta,
                         v=tuple(a + b for a, b in zip(u1.v, u2.v)), params=p)
@@ -163,17 +168,18 @@ def test_rhs_conserves_means_exactly():
     g = GridSpec.square(16, TWO_PI, dim=2)
     for seed in range(20):
         state = _random_state(g, _params(epsilon=0.4), seed, scale=0.5)
-        dz, dv = rhs_primitive(state)
-        assert dz.hat[0, 0] == 0.0
-        assert all(c.hat[0, 0] == 0.0 for c in dv)
+        dz, dv = _tendency(state)
+        assert dz[0, 0] == 0.0
+        assert all(c[0, 0] == 0.0 for c in dv)
 
 
 def test_rhs_velocity_tendency_is_curl_free():
     g = GridSpec.square(16, TWO_PI, dim=2)
     state = _random_state(g, _params(epsilon=0.4), 9, scale=0.5)
-    _, dv = rhs_primitive(state)
-    curl = scalar_curl(dv)
-    assert np.max(np.abs(curl.values)) < 1e-13
+    _, (dv1, dv2) = _tendency(state)
+    xi1, xi2 = g.xi_mesh
+    # xi2 * dv1_hat == xi1 * dv2_hat is the spectral form of curl = 0
+    np.testing.assert_allclose(xi2 * dv1, xi1 * dv2, rtol=0, atol=1e-13)
 
 
 def test_rhs_rescale_invariance():
@@ -184,11 +190,12 @@ def test_rhs_rescale_invariance():
     state = _random_state(g, p, 12, scale=0.3)
     unit = rescale_to_unit(state)
 
-    dz, dv = rhs_primitive(state)
-    dz_u, dv_u = rhs_primitive(unit)
+    dz, dv = _tendency(state)
+    dz_u, dv_u = _tendency(unit)
     factor = p.epsilon * math.sqrt(p.mu)
-    np.testing.assert_allclose(dz_u.values, factor * dz.values, atol=1e-12)
-    np.testing.assert_allclose(dv_u[0].values, factor * dv[0].values, atol=1e-12)
+    np.testing.assert_allclose(g.ifft_real(dz_u), factor * g.ifft_real(dz), atol=1e-12)
+    np.testing.assert_allclose(g.ifft_real(dv_u[0]), factor * g.ifft_real(dv[0]),
+                               atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +234,7 @@ def _bridge_probe(grid, params, background, mode, h=1e-2):
 
         def tend(z, v):
             dz, dv = rhs_hat(grid.fft(z), tuple(grid.fft(c) for c in v),
-                             grid, params, use_dealias=False)
+                             grid, params)
             return np.array([dz[idx]] + [c[idx] for c in dv])
 
         J[:, col] = (tend(plus_z, plus_v) - tend(minus_z, minus_v)) / (2 * h)
