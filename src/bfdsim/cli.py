@@ -25,7 +25,7 @@ import numpy as np
 from .config import RunConfig, config_help, parse_config
 from .energy import csv_header, energy_report
 from .errors import ConfigError, ParameterDomainError, UnsupportedCaseError
-from .evolution import BlowUpSignal, evolve
+from .evolution import BlowUpSignal, evolve, require_no_nyquist
 from .snapshots import load_state, write_snapshot
 from .studies import (
     conservation_study,
@@ -146,6 +146,7 @@ def _cmd_simulate(args) -> int:
         if cfg.snapshot_every > 0 and i > 0 and i % cfg.snapshot_every == 0:
             write_snapshot(out / f"snap_{i:06d}.bfd", snap)
 
+    require_no_nyquist(state)
     write_snapshot(out / "initial.bfd", state)
     try:
         summary = evolve(state, scheme, monitors=(report_monitor, snap_monitor))

@@ -6,7 +6,8 @@ div v, with the impedance r = sqrt(omega1/(g*omega2)), obey
 dt Z+- = -(+-) i Omega_sys Z+- + f+- with Omega_sys(xi) =
 |xi| sqrt(omega1 omega2 g) (see bfdsim.symbols; g = 1 when b = d).  The
 exponential path applies an integrating-factor RK4 whose linear part is
-the exact phase, so eps = 0 evolution is exact to roundoff.  The classical
+the exact phase, so eps = 0 evolution is exact to roundoff; its stages
+run on the rfftn half lattice, since Z+(-xi) = conj Z-(xi).  The classical
 path runs RK4 on the Helmholtz-inverted primitive equations; it is kept as
 a cross-check.  The xi = 0 modes decouple, are stored separately on the
 diagonal path, and are conserved bitwise on both paths.
@@ -72,6 +73,11 @@ class DiagState:
     Spectra store 0 at xi = 0; the (conserved) means live in zero_mode as
     (zeta_hat(0), (v_hat(0), ...)).  W_hat is None in one dimension, where
     every field is a gradient.
+
+    The spectra are full-lattice arrays.  For a real state the movers pair
+    up as Z+(-xi) = conj Z-(xi), so the rfftn half lattice (grid.half)
+    carries all of them: step_exponential and nonlinear_f_pm read only
+    that half and rebuild the rest with GridSpec.extend_half.
     """
 
     t: float
@@ -121,17 +127,23 @@ def diagonalize(state: FieldState) -> DiagState:
                      zero_mode=zero_mode, grid=grid, params=state.params)
 
 
-def _reconstruct_hats(diag: DiagState, tab: SymbolTable):
-    """Primitive spectra (zeta_hat, v_hats) from diagonal variables."""
+def _reconstruct_hats(diag: DiagState, tab: SymbolTable, Zp, Zm, W, part=Ellipsis):
+    """Primitive spectra (zeta_hat, v_hats) from the diagonal variables
+    Zp, Zm, W and the zero mode of diag.
+
+    The arrays live on the lattice part of a full array: Ellipsis for the
+    full lattice, grid.half for the half lattice of the mover stages.
+    """
     grid = diag.grid
+    unit = [u[part] for u in grid.unit_xi]
+    zhat = 0.5 * (Zp + Zm)
+    proj = 0.5 * (Zp - Zm) / tab.ratio_sqrt[part]
+    vhats = [u * proj for u in unit]
+    if W is not None:
+        u1, u2 = unit
+        vhats[0] = vhats[0] + 1j * u2 * W
+        vhats[1] = vhats[1] - 1j * u1 * W
     origin = (0,) * grid.dim
-    zhat = 0.5 * (diag.Zp_hat + diag.Zm_hat)
-    proj = 0.5 * (diag.Zp_hat - diag.Zm_hat) / tab.ratio_sqrt
-    vhats = [u * proj for u in grid.unit_xi]
-    if grid.dim == 2 and diag.W_hat is not None:
-        u1, u2 = grid.unit_xi
-        vhats[0] = vhats[0] + 1j * u2 * diag.W_hat
-        vhats[1] = vhats[1] - 1j * u1 * diag.W_hat
     zhat[origin] = diag.zero_mode[0]
     for vh, v0 in zip(vhats, diag.zero_mode[1]):
         vh[origin] = v0
@@ -141,11 +153,35 @@ def _reconstruct_hats(diag: DiagState, tab: SymbolTable):
 def undiagonalize(diag: DiagState) -> FieldState:
     """Rebuild the primitive state; the output fields are real-valued."""
     tab = symbol_table(diag.grid, diag.params)
-    zhat, vhats = _reconstruct_hats(diag, tab)
+    zhat, vhats = _reconstruct_hats(diag, tab, diag.Zp_hat, diag.Zm_hat, diag.W_hat)
     return FieldState(t=diag.t,
                       zeta=SpectralField(diag.grid, hat=zhat),
                       v=tuple(SpectralField(diag.grid, hat=vh) for vh in vhats),
                       params=diag.params)
+
+
+def _forcing_half(diag: DiagState, tab: SymbolTable, Zp, Zm, W):
+    """Forcing (f+_hat, f-_hat) of nonlinear_f_pm on the half lattice, from
+    half-lattice Zp, Zm, W and the zero mode of diag."""
+    grid = diag.grid
+    half = grid.half
+    zhat, vhats = _reconstruct_hats(diag, tab, Zp, Zm, W, half)
+    zr = grid.ifft_real(zhat)
+    vr = [grid.ifft_real(vh) for vh in vhats]
+    div_zv, vsq = quadratic_products(zr, vr, grid)
+
+    eps, gamma = diag.params.epsilon, diag.params.gamma
+    common = eps / gamma * div_zv / tab.helmholtz_b[half]
+    split = (eps / (2.0 * gamma) * tab.ratio_sqrt[half] * 1j * grid.abs_xi[half]
+             * vsq / tab.helmholtz_d[half])
+    return common + split, common - split
+
+
+def _half_of(diag: DiagState):
+    """(Zp, Zm, W) of diag on the half lattice, as views."""
+    half = diag.grid.half
+    W = None if diag.W_hat is None else diag.W_hat[half]
+    return diag.Zp_hat[half], diag.Zm_hat[half], W
 
 
 def nonlinear_f_pm(diag: DiagState):
@@ -155,60 +191,59 @@ def nonlinear_f_pm(diag: DiagState):
           +- (eps/(2*gamma)) sqrt(omega1/(g*omega2)) i|xi|
              (1 - d*mu*Lap)^{-1} (|v|^2).
     Both terms carry a factor xi, so the xi = 0 component is exactly 0.
+    The forcing is computed on the half lattice, as in step_exponential,
+    and extended with f+(-xi) = conj f-(xi); so it reads only the half
+    lattice of diag and requires Z+(-xi) = conj Z-(xi), which every
+    diagonalize output satisfies.  At eps = 0 both spectra are 0.
     """
     grid = diag.grid
-    p = diag.params
-    if p.epsilon == 0.0:
-        zero = np.zeros(grid.n, dtype=np.complex128)
-        return zero, zero.copy()
-    tab = symbol_table(grid, p)
-    zhat, vhats = _reconstruct_hats(diag, tab)
-    zr = grid.ifft_real(zhat)
-    vr = [grid.ifft_real(vh) for vh in vhats]
-    div_zv, vsq = quadratic_products(zr, vr, grid)
-
-    eps, gamma = p.epsilon, p.gamma
-    common = eps / gamma * div_zv / tab.helmholtz_b
-    split = (eps / (2.0 * gamma) * tab.ratio_sqrt * 1j * grid.abs_xi
-             * vsq / tab.helmholtz_d)
-    return common + split, common - split
+    tab = symbol_table(grid, diag.params)
+    fp, fm = _forcing_half(diag, tab, *_half_of(diag))
+    return grid.extend_half(fp, fm), grid.extend_half(fm, fp)
 
 
 def step_exponential(diag: DiagState, dt: float) -> DiagState:
     """One integrating-factor RK4 step in the diagonal variables.
 
     The linear phase e^{-+ i dt Omega_sys} is applied exactly; W_hat and the
-    zero mode are carried through untouched.  Precondition: no content on
+    zero mode are carried through untouched.  At eps = 0 the step is that
+    phase alone, on the full lattice.  Otherwise the four stages run on the
+    rfftn half lattice (last axis 0..n/2) and the result is extended with
+    Z+(-xi) = conj Z-(xi), so the step reads only the half lattice of diag
+    and requires that symmetry, which every diagonalize output satisfies;
+    the returned state satisfies it bitwise.  Precondition: no content on
     the Nyquist modes (evolve checks it), or the step leaves a
     non-Hermitian spectrum.
     """
-    tab = symbol_table(diag.grid, diag.params)
-    Om = tab.Omega
-    ep_h = np.exp(-0.5j * dt * Om)
+    grid, p = diag.grid, diag.params
+    tab = symbol_table(grid, p)
+    t0, h = diag.t, dt
+    if p.epsilon == 0.0:
+        ep_f = np.exp(-1j * h * tab.Omega)
+        return DiagState(t=t0 + h, Zp_hat=ep_f * diag.Zp_hat,
+                         Zm_hat=np.conj(ep_f) * diag.Zm_hat, W_hat=diag.W_hat,
+                         zero_mode=diag.zero_mode, grid=grid, params=p)
+
+    ep_h = np.exp(-0.5j * h * tab.Omega[grid.half])
     em_h = np.conj(ep_h)
     ep_f = ep_h * ep_h
     em_f = np.conj(ep_f)
+    Zp0, Zm0, W = _half_of(diag)
 
-    def nl(t, Zp, Zm):
-        probe = DiagState(t=t, Zp_hat=Zp, Zm_hat=Zm, W_hat=diag.W_hat,
-                          zero_mode=diag.zero_mode, grid=diag.grid,
-                          params=diag.params)
-        return nonlinear_f_pm(probe)
+    def nl(Zp, Zm):
+        return _forcing_half(diag, tab, Zp, Zm, W)
 
-    t0 = diag.t
-    Zp0, Zm0 = diag.Zp_hat, diag.Zm_hat
-    h = dt
-
-    k1p, k1m = nl(t0, Zp0, Zm0)
-    k2p, k2m = nl(t0 + h / 2, ep_h * (Zp0 + h / 2 * k1p), em_h * (Zm0 + h / 2 * k1m))
-    k3p, k3m = nl(t0 + h / 2, ep_h * Zp0 + h / 2 * k2p, em_h * Zm0 + h / 2 * k2m)
-    k4p, k4m = nl(t0 + h, ep_f * Zp0 + h * ep_h * k3p, em_f * Zm0 + h * em_h * k3m)
+    k1p, k1m = nl(Zp0, Zm0)
+    k2p, k2m = nl(ep_h * (Zp0 + h / 2 * k1p), em_h * (Zm0 + h / 2 * k1m))
+    k3p, k3m = nl(ep_h * Zp0 + h / 2 * k2p, em_h * Zm0 + h / 2 * k2m)
+    k4p, k4m = nl(ep_f * Zp0 + h * ep_h * k3p, em_f * Zm0 + h * em_h * k3m)
 
     Zp1 = ep_f * Zp0 + h / 6 * (ep_f * k1p + 2.0 * ep_h * (k2p + k3p) + k4p)
     Zm1 = em_f * Zm0 + h / 6 * (em_f * k1m + 2.0 * em_h * (k2m + k3m) + k4m)
 
-    return DiagState(t=t0 + dt, Zp_hat=Zp1, Zm_hat=Zm1, W_hat=diag.W_hat,
-                     zero_mode=diag.zero_mode, grid=diag.grid, params=diag.params)
+    return DiagState(t=t0 + h, Zp_hat=grid.extend_half(Zp1, Zm1),
+                     Zm_hat=grid.extend_half(Zm1, Zp1), W_hat=diag.W_hat,
+                     zero_mode=diag.zero_mode, grid=grid, params=p)
 
 
 def step_classical(state: FieldState, dt: float) -> FieldState:
@@ -275,7 +310,7 @@ def _step_plan(span: float, dt: float) -> tuple[int, float]:
     return full + 1, span - full * dt
 
 
-def _require_no_nyquist(state: FieldState) -> None:
+def require_no_nyquist(state: FieldState) -> None:
     """Reject a state with content on the Nyquist modes k_j = -n_j/2.
 
     The odd multipliers (i*xi in rhs_hat, xi/|xi| in diagonalize) see the
@@ -326,7 +361,7 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     happenings only (blow-up, threshold); an uneventful run returns an
     empty log.
     """
-    _require_no_nyquist(state)
+    require_no_nyquist(state)
     exponential = cfg.scheme == SCHEME_EXPONENTIAL
     if exponential:
         current = diagonalize(state)

@@ -1,12 +1,18 @@
 """Periodic grids, spectral fields, and Fourier calculus.
 
 Fields live on uniform grids over [0, L1) x [0, L2) (or an interval in 1D)
-with full complex spectra in numpy fft layout.  The wavenumbers are
-xi_j = 2*pi*k_j/L_j for integer k_j.  Quadrature on the torus is the
-rectangle rule, which is exact for band-limited integrands, and Parseval
-takes the form  integral |u|^2 dx = (cell/N) * sum |u_hat|^2.  The
-operators on fields are gradient, divergence and dealias (the two-thirds
-truncation); every other multiplier multiplies a spectrum directly.
+with full complex spectra in numpy fft layout; every public spectrum
+(SpectralField.hat, the DiagState movers) is full.  The rfftn half lattice
+(last axis 0..n/2) serves the quadratic-product kernel and the mover
+stages: GridSpec.fft(values, half=True) lands there, ifft_real inverts
+either layout, GridSpec.half slices the half lattice out of a full array,
+and GridSpec.extend_half rebuilds a full spectrum from half ones.  The
+wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.  Quadrature on the
+torus is the rectangle rule, which is exact for band-limited integrands,
+and Parseval takes the form  integral |u|^2 dx = (cell/N) * sum |u_hat|^2.
+The operators on fields are gradient, divergence and dealias (the
+two-thirds truncation); every other multiplier multiplies a spectrum
+directly.
 """
 
 from __future__ import annotations
@@ -121,16 +127,44 @@ class GridSpec:
             mask &= np.abs(k) <= m // 3
         return mask
 
+    @cached_property
+    def half(self) -> tuple[slice, ...]:
+        """Index of the rfftn half lattice (last axis 0..n/2) in a full array."""
+        return (slice(None),) * (self.dim - 1) + (slice(0, self.n[-1] // 2 + 1),)
+
     # transforms -----------------------------------------------------------
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(values)
+    def fft(self, values: np.ndarray, half: bool = False) -> np.ndarray:
+        """Full spectrum of real values, or its half lattice when half is set."""
+        return np.fft.rfftn(values) if half else np.fft.fftn(values)
 
     def ifft(self, hat: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(hat)
 
     def ifft_real(self, hat: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(hat).real
+        """Real values of a full spectrum, or of a half one (last axis n/2+1)."""
+        if hat.shape[-1] == self.n[-1]:
+            return np.fft.ifftn(hat).real
+        return np.fft.irfftn(hat, s=self.n, axes=tuple(range(self.dim)))
+
+    def extend_half(self, hat_p: np.ndarray, hat_m: np.ndarray) -> np.ndarray:
+        """Full spectrum F from half-lattice spectra with F(-xi) = conj hat_m(xi).
+
+        F equals hat_p on the last-axis modes 0..n/2, except in the two
+        self-conjugate columns 0 and n/2 of a 2-D grid, where the rows
+        k_1 < 0 come from hat_m like every other mode off the half lattice.
+        Pass hat_m = hat_p for a Hermitian spectrum, or the partner mover
+        for Z+- (Z+(-xi) = conj Z-(xi)).
+        """
+        m = self.n[-1] // 2
+        full = np.empty(self.n, dtype=np.complex128)
+        full[..., :m + 1] = hat_p
+        neg = tuple(-np.arange(k) % k for k in self.n[:-1])
+        full[..., m + 1:] = np.conj(hat_m[neg + (slice(m - 1, 0, -1),)])
+        if self.dim == 2:
+            k = self.n[0] // 2
+            full[k + 1:, ::m] = np.conj(hat_m[k - 1:0:-1, ::m])
+        return full
 
     # quadrature -----------------------------------------------------------
 

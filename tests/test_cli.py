@@ -185,6 +185,7 @@ def test_simulate_resume_rejects_nyquist_content(tmp_path, capsys):
     assert "Nyquist" in err and "dealias" in err
     assert not (out / "simulate_manifest.json").exists()
     assert not (out / "final.bfd").exists()
+    assert not (out / "initial.bfd").exists()
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):

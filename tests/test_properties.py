@@ -7,7 +7,10 @@ derandomized with few examples so the suite stays deterministic and quick.
 States are dealiased, as every make_initial_state recipe is, so they carry
 no Nyquist content: on an even grid the Nyquist mode is its own mirror
 image, and an odd multiplier such as i*xi makes it complex.  Steps stay
-inside classical RK4's stability bound dt*max(Omega_sys) <= 2.8.
+inside classical RK4's stability bound dt*max(Omega_sys) <= 2.8.  The
+mover forcing and step run on the rfftn half lattice; their parity with
+a full-lattice oracle and the bitwise pairing Z+(-xi) = conj Z-(xi) of the
+returned movers are checked here too.
 """
 
 import tempfile
@@ -30,7 +33,7 @@ from bfdsim import (
     undiagonalize,
     write_snapshot,
 )
-from bfdsim.evolution import step_classical, step_exponential
+from bfdsim.evolution import nonlinear_f_pm, step_classical, step_exponential
 from bfdsim.initial_data import PROFILES, VELOCITIES
 from bfdsim.spectral import TWO_PI, dealias
 from bfdsim.symbols import symbol_table
@@ -137,6 +140,66 @@ def test_linear_step_is_the_exact_phase(case, seed, dt):
         phase = np.exp(-1j * dt * omega_sys)
         assert np.max(np.abs(out.Zp_hat - phase * diag.Zp_hat)) <= 1e-12 * scale
         assert np.max(np.abs(out.Zm_hat - np.conj(phase) * diag.Zm_hat)) <= 1e-12 * scale
+
+
+# half-lattice mover stages ----------------------------------------------------
+
+positive_epsilons = st.floats(min_value=0.01, max_value=0.3)
+
+
+def _reflect(hat: np.ndarray) -> np.ndarray:
+    """hat(-xi) on the full lattice."""
+    for ax in range(hat.ndim):
+        hat = np.roll(np.flip(hat, axis=ax), 1, axis=ax)
+    return hat
+
+
+def _forcing_oracle(state: FieldState):
+    """f+- of the nonlinear_f_pm docstring on the full lattice: fftn/ifftn,
+    the full two-thirds mask, and the Helmholtz factors and the impedance
+    written out here (A from the symbol table)."""
+    grid, p = state.grid, state.params
+    tab = symbol_table(grid, p)
+    mu, k2 = p.mu, grid.abs2_xi
+    helm_b, helm_d = 1.0 + p.b * mu * k2, 1.0 + p.d * mu * k2
+    r = np.sqrt(tab.A * helm_d / (p.gamma * (1.0 - p.gamma) * (1.0 - p.c * mu * k2) * helm_b))
+    zeta = np.fft.ifftn(state.zeta.hat).real
+    v = [np.fft.ifftn(c.hat).real for c in state.v]
+    mask = grid.dealias_mask
+    div_zv = sum(1j * xi * np.fft.fftn(zeta * vj) * mask for xi, vj in zip(grid.xi_mesh, v))
+    vsq = np.fft.fftn(sum(vj * vj for vj in v)) * mask
+    common = p.epsilon / p.gamma * div_zv / helm_b
+    split = p.epsilon / (2.0 * p.gamma) * r * 1j * np.sqrt(k2) * vsq / helm_d
+    return common + split, common - split
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(seed=seeds, epsilon=positive_epsilons)
+def test_half_lattice_forcing_matches_a_full_lattice_oracle(case, seed, epsilon):
+    for grid in GRIDS:
+        state = _state(grid, _params(case, epsilon), seed)
+        for got, want in zip(nonlinear_f_pm(diagonalize(state)), _forcing_oracle(state)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(seed=seeds, epsilon=positive_epsilons, fraction=fractions)
+def test_step_pairs_the_movers_bitwise(case, seed, epsilon, fraction):
+    """One step returns Z+(-xi) = conj Z-(xi) exactly, W_hat and the zero
+    mode untouched."""
+    for grid in GRIDS:
+        state = _state(grid, _params(case, epsilon), seed)
+        om_max = float(np.max(symbol_table(grid, state.params).Omega))
+        diag = diagonalize(state)
+        out = step_exponential(diag, fraction * min(0.2, 2.8 / om_max))
+        assert np.array_equal(_reflect(out.Zp_hat), np.conj(out.Zm_hat))
+        assert out.zero_mode == diag.zero_mode
+        if grid.dim == 1:
+            assert out.W_hat is None
+        else:
+            assert np.array_equal(out.W_hat, diag.W_hat)
 
 
 # round trips ----------------------------------------------------------------

@@ -82,6 +82,47 @@ def test_fft_roundtrip_and_parseval():
     assert g.integral(u ** 2) == pytest.approx(g.spectral_l2_sq(hat), rel=1e-12)
 
 
+HALF_GRIDS = [GridSpec(n=(16,), length=(TWO_PI,)), GridSpec(n=(64,), length=(3.0,)),
+              GridSpec(n=(16, 8), length=(2.0, 3.0)), _grid2(32, length=5.0)]
+
+
+@pytest.mark.parametrize("g", HALF_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
+def test_half_lattice_transforms_match_the_full_ones(g):
+    """fft(x, half=True) is fft(x)[half]; extend_half rebuilds fft(x) from
+    it; ifft_real inverts both layouts to the same values."""
+    x = np.random.default_rng(sum(g.n)).standard_normal(g.n)
+    full = g.fft(x)
+    half = g.fft(x, half=True)
+    scale = np.max(np.abs(full))
+    assert half.shape == full[g.half].shape
+    assert np.max(np.abs(half - full[g.half])) <= 1e-13 * scale
+    assert np.max(np.abs(g.extend_half(half, half) - full)) <= 1e-13 * scale
+    np.testing.assert_allclose(g.ifft_real(half), g.ifft_real(full), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(g.ifft_real(half), x, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("g", HALF_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
+def test_extend_half_pairs_two_spectra_bitwise(g):
+    """P = extend_half(hp, hm) and M = extend_half(hm, hp) satisfy
+    P(-xi) = conj M(xi) exactly wherever -xi != xi, and P keeps hp on
+    the half lattice outside the self-conjugate columns' rows k_1 < 0."""
+    rng = np.random.default_rng(7)
+    shape = g.fft(np.zeros(g.n), half=True).shape
+    hp, hm = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for _ in range(2))
+    P, M = g.extend_half(hp, hm), g.extend_half(hm, hp)
+    refl, self_conj = P, np.ones(g.n, dtype=bool)
+    for ax, m in enumerate(g.n):
+        refl = np.roll(np.flip(refl, axis=ax), 1, axis=ax)
+        k = np.arange(m).reshape([-1 if a == ax else 1 for a in range(g.dim)])
+        self_conj = self_conj & (k % (m // 2) == 0)
+    assert np.array_equal(refl[~self_conj], np.conj(M)[~self_conj])
+    kept = P[g.half] == hp
+    if g.dim == 2:
+        kept[g.n[0] // 2 + 1:, ::g.n[1] // 2] = True
+    assert kept.all()
+
+
 def test_integral_of_constant():
     g = GridSpec(n=(16, 8), length=(2.0, 3.0))
     assert g.integral(np.full(g.n, 1.5)) == pytest.approx(1.5 * 6.0)
