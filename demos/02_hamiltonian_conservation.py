@@ -44,15 +44,14 @@ def main():
         nonlocal drift
         drift = max(drift, abs(hamiltonian(snap) - h0) / abs(h0))
 
-    summary = evolve(state, SchemeConfig(dt=0.01, max_t=10.0,
-                                         scheme="exponential", cadence=50),
+    summary = evolve(state, SchemeConfig(dt=0.01, max_t=10.0, cadence=50),
                      monitors=(watch,))
     print(f"integrating factor, dt=0.01, t in [0, 10]: "
           f"{summary.steps} steps, relative H drift {drift:.3e}")
 
     out = Path(__file__).parent / "out" / "conservation"
     study = StudyConfig(kind="conservation", params=params, grid=grid,
-                        scheme="exponential", max_t=10.0, profile="gaussian",
+                        max_t=10.0, profile="gaussian",
                         amplitude=0.5, seed=7, width=0.8,
                         velocity="right-mover", dts=(0.4, 0.2, 0.1),
                         out_dir=str(out))

@@ -1,7 +1,7 @@
 """Pseudo-spectral toolkit for abcd-type full-dispersion internal wave
 systems on periodic domains: coefficient-case classification, dispersion
-symbols, symmetrizer energies, Hamiltonian diagnostics, exponential and
-classical time stepping, and reproducible parameter studies.
+symbols, symmetrizer energies, Hamiltonian diagnostics, integrating-factor
+time stepping, and reproducible parameter studies.
 """
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ from .evolution import (
     default_dt,
     diagonalize,
     evolve,
-    step_classical,
     step_exponential,
     undiagonalize,
 )
@@ -101,8 +100,7 @@ __all__ = [
     "variational_check", "variational_gradients", "x_norm", "x_norm_state",
     # evolution
     "BlowUpSignal", "DiagState", "EvolveSummary", "SchemeConfig", "default_dt",
-    "diagonalize", "evolve", "step_classical", "step_exponential",
-    "undiagonalize",
+    "diagonalize", "evolve", "step_exponential", "undiagonalize",
     # I/O and data
     "load_state", "read_snapshot", "write_snapshot",
     "make_initial_state", "make_zeta", "right_mover_velocity",

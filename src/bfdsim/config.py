@@ -21,7 +21,7 @@ from . import __version__
 from .errors import ConfigError
 from .initial_data import PROFILES, VELOCITIES, make_initial_state
 from .params import CaseClass, ModelParams, classify_case, params_from_alphas
-from .evolution import SCHEME_CLASSICAL, SCHEME_EXPONENTIAL, SchemeConfig, default_dt
+from .evolution import SCHEME_EXPONENTIAL, SchemeConfig, default_dt
 from .spectral import TWO_PI, GridSpec
 from .system import FieldState
 
@@ -53,8 +53,6 @@ CONFIG_KEYS: dict[str, tuple[Key, ...]] = {
         Key("dim", "(= len(n))", "dimension, 1 or 2; must match n"),
     ),
     "scheme": (
-        Key("scheme", SCHEME_EXPONENTIAL,
-            f"{SCHEME_EXPONENTIAL} or {SCHEME_CLASSICAL}"),
         Key("dt", "(auto)", "time step; empty = advective CFL guess"),
         Key("max_t", "10", "final time"),
         Key("cadence", "10", "steps between diagnostic rows"),
@@ -76,7 +74,8 @@ CONFIG_KEYS: dict[str, tuple[Key, ...]] = {
     ),
     "study": (
         Key("epsilons", "0.1,0.05,0.025", "epsilon sweep, descending"),
-        Key("mus", "(tied)", "mu sweep; empty ties mu = epsilon"),
+        Key("mus", "(tied)", "mu sweep; empty ties mu = epsilon; lifespan pairs "
+            "it with epsilons (same length), equivalence sweeps their product"),
         Key("growth_factor", "2", "lifespan threshold multiplier, > 1"),
         Key("s", "(auto)", "Sobolev index of the monitored norm; empty = 4 in 2D, 3 in 1D"),
         Key("dts", "0.1,0.05,0.025,0.0125", "dt sweep for the conservation study"),
@@ -104,9 +103,12 @@ def config_help() -> str:
 
 def _parse_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{where} must be a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, where: str) -> int:
@@ -136,7 +138,9 @@ class RunConfig:
 
     parse_config builds one from the key registry; library callers build
     one by keyword, where every field but params and grid has a default.
-    kind is the command name and names the manifest.
+    kind is the command name and names the manifest.  scheme is not a
+    config key: it names the one integrator, and SchemeConfig admits only
+    "exponential".
     """
 
     params: ModelParams
@@ -189,7 +193,7 @@ class RunConfig:
         The step is dt if given, else self.dt, else default_dt(state).
         """
         if dt is None:
-            dt = self.dt if self.dt is not None else default_dt(state, self.scheme)
+            dt = self.dt if self.dt is not None else default_dt(state)
         return SchemeConfig(dt=dt, max_t=self.max_t, scheme=self.scheme,
                             cadence=self.cadence)
 
@@ -203,8 +207,7 @@ class RunConfig:
                       "case_override": self.case_override},
             "grid": {"n": list(self.grid.n), "length": list(self.grid.length),
                      "dim": self.grid.dim},
-            "scheme": {"scheme": self.scheme, "dt": self.dt, "max_t": self.max_t,
-                       "cadence": self.cadence},
+            "scheme": {"dt": self.dt, "max_t": self.max_t, "cadence": self.cadence},
             "initial": {"profile": self.profile, "amplitude": self.amplitude,
                         "seed": self.seed, "width": self.width,
                         "mode_k": None if self.mode_k is None else list(self.mode_k),
@@ -348,10 +351,6 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     classify_case(params, case_override)  # reject a bad case up front
     grid = _build_grid(get)
 
-    scheme = get("scheme", "scheme", SCHEME_EXPONENTIAL)
-    if scheme not in (SCHEME_EXPONENTIAL, SCHEME_CLASSICAL):
-        raise ConfigError(f"scheme.scheme must be {SCHEME_EXPONENTIAL} or "
-                          f"{SCHEME_CLASSICAL}, got {scheme!r}")
     dt_raw = get("scheme", "dt", None)
     dt = None if dt_raw is None else _parse_float(dt_raw, "scheme.dt")
     if dt is not None and not dt > 0.0:
@@ -415,13 +414,13 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
         raise ConfigError(f"study.num_states must be >= 1, got {num_states}")
     smallness_target = _parse_float(get("study", "smallness_target", "0.25"),
                                     "study.smallness_target")
-    if not smallness_target > 0.0 or not math.isfinite(smallness_target):
+    if not smallness_target > 0.0:
         raise ConfigError(
             f"study.smallness_target must be a positive number, got {smallness_target}")
 
     return RunConfig(
         params=params, grid=grid,
-        scheme=scheme, dt=dt, max_t=max_t, cadence=cadence,
+        dt=dt, max_t=max_t, cadence=cadence,
         profile=profile, amplitude=amplitude, seed=seed, width=width,
         mode_k=mode_k, velocity=velocity, snapshot=snapshot,
         out_dir=out_dir, snapshot_every=snapshot_every, plot_script=plot_script,

@@ -6,7 +6,9 @@ The weighted Sobolev scale is  ||u||^2_{X^s_{mu^k}} = ||u||^2_{H^s}
 symmetrizer energy E_s pairs the Helmholtz-weighted state against the
 symmetrizer applied to it, with every operator chain evaluated exactly as
 displayed (multipliers in spectral space, coefficient multiplications
-pointwise with two-thirds dealiasing after each product).
+pointwise with two-thirds dealiasing after each product).  Every product
+here, as in the mover forcing, goes through GridSpec.product_hat on the
+rfftn half lattice; a full spectrum is rebuilt with GridSpec.extend_half.
 """
 
 from __future__ import annotations
@@ -78,9 +80,16 @@ def x_norm_state(state: FieldState, s: float, k: int, k_prime: int) -> float:
     return x_norm(state.zeta, s, k, mu) + math.sqrt(vsq)
 
 
+def _product_full(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Full dealiased spectrum of a real product (GridSpec.product_hat)."""
+    hat = grid.product_hat(values)
+    return grid.extend_half(hat, hat)
+
+
 def _mult_dealias(grid: GridSpec, coeff_values: np.ndarray, hat: np.ndarray) -> np.ndarray:
-    """Pointwise multiply a spectrum by a real coefficient field, dealiased."""
-    return grid.fft(coeff_values * grid.ifft_real(hat)) * grid.dealias_mask
+    """Pointwise multiply a Hermitian spectrum by a real coefficient field,
+    dealiased.  Only the half lattice of hat is read."""
+    return _product_full(grid, coeff_values * grid.ifft_real(hat[grid.half]))
 
 
 def _pair(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray) -> complex:
@@ -127,7 +136,7 @@ def symmetrizer_apply(state: FieldState, arg_z: np.ndarray,
             comp = gg * (tab.A * omc_arg - eps * _mult_dealias(grid, zvals, omc_arg))
             comp = comp - gg * eps * g * _mult_dealias(grid, vvals[j], omc * arg_z)
             for k in range(dim):
-                vv = grid.ifft_real(grid.dealias_mask * grid.fft(vvals[j] * vvals[k]))
+                vv = grid.ifft_real(grid.product_hat(vvals[j] * vvals[k]))
                 comp = comp + eps**2 * _mult_dealias(grid, vv, (g - 1.0) * arg_v[k])
             out_v.append(comp)
         return out_z, tuple(out_v)
@@ -145,7 +154,7 @@ def symmetrizer_apply(state: FieldState, arg_z: np.ndarray,
             comp = gg * omc * inner
             comp = comp - gg * eps * _mult_dealias(grid, vvals[j], omc * arg_z)
             for k in range(dim):
-                vv = grid.ifft_real(grid.dealias_mask * grid.fft(vvals[j] * vvals[k]))
+                vv = grid.ifft_real(grid.product_hat(vvals[j] * vvals[k]))
                 lap = -grid.abs2_xi * arg_v[k]
                 comp = comp + p.d * eps**2 * mu * _mult_dealias(grid, vv, lap)
             out_v.append(comp)
@@ -223,7 +232,7 @@ def hamiltonian(state: FieldState) -> float:
     total += sum(grid.spectral_l2_sq(c.hat, weight=tab.A) for c in state.v) / gamma
     if p.epsilon != 0.0:
         vsq = sum(c.values**2 for c in state.v)
-        vsq_d = grid.ifft_real(grid.dealias_mask * grid.fft(vsq))
+        vsq_d = grid.ifft_real(grid.product_hat(vsq))
         total -= p.epsilon / gamma * grid.integral(state.zeta.values * vsq_d)
     return 0.5 * total
 
@@ -234,7 +243,6 @@ def variational_gradients(state: FieldState):
     p = state.params
     tab = symbol_table(grid, p)
     gamma = p.gamma
-    mask = grid.dealias_mask
 
     dz = (1.0 - gamma) * tab.one_minus_cmu * state.zeta.hat
     linear_v = tab.A / gamma
@@ -242,10 +250,10 @@ def variational_gradients(state: FieldState):
 
     if p.epsilon != 0.0:
         vsq = sum(c.values**2 for c in state.v)
-        dz = dz - p.epsilon / (2.0 * gamma) * (grid.fft(vsq) * mask)
+        dz = dz - p.epsilon / (2.0 * gamma) * _product_full(grid, vsq)
         zvals = state.zeta.values
         for j, comp in enumerate(state.v):
-            dv[j] = dv[j] - p.epsilon / gamma * (grid.fft(zvals * comp.values) * mask)
+            dv[j] = dv[j] - p.epsilon / gamma * _product_full(grid, zvals * comp.values)
     return dz, tuple(dv)
 
 

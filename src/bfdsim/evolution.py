@@ -1,16 +1,15 @@
-"""Time integration: exact-phase exponential stepping and classical RK4.
+"""Time integration: exact-phase integrating-factor RK4 (IF-RK4).
 
 The linear flow diagonalizes in every coefficient case: W = |D|^{-1}
 curl v is frozen, and the dispersive movers Z+- = zeta +- r (1/(i|D|))
 div v, with the impedance r = sqrt(omega1/(g*omega2)), obey
 dt Z+- = -(+-) i Omega_sys Z+- + f+- with Omega_sys(xi) =
 |xi| sqrt(omega1 omega2 g) (see bfdsim.symbols; g = 1 when b = d).  The
-exponential path applies an integrating-factor RK4 whose linear part is
-the exact phase, so eps = 0 evolution is exact to roundoff; its stages
-run on the rfftn half lattice, since Z+(-xi) = conj Z-(xi).  The classical
-path runs RK4 on the Helmholtz-inverted primitive equations; it is kept as
-a cross-check.  The xi = 0 modes decouple, are stored separately on the
-diagonal path, and are conserved bitwise on both paths.
+one scheme is an integrating-factor RK4 whose linear part is the exact
+phase, so eps = 0 evolution is exact to roundoff; its stages run on the
+rfftn half lattice, since Z+(-xi) = conj Z-(xi).  The xi = 0 modes
+decouple, are stored separately, and are conserved bitwise.  Classical
+RK4 on the primitive equations (rhs_hat) lives on only as a test oracle.
 """
 
 from __future__ import annotations
@@ -26,27 +25,34 @@ from .errors import ParameterDomainError
 from .params import ModelParams
 from .spectral import GridSpec, SpectralField
 from .symbols import SymbolTable, symbol_table
-from .system import FieldState, quadratic_products, rhs_hat
+from .system import FieldState, quadratic_products
 
 BLOWUP_NORM = 1e6
 NYQUIST_TOL = 1e-12
 
 SCHEME_EXPONENTIAL = "exponential"
-SCHEME_CLASSICAL = "classical"
 
 
 @dataclass
 class SchemeConfig:
+    """Step, end time and monitor cadence of an evolve run.
+
+    scheme names the one integrator, IF-RK4; it admits only "exponential".
+    """
+
     dt: float
     max_t: float
     scheme: str = SCHEME_EXPONENTIAL
     cadence: int = 1
 
     def __post_init__(self):
-        if self.scheme not in (SCHEME_EXPONENTIAL, SCHEME_CLASSICAL):
-            raise ParameterDomainError(f"unknown scheme {self.scheme!r}")
-        if not self.dt > 0.0:
-            raise ParameterDomainError(f"dt must be > 0, got {self.dt}")
+        if self.scheme != SCHEME_EXPONENTIAL:
+            raise ParameterDomainError(f"unknown scheme {self.scheme!r} "
+                                       f"(the one scheme is {SCHEME_EXPONENTIAL})")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ParameterDomainError(f"dt must be finite and > 0, got {self.dt}")
+        if not math.isfinite(self.max_t):
+            raise ParameterDomainError(f"max_t must be finite, got {self.max_t}")
         if self.cadence < 1:
             raise ParameterDomainError("cadence must be >= 1 step")
 
@@ -246,52 +252,19 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
                      zero_mode=diag.zero_mode, grid=grid, params=p)
 
 
-def step_classical(state: FieldState, dt: float) -> FieldState:
-    """One RK4 step on the Helmholtz-inverted primitive equations.
+def default_dt(state: FieldState) -> float:
+    """Advective CFL guess: 0.9*dx/(eps*max|v|/gamma + 1).
 
-    Precondition: no content on the Nyquist modes (evolve checks it), or
-    the step leaves a non-Hermitian spectrum.
+    IF-RK4 applies the linear phase exactly, so the dispersive frequency
+    Omega_sys sets no cap.
     """
-    grid = state.grid
-    p = state.params
-    tab = symbol_table(grid, p)
-    z0 = state.zeta.hat
-    v0 = tuple(c.hat for c in state.v)
-
-    def f(zh, vh):
-        return rhs_hat(zh, vh, grid, p, table=tab)
-
-    k1z, k1v = f(z0, v0)
-    k2z, k2v = f(z0 + dt / 2 * k1z, tuple(a + dt / 2 * b for a, b in zip(v0, k1v)))
-    k3z, k3v = f(z0 + dt / 2 * k2z, tuple(a + dt / 2 * b for a, b in zip(v0, k2v)))
-    k4z, k4v = f(z0 + dt * k3z, tuple(a + dt * b for a, b in zip(v0, k3v)))
-
-    z1 = z0 + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-    v1 = tuple(a + dt / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-               for a, b1, b2, b3, b4 in zip(v0, k1v, k2v, k3v, k4v))
-    return FieldState(t=state.t + dt,
-                      zeta=SpectralField(grid, hat=z1),
-                      v=tuple(SpectralField(grid, hat=h) for h in v1),
-                      params=p)
-
-
-def default_dt(state: FieldState, scheme: str = SCHEME_EXPONENTIAL) -> float:
-    """Advective CFL guess: 0.9*dx/(eps*max|v|/gamma + 1); the classical
-    scheme is additionally capped at 2.8/max(Omega_sys) for stability of
-    RK4 on the imaginary axis, with Omega_sys = |xi| sqrt(omega1 omega2 g)
-    the frequency of the linear flow (SymbolTable.Omega)."""
     grid = state.grid
     p = state.params
     vmag = np.zeros(grid.n)
     for c in state.v:
         vmag += c.values**2
     vmax = float(np.sqrt(np.max(vmag)))
-    dt = 0.9 * min(grid.dx) / (p.epsilon * vmax / p.gamma + 1.0)
-    if scheme == SCHEME_CLASSICAL:
-        om_max = float(np.max(symbol_table(grid, p).Omega))
-        if om_max > 0.0:
-            dt = min(dt, 2.8 / om_max)
-    return dt
+    return 0.9 * min(grid.dx) / (p.epsilon * vmax / p.gamma + 1.0)
 
 
 def _step_plan(span: float, dt: float) -> tuple[int, float]:
@@ -346,34 +319,28 @@ class EvolveSummary:
 def evolve(state: FieldState, cfg: SchemeConfig,
            monitors: Sequence[Callable[[FieldState], None]] = (),
            stop_when: Callable[[FieldState], bool] | None = None) -> EvolveSummary:
-    """March to cfg.max_t, invoking monitors every cfg.cadence steps.
+    """March to cfg.max_t with IF-RK4, invoking monitors every cfg.cadence
+    steps.
 
     When cfg.dt does not divide the interval, a short last step lands the
     run on cfg.max_t exactly.  A state with Nyquist content above
     NYQUIST_TOL relative in spectral L2 raises ParameterDomainError.
 
-    Monitors receive immutable snapshots (on the exponential path the state
-    is reconstructed for them).  Raises BlowUpSignal when a non-finite
-    value appears or the X^0_mu norm passes the blow-up threshold; the
-    signal carries t, the norm, the step count, and the event log.  An
-    optional stop_when predicate ends the run early with
+    The run steps the diagonal variables; monitors receive the primitive
+    state, reconstructed for them by undiagonalize.  Raises BlowUpSignal
+    when a non-finite value appears or the X^0_mu norm passes the blow-up
+    threshold; the signal carries t, the norm, the step count, and the
+    event log.  An optional stop_when predicate ends the run early with
     terminated_by="threshold".  The event log records exceptional
     happenings only (blow-up, threshold); an uneventful run returns an
     empty log.
     """
     require_no_nyquist(state)
-    exponential = cfg.scheme == SCHEME_EXPONENTIAL
-    if exponential:
-        current = diagonalize(state)
-    else:
-        current = state
+    current = diagonalize(state)
 
     t0 = state.t
     n_steps, last_dt = _step_plan(cfg.max_t - t0, cfg.dt)
     events: list[dict] = []
-
-    def snapshot():
-        return undiagonalize(current) if exponential else current
 
     def norm_of(snap: FieldState) -> float:
         return x_norm_state(snap, 0.0, 1, 1)
@@ -394,7 +361,7 @@ def evolve(state: FieldState, cfg: SchemeConfig,
             return True
         return False
 
-    snap = snapshot()
+    snap = undiagonalize(current)
     norm = check_finite(snap, 0)
     for mon in monitors:
         mon(snap)
@@ -404,13 +371,10 @@ def evolve(state: FieldState, cfg: SchemeConfig,
 
     for k in range(1, n_steps + 1):
         h = last_dt if k == n_steps else cfg.dt
-        if exponential:
-            current = step_exponential(current, h)
-        else:
-            current = step_classical(current, h)
+        current = step_exponential(current, h)
         current.t = t0 + k * cfg.dt if h == cfg.dt else cfg.max_t
         if k % cfg.cadence == 0 or k == n_steps:
-            snap = snapshot()
+            snap = undiagonalize(current)
             norm = check_finite(snap, k)
             for mon in monitors:
                 mon(snap)

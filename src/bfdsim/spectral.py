@@ -3,13 +3,15 @@
 Fields live on uniform grids over [0, L1) x [0, L2) (or an interval in 1D)
 with full complex spectra in numpy fft layout; every public spectrum
 (SpectralField.hat, the DiagState movers) is full.  The rfftn half lattice
-(last axis 0..n/2) serves the quadratic-product kernel and the mover
-stages: GridSpec.fft(values, half=True) lands there, ifft_real inverts
-either layout, GridSpec.half slices the half lattice out of a full array,
-and GridSpec.extend_half rebuilds a full spectrum from half ones.  The
-wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.  Quadrature on the
-torus is the rectangle rule, which is exact for band-limited integrands,
-and Parseval takes the form  integral |u|^2 dx = (cell/N) * sum |u_hat|^2.
+(last axis 0..n/2) serves the mover stages and every real product:
+GridSpec.product_hat is the one product kernel, used by the mover forcing
+and the energy layer alike.  GridSpec.fft(values, half=True) lands on the
+half lattice, ifft_real inverts either layout, GridSpec.half slices the
+half lattice out of a full array, and GridSpec.extend_half rebuilds a full
+spectrum from half ones.  The wavenumbers are xi_j = 2*pi*k_j/L_j for
+integer k_j.  Quadrature on the torus is the rectangle rule, which is
+exact for band-limited integrands, and Parseval takes the form
+integral |u|^2 dx = (cell/N) * sum |u_hat|^2.
 The operators on fields are gradient, divergence and dealias (the
 two-thirds truncation); every other multiplier multiplies a spectrum
 directly.
@@ -147,6 +149,11 @@ class GridSpec:
             return np.fft.ifftn(hat).real
         return np.fft.irfftn(hat, s=self.n, axes=tuple(range(self.dim)))
 
+    def product_hat(self, values: np.ndarray) -> np.ndarray:
+        """Half-lattice spectrum of a real product, truncated by the
+        two-thirds rule; extend_half(h, h) gives the full spectrum."""
+        return self.fft(values, half=True) * self.dealias_mask[self.half]
+
     def extend_half(self, hat_p: np.ndarray, hat_m: np.ndarray) -> np.ndarray:
         """Full spectrum F from half-lattice spectra with F(-xi) = conj hat_m(xi).
 
@@ -159,11 +166,16 @@ class GridSpec:
         m = self.n[-1] // 2
         full = np.empty(self.n, dtype=np.complex128)
         full[..., :m + 1] = hat_p
-        neg = tuple(-np.arange(k) % k for k in self.n[:-1])
-        full[..., m + 1:] = np.conj(hat_m[neg + (slice(m - 1, 0, -1),)])
-        if self.dim == 2:
+        # -xi reverses the last axis, and in 2-D the rows k_1 != 0; basic
+        # slices and out= keep this cheap on the small grids of the studies
+        tail = full[..., m + 1:]
+        if self.dim == 1:
+            np.conjugate(hat_m[m - 1:0:-1], out=tail)
+        else:
             k = self.n[0] // 2
-            full[k + 1:, ::m] = np.conj(hat_m[k - 1:0:-1, ::m])
+            np.conjugate(hat_m[:1, m - 1:0:-1], out=tail[:1])
+            np.conjugate(hat_m[:0:-1, m - 1:0:-1], out=tail[1:])
+            np.conjugate(hat_m[k - 1:0:-1, ::m], out=full[k + 1:, ::m])
         return full
 
     # quadrature -----------------------------------------------------------

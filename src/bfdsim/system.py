@@ -77,21 +77,19 @@ class FieldState:
 def quadratic_products(zr: np.ndarray, vr, grid: GridSpec):
     """Half-lattice spectra (div(zeta v)_hat, (|v|^2)_hat) of the quadratic terms.
 
-    zr and vr are zeta and the velocity components in physical space.  The
-    products are real, so they are transformed with rfftn and returned on
-    the half lattice grid.half (last axis 0..n/2); grid.extend_half(s, s)
-    gives the full spectrum.  They are truncated by the two-thirds rule.
-    The caller owns the physical fields: freeing them here, before the
-    caller's next large temporaries, made a 256^2 mover step fault in about
-    6x more pages and run 25-30% slower (glibc malloc, numpy 2.4).
+    zr and vr are zeta and the velocity components in physical space.  Each
+    product goes through GridSpec.product_hat, the one product kernel, so
+    it is truncated by the two-thirds rule and returned on the half lattice
+    grid.half (last axis 0..n/2); grid.extend_half(s, s) gives the full
+    spectrum.  The caller owns the physical fields: freeing them here,
+    before the caller's next large temporaries, made a 256^2 mover step
+    fault in about 6x more pages and run 25-30% slower (glibc malloc,
+    numpy 2.4).
     """
     half = grid.half
-    mask = grid.dealias_mask[half]
-    div_zv = np.zeros(mask.shape, dtype=np.complex128)
-    for xi, comp in zip(grid.xi_mesh, vr):
-        prod_hat = grid.fft(zr * comp, half=True) * mask
-        div_zv += 1j * xi[half] * prod_hat
-    vsq_hat = grid.fft(sum(comp * comp for comp in vr), half=True) * mask
+    div_zv = sum(1j * xi[half] * grid.product_hat(zr * comp)
+                 for xi, comp in zip(grid.xi_mesh, vr))
+    vsq_hat = grid.product_hat(sum(comp * comp for comp in vr))
     return div_zv, vsq_hat
 
 

@@ -24,7 +24,7 @@ HELP_KEYS = [
     "gamma", "epsilon", "mu", "mu2", "a", "b", "c", "d",
     "alpha1", "beta", "alpha2", "case_override",
     "n", "length", "dim",
-    "scheme", "dt", "max_t", "cadence",
+    "dt", "max_t", "cadence",
     "profile", "amplitude", "seed", "width", "mode_k", "velocity", "snapshot",
     "dir", "snapshot_every", "plot_script",
     "epsilons", "mus", "growth_factor", "s", "dts", "num_states",
@@ -352,6 +352,17 @@ def test_config_error_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config: ")
     assert "scheme.cadence must be >= 1" in err
+
+
+@pytest.mark.parametrize("override", ["scheme.max_t=inf", "scheme.max_t=nan",
+                                      "scheme.dt=inf"])
+def test_non_finite_value_exits_two(tmp_path, capsys, override):
+    rc = run("simulate", *sets(tmp_path / "x", "grid.n=16", override))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert f"{override.split('=')[0]} must be a finite number" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_domain_error_exits_two(tmp_path, capsys):

@@ -67,7 +67,7 @@ def test_ini_file_sets_every_section(tmp_path):
         "[grid]\n"
         "n = 32, 64\nlength = 7.0, 8.0\ndim = 2\n"
         "[scheme]\n"
-        "scheme = classical\ndt = 0.01\nmax_t = 2.5\ncadence = 3\n"
+        "dt = 0.01\nmax_t = 2.5\ncadence = 3\n"
         "[initial]\n"
         "profile = mode\namplitude = 0.7\nseed = 99\nmode_k = 2, -1\n"
         "velocity = zero\n"
@@ -84,7 +84,6 @@ def test_ini_file_sets_every_section(tmp_path):
     assert cfg.case.case_id == 1  # b != d with c < 0
     assert cfg.grid.n == (32, 64)
     assert cfg.grid.length == (7.0, 8.0)
-    assert cfg.scheme == "classical"
     assert cfg.dt == 0.01
     assert cfg.max_t == 2.5
     assert cfg.cadence == 3
@@ -139,6 +138,9 @@ def test_unknown_key_rejected_by_name():
     # two-thirds dealiasing is always on; the old switch is gone
     with pytest.raises(ConfigError, match="unknown key scheme.dealias"):
         cfg_from("scheme.dealias=true")
+    # IF-RK4 is the one integrator, so there is no scheme switch
+    with pytest.raises(ConfigError, match="unknown key scheme.scheme"):
+        cfg_from("scheme.scheme=exponential")
 
 
 @pytest.mark.parametrize("bad", ["model.gamma", "gamma=0.5", "=0.5"])
@@ -200,7 +202,19 @@ def test_model_domain_violations_surface_from_model_layer():
 @pytest.mark.parametrize(
     "override, message",
     [
-        ("scheme.scheme=rk2", "scheme.scheme must be exponential or classical"),
+        ("scheme.max_t=inf", "scheme.max_t must be a finite number"),
+        ("scheme.max_t=nan", "scheme.max_t must be a finite number"),
+        ("scheme.dt=inf", "scheme.dt must be a finite number"),
+        ("model.epsilon=nan", "model.epsilon must be a finite number"),
+        ("model.mu=inf", "model.mu must be a finite number"),
+        ("grid.length=nan", "grid.length must be a finite number"),
+        ("grid.length=1.0,inf", "grid.length must be a finite number"),
+        ("initial.amplitude=nan", "initial.amplitude must be a finite number"),
+        ("initial.amplitude=inf", "initial.amplitude must be a finite number"),
+        ("initial.width=inf", "initial.width must be a finite number"),
+        ("study.epsilons=nan", "study.epsilons must be a finite number"),
+        ("study.dts=0.1,inf", "study.dts must be a finite number"),
+        ("study.s=inf", "study.s must be a finite number"),
         ("scheme.dt=0", "scheme.dt must be > 0"),
         ("scheme.cadence=0", "scheme.cadence must be >= 1"),
         ("output.plot_script=maybe", "plot_script must be a boolean"),
@@ -218,7 +232,7 @@ def test_model_domain_violations_surface_from_model_layer():
         ("study.dts=0.1,0", "study.dts entries must be > 0"),
         ("study.num_states=0", "study.num_states must be >= 1"),
         ("study.smallness_target=0", "study.smallness_target must be a positive"),
-        ("study.smallness_target=inf", "study.smallness_target must be a positive"),
+        ("study.smallness_target=inf", "study.smallness_target must be a finite number"),
     ],
 )
 def test_value_validation(override, message):
@@ -259,8 +273,7 @@ def test_echo_default_values():
         "alpha1": None, "beta": None, "alpha2": None, "case_override": None,
     }
     assert echo["grid"] == {"n": [256], "length": [2.0 * math.pi], "dim": 1}
-    assert echo["scheme"] == {"scheme": "exponential", "dt": None, "max_t": 10.0,
-                              "cadence": 10}
+    assert echo["scheme"] == {"dt": None, "max_t": 10.0, "cadence": 10}
     assert echo["initial"] == {"profile": "gaussian", "amplitude": 0.1,
                                "seed": 1234, "width": None, "mode_k": None,
                                "velocity": "right-mover", "snapshot": None}

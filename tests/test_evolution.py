@@ -1,4 +1,5 @@
-"""Tests for diagonalization, both time steppers, and the evolve driver."""
+"""Tests for diagonalization, IF-RK4, and the evolve driver; classical RK4
+(tests/rk4_oracle.py) is the independent cross-check."""
 
 import math
 
@@ -19,15 +20,17 @@ from bfdsim import (
     make_initial_state,
     undiagonalize,
 )
+from bfdsim.energy import x_norm_state
 from bfdsim.evolution import (
     BLOWUP_NORM,
     DiagState,
     nonlinear_f_pm,
-    step_classical,
     step_exponential,
 )
 from bfdsim.spectral import TWO_PI, dealias, divergence, gradient
 from bfdsim.symbols import symbol_table
+
+import rk4_oracle
 
 
 def _params(**kw):
@@ -88,6 +91,14 @@ def _state_diff(a: FieldState, b: FieldState) -> float:
 def test_scheme_config_validation():
     with pytest.raises(ParameterDomainError):
         SchemeConfig(dt=0.1, max_t=1.0, scheme="leapfrog")
+    # classical RK4 is a test oracle (rk4_oracle), not a scheme
+    with pytest.raises(ParameterDomainError, match="unknown scheme 'classical'"):
+        SchemeConfig(dt=0.1, max_t=1.0, scheme="classical")
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterDomainError, match="dt must be finite"):
+            SchemeConfig(dt=bad, max_t=1.0)
+        with pytest.raises(ParameterDomainError, match="max_t must be finite"):
+            SchemeConfig(dt=0.1, max_t=bad)
     with pytest.raises(ParameterDomainError):
         SchemeConfig(dt=0.0, max_t=1.0)
     with pytest.raises(ParameterDomainError):
@@ -298,10 +309,7 @@ def test_classical_step_order_four():
     t_end = 0.4
 
     def run_classical(dt):
-        cur = state
-        for _ in range(int(round(t_end / dt))):
-            cur = step_classical(cur, dt)
-        return cur
+        return rk4_oracle.run(state, dt, int(round(t_end / dt)))
 
     ref = state
     for _ in range(int(round(t_end / 1e-3))):
@@ -319,10 +327,8 @@ def test_cross_scheme_agreement(case):
     p = _case_params(case, gamma=0.5, epsilon=0.3)
     state = make_initial_state(grid, p, profile="gaussian", amplitude=0.3,
                                width=1.0, seed=2)
-    cfg_exp = SchemeConfig(dt=1e-3, max_t=0.2, scheme="exponential")
-    cfg_cls = SchemeConfig(dt=1e-3, max_t=0.2, scheme="classical")
-    a = evolve(state, cfg_exp).final_state
-    b = evolve(state, cfg_cls).final_state
+    a = evolve(state, SchemeConfig(dt=1e-3, max_t=0.2)).final_state
+    b = rk4_oracle.run(state, 1e-3, 200)
     scale = np.max(np.abs(a.zeta.values))
     assert _state_diff(a, b) < 1e-6 * max(scale, 1.0)
 
@@ -337,10 +343,7 @@ def test_classical_preserves_mover_moduli_linear():
     state = _random_state(grid, p, 10, scale=0.5)
     before = diagonalize(state)
     t_end = 1.0
-    cur = state
-    for _ in range(int(round(t_end / dt))):
-        cur = step_classical(cur, dt)
-    after = diagonalize(cur)
+    after = diagonalize(rk4_oracle.run(state, dt, int(round(t_end / dt))))
     drift = max(np.max(np.abs(np.abs(after.Zp_hat) - np.abs(before.Zp_hat))),
                 np.max(np.abs(np.abs(after.Zm_hat) - np.abs(before.Zm_hat))))
     scale = max(np.max(np.abs(before.Zp_hat)), np.max(np.abs(before.Zm_hat)))
@@ -357,7 +360,7 @@ def test_time_reversal_linear(scheme):
         diag = diagonalize(state)
         back = undiagonalize(step_exponential(step_exponential(diag, dt), -dt))
     else:
-        back = step_classical(step_classical(state, dt), -dt)
+        back = rk4_oracle.step(rk4_oracle.step(state, dt), -dt)
     assert _state_diff(state, back) < 1e-12
 
 
@@ -373,14 +376,17 @@ def test_means_conserved_bitwise(scheme):
     z0 = state.zeta.hat[0, 0]
     v0 = [c.hat[0, 0] for c in state.v]
 
-    cfg = SchemeConfig(dt=0.02, max_t=0.4, scheme=scheme)
-    final = evolve(state, cfg).final_state
+    if scheme == "exponential":
+        final = evolve(state, SchemeConfig(dt=0.02, max_t=0.4)).final_state
+    else:
+        final = rk4_oracle.run(state, 0.02, 20)
     assert final.zeta.hat[0, 0] == z0
     for comp, m in zip(final.v, v0):
         assert comp.hat[0, 0] == m
 
 
-@pytest.mark.parametrize("scheme", ["exponential", "classical"])
+# the one value SchemeConfig's scheme keyword admits, passed explicitly
+@pytest.mark.parametrize("scheme", ["exponential"])
 def test_evolve_rejects_nyquist_content(scheme):
     """On an even grid the Nyquist wavenumber -n/2 has no mirror image, so a
     step would leave a non-Hermitian spectrum: evolve refuses such a state,
@@ -398,8 +404,8 @@ def test_evolve_rejects_nyquist_content(scheme):
 
 
 def test_rotation_frozen_nonlinearly():
-    """W = |D|^-1 curl v never moves: bitwise on the exponential path,
-    to roundoff on the classical path."""
+    """W = |D|^-1 curl v never moves: bitwise under IF-RK4, to roundoff
+    under the classical RK4 oracle."""
     grid = GridSpec.square(16, TWO_PI, dim=2)
     p = _params(epsilon=0.4)
     rng = np.random.default_rng(13)
@@ -414,8 +420,7 @@ def test_rotation_frozen_nonlinearly():
     exp_final = evolve(state, SchemeConfig(dt=0.02, max_t=0.5)).final_state
     np.testing.assert_allclose(diagonalize(exp_final).W_hat, W0, atol=1e-13)
 
-    cls_final = evolve(state, SchemeConfig(dt=0.02, max_t=0.5,
-                                           scheme="classical")).final_state
+    cls_final = rk4_oracle.run(state, 0.02, 25)
     np.testing.assert_allclose(diagonalize(cls_final).W_hat, W0, atol=1e-12)
 
 
@@ -432,31 +437,25 @@ def test_default_dt_formulas():
     expect = 0.9 * dx / (0.4 * 0.5 / 0.5 + 1.0)
     assert default_dt(state) == pytest.approx(expect, rel=1e-12)
 
-    om_max = float(np.max(symbol_table(grid, p).Omega))
-    expect_cls = min(expect, 2.8 / om_max)
-    assert default_dt(state, scheme="classical") == pytest.approx(expect_cls,
-                                                                  rel=1e-12)
-
 
 @pytest.mark.parametrize("b, d", [(0.25, 1.0 / 6.0), (5.0 / 12.0, 0.0)],
                          ids=["case1", "case3"])
 def test_default_dt_classical_stable_for_distinct_coefficients(b, d):
-    """The classical cap uses the frequency of the primitive system,
+    """The RK4 oracle's cap uses the frequency of the primitive system,
     |xi| sqrt(A(1-gamma)(1-c mu|xi|^2) / (gamma(1+b mu|xi|^2)(1+d mu|xi|^2))),
-    so a linear run on the automatic dt stays finite."""
+    so a linear run on the capped dt stays finite."""
     grid = GridSpec.square(256, TWO_PI, dim=1)
     p = _params(gamma=0.5, epsilon=0.0, b=b, d=d)
     state = make_initial_state(grid, p, profile="gaussian", amplitude=0.1)
-    dt = default_dt(state, scheme="classical")
+    dt = rk4_oracle.stable_dt(state)
     k2 = grid.abs2_xi
     A = symbol_table(grid, p).A
     om_sys = np.sqrt(k2 * A * (1.0 - p.gamma) * (1.0 - p.c * p.mu * k2)
                      / (p.gamma * (1.0 + p.b * p.mu * k2) * (1.0 + p.d * p.mu * k2)))
     assert dt * np.max(om_sys) <= 2.8 * (1.0 + 1e-12)
-    summary = evolve(state, SchemeConfig(dt=dt, max_t=2000 * dt,
-                                         scheme="classical", cadence=2000))
-    assert summary.steps == 2000
-    assert summary.final_state.is_finite()
+    final = rk4_oracle.run(state, dt, 2000)
+    assert final.is_finite()
+    assert x_norm_state(final, 0.0, 1, 1) <= BLOWUP_NORM
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +518,7 @@ def test_evolve_blow_up_on_nonfinite_data():
     bad[2] = np.inf
     state = FieldState.from_arrays(grid, _params(), bad, (np.zeros(grid.n),))
     with pytest.raises(BlowUpSignal) as err:
-        evolve(state, SchemeConfig(dt=0.1, max_t=1.0, scheme="classical"))
+        evolve(state, SchemeConfig(dt=0.1, max_t=1.0))
     assert math.isinf(err.value.norm)
 
 
@@ -527,10 +526,9 @@ def test_evolve_exponential_for_distinct_coefficients():
     grid = GridSpec.square(16, TWO_PI, dim=1)
     p = _params(b=0.25, d=1.0 / 6.0)
     state = _random_state(grid, p, 17)
-    for scheme in ("exponential", "classical"):
-        summary = evolve(state, SchemeConfig(dt=0.1, max_t=0.5, scheme=scheme))
-        assert summary.terminated_by == "max_t"
-        assert summary.final_state.t == 0.5
+    summary = evolve(state, SchemeConfig(dt=0.1, max_t=0.5))
+    assert summary.terminated_by == "max_t"
+    assert summary.final_state.t == 0.5
 
 
 def test_evolve_starts_from_state_time():
@@ -542,7 +540,8 @@ def test_evolve_starts_from_state_time():
     assert summary.final_state.t == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("scheme", ["exponential", "classical"])
+# the one value SchemeConfig's scheme keyword admits, passed explicitly
+@pytest.mark.parametrize("scheme", ["exponential"])
 def test_evolve_lands_on_max_t_with_a_short_last_step(scheme):
     """dt = 0.3 does not divide [0, 1]: three full steps, then one of 0.1."""
     grid = GridSpec.square(16, TWO_PI, dim=1)
@@ -555,10 +554,8 @@ def test_evolve_lands_on_max_t_with_a_short_last_step(scheme):
     assert summary.final_state.t == 1.0
     assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-15)
 
-    manual = diagonalize(state) if scheme == "exponential" else state
-    stepper = step_exponential if scheme == "exponential" else step_classical
+    manual = diagonalize(state)
     for h in (0.3, 0.3, 0.3, 1.0 - 3 * 0.3):
-        manual = stepper(manual, h)
-    if scheme == "exponential":
-        manual = undiagonalize(manual)
+        manual = step_exponential(manual, h)
+    manual = undiagonalize(manual)
     assert _state_diff(summary.final_state, manual) == 0.0

@@ -1,5 +1,6 @@
-"""Property tests of one step of each scheme over the eight coefficient
-cases, and of the config and snapshot round trips.
+"""Property tests of one step of IF-RK4 and of the classical RK4 oracle over
+the eight coefficient cases, of the energy layer's products, and of the
+config and snapshot round trips.
 
 Each step property runs on a 16^2 grid and a 64-point line.  Hypothesis
 draws the state seed, the amplitude parameter and the step length; it is
@@ -8,9 +9,9 @@ States are dealiased, as every make_initial_state recipe is, so they carry
 no Nyquist content: on an even grid the Nyquist mode is its own mirror
 image, and an odd multiplier such as i*xi makes it complex.  Steps stay
 inside classical RK4's stability bound dt*max(Omega_sys) <= 2.8.  The
-mover forcing and step run on the rfftn half lattice; their parity with
-a full-lattice oracle and the bitwise pairing Z+(-xi) = conj Z-(xi) of the
-returned movers are checked here too.
+mover forcing and step and the energy layer's products run on the rfftn
+half lattice; their parity with full-lattice oracles and the bitwise
+pairing Z+(-xi) = conj Z-(xi) of the returned movers are checked here too.
 """
 
 import tempfile
@@ -33,10 +34,13 @@ from bfdsim import (
     undiagonalize,
     write_snapshot,
 )
-from bfdsim.evolution import nonlinear_f_pm, step_classical, step_exponential
+from bfdsim.energy import hamiltonian, symmetrizer_apply, variational_gradients
+from bfdsim.evolution import nonlinear_f_pm, step_exponential
 from bfdsim.initial_data import PROFILES, VELOCITIES
 from bfdsim.spectral import TWO_PI, dealias
 from bfdsim.symbols import symbol_table
+
+import rk4_oracle
 
 B, C, D = 5.0 / 24.0, -1.0 / 12.0, 1.0 / 6.0
 
@@ -90,7 +94,7 @@ def _one_step(state: FieldState, scheme: str, fraction: float) -> FieldState:
     dt = fraction * min(0.2, 2.8 / om_max)
     if scheme == "exponential":
         return undiagonalize(step_exponential(diagonalize(state), dt))
-    return step_classical(state, dt)
+    return rk4_oracle.step(state, dt)
 
 
 def _hats(state: FieldState):
@@ -183,6 +187,78 @@ def test_half_lattice_forcing_matches_a_full_lattice_oracle(case, seed, epsilon)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _energy_oracle(state: FieldState, arg_z, arg_v):
+    """symmetrizer_apply(state, arg_z, arg_v), hamiltonian(state) and
+    variational_gradients(state) on the full lattice: fftn/ifftn, the full
+    two-thirds mask, and every formula written out here (A, g and 1 - c mu
+    |xi|^2 from the symbol table)."""
+    grid, p = state.grid, state.params
+    tab = symbol_table(grid, p)
+    gamma, eps, mu = p.gamma, p.epsilon, p.mu
+    gg, omc, A, g = gamma * (1.0 - gamma), tab.one_minus_cmu, tab.A, tab.g
+    helm_d = 1.0 + p.d * mu * grid.abs2_xi
+    mask = grid.dealias_mask
+    z = np.fft.ifftn(state.zeta.hat).real
+    v = [np.fft.ifftn(c.hat).real for c in state.v]
+    dims = range(grid.dim)
+
+    def mult(coeff, hat):
+        return np.fft.fftn(coeff * np.fft.ifftn(hat).real) * mask
+
+    def vv(j, k):
+        return np.fft.ifftn(np.fft.fftn(v[j] * v[k]) * mask).real
+
+    variant = classify_case(p).variant
+    if variant == "b=d":
+        out_z = gg * omc * arg_z - eps * sum(mult(v[j], arg_v[j]) for j in dims)
+        out_v = [A * arg_v[j] - eps * mult(z, arg_v[j]) - eps * mult(v[j], arg_z)
+                 for j in dims]
+    elif variant == "b!=d":
+        out_z = (gg * gg * omc**2 * g * arg_z
+                 - gg * eps * g * sum(mult(v[j], omc * arg_v[j]) for j in dims))
+        out_v = [gg * (A * omc * arg_v[j] - eps * mult(z, omc * arg_v[j]))
+                 - gg * eps * g * mult(v[j], omc * arg_z)
+                 + eps**2 * sum(mult(vv(j, k), (g - 1.0) * arg_v[k]) for k in dims)
+                 for j in dims]
+    else:
+        out_z = (gg * gg * omc**2 * arg_z
+                 - gg * eps * sum(mult(v[j], omc * arg_v[j]) for j in dims))
+        out_v = [gg * omc * (A * helm_d * arg_v[j] - eps * mult(z, helm_d * arg_v[j]))
+                 - gg * eps * mult(v[j], omc * arg_z)
+                 - p.d * eps**2 * mu * sum(mult(vv(j, k), grid.abs2_xi * arg_v[k])
+                                           for k in dims)
+                 for j in dims]
+
+    vsq = sum(vj * vj for vj in v)
+    ham = 0.5 * ((1.0 - gamma) * grid.spectral_l2_sq(state.zeta.hat, weight=omc)
+                 + sum(grid.spectral_l2_sq(c.hat, weight=A) for c in state.v) / gamma
+                 - eps / gamma * grid.integral(z * np.fft.ifftn(np.fft.fftn(vsq) * mask).real))
+    dz = (1.0 - gamma) * omc * state.zeta.hat - eps / (2.0 * gamma) * np.fft.fftn(vsq) * mask
+    dv = [A / gamma * c.hat - eps / gamma * np.fft.fftn(z * vj) * mask
+          for c, vj in zip(state.v, v)]
+    return (out_z, *out_v), ham, (dz, *dv)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@PROPERTY
+@given(seed=seeds, epsilon=positive_epsilons)
+def test_energy_products_match_a_full_lattice_oracle(case, seed, epsilon):
+    """The energy layer forms its products on the half lattice
+    (GridSpec.product_hat); every output agrees with the full-lattice
+    oracle to 1e-13 relative, in all three symmetrizer variants."""
+    for grid in GRIDS:
+        state = _state(grid, _params(case, epsilon), seed)
+        lam = 1.0 + grid.abs2_xi
+        arg_z = lam * state.zeta.hat
+        arg_v = tuple(lam * c.hat for c in state.v)
+        want_s, want_h, want_g = _energy_oracle(state, arg_z, arg_v)
+        s_z, s_v = symmetrizer_apply(state, arg_z, arg_v, classify_case(state.params).variant)
+        g_z, g_v = variational_gradients(state)
+        for got, want in zip((s_z, *s_v, g_z, *g_v), want_s + want_g):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert abs(hamiltonian(state) - want_h) <= 1e-13 * abs(want_h)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @PROPERTY
 @given(seed=seeds, epsilon=positive_epsilons, fraction=fractions)
@@ -238,7 +314,6 @@ def overrides(draw) -> list[str]:
                                      min_size=dim, max_size=dim))),
         "grid.length": _csv(draw(st.lists(_floats(1e-3, 1e3, exclude_min=True),
                                           min_size=dim, max_size=dim))),
-        "scheme.scheme": draw(st.sampled_from(["exponential", "classical"])),
         "scheme.dt": draw(st.none() | _floats(1e-6, 1.0)),
         "scheme.max_t": draw(_floats(0.0, 1e4)),
         "scheme.cadence": draw(st.integers(1, 1000)),
