@@ -7,9 +7,12 @@ dt Z+- = -(+-) i Omega_sys Z+- + f+- with Omega_sys(xi) =
 |xi| sqrt(omega1 omega2 g) (see bfdsim.symbols; g = 1 when b = d).  The
 one scheme is an integrating-factor RK4 whose linear part is the exact
 phase, so eps = 0 evolution is exact to roundoff; its stages run on the
-rfftn half lattice, since Z+(-xi) = conj Z-(xi).  The xi = 0 modes
-decouple, are stored separately, and are conserved bitwise.  Classical
-RK4 on the primitive equations (rhs_hat) lives on only as a test oracle.
+rfftn half lattice, since Z+(-xi) = conj Z-(xi).  Each stage is one call
+of the stage kernel, which writes into the buffers of the module's one
+workspace (kept for the last grid shape stepped) and allocates nothing.
+The xi = 0 modes decouple, are stored separately, and are conserved
+bitwise.  Classical RK4 on the primitive equations (rhs_hat) lives on
+only as a test oracle.
 """
 
 from __future__ import annotations
@@ -83,7 +86,10 @@ class DiagState:
     The spectra are full-lattice arrays.  For a real state the movers pair
     up as Z+(-xi) = conj Z-(xi), so the rfftn half lattice (grid.half)
     carries all of them: step_exponential and nonlinear_f_pm read only
-    that half and rebuild the rest with GridSpec.extend_half.
+    that half, run the stage kernel in the buffers of the module's
+    workspace, and rebuild the rest with GridSpec.extend_half into fresh
+    arrays.  So the movers of a returned state never alias a workspace
+    buffer; its W_hat is the input's own array, carried through frozen.
     """
 
     t: float
@@ -133,61 +139,121 @@ def diagonalize(state: FieldState) -> DiagState:
                      zero_mode=zero_mode, grid=grid, params=state.params)
 
 
-def _reconstruct_hats(diag: DiagState, tab: SymbolTable, Zp, Zm, W, part=Ellipsis):
-    """Primitive spectra (zeta_hat, v_hats) from the diagonal variables
-    Zp, Zm, W and the zero mode of diag.
-
-    The arrays live on the lattice part of a full array: Ellipsis for the
-    full lattice, grid.half for the half lattice of the mover stages.
-    """
-    grid = diag.grid
-    unit = [u[part] for u in grid.unit_xi]
-    zhat = 0.5 * (Zp + Zm)
-    proj = 0.5 * (Zp - Zm) / tab.ratio_sqrt[part]
-    vhats = [u * proj for u in unit]
-    if W is not None:
-        u1, u2 = unit
-        vhats[0] = vhats[0] + 1j * u2 * W
-        vhats[1] = vhats[1] - 1j * u1 * W
-    origin = (0,) * grid.dim
-    zhat[origin] = diag.zero_mode[0]
-    for vh, v0 in zip(vhats, diag.zero_mode[1]):
-        vh[origin] = v0
-    return zhat, vhats
-
-
 def undiagonalize(diag: DiagState) -> FieldState:
     """Rebuild the primitive state; the output fields are real-valued."""
-    tab = symbol_table(diag.grid, diag.params)
-    zhat, vhats = _reconstruct_hats(diag, tab, diag.Zp_hat, diag.Zm_hat, diag.W_hat)
+    grid = diag.grid
+    tab = symbol_table(grid, diag.params)
+    zhat = 0.5 * (diag.Zp_hat + diag.Zm_hat)
+    proj = 0.5 * (diag.Zp_hat - diag.Zm_hat) / tab.ratio_sqrt
+    vhats = [u * proj for u in grid.unit_xi]
+    if diag.W_hat is not None:
+        u1, u2 = grid.unit_xi
+        vhats[0] += 1j * u2 * diag.W_hat
+        vhats[1] -= 1j * u1 * diag.W_hat
+    _set_zero_mode(diag, zhat, vhats)
     return FieldState(t=diag.t,
-                      zeta=SpectralField(diag.grid, hat=zhat),
-                      v=tuple(SpectralField(diag.grid, hat=vh) for vh in vhats),
+                      zeta=SpectralField(grid, hat=zhat),
+                      v=tuple(SpectralField(grid, hat=vh) for vh in vhats),
                       params=diag.params)
 
 
-def _forcing_half(diag: DiagState, tab: SymbolTable, Zp, Zm, W):
-    """Forcing (f+_hat, f-_hat) of nonlinear_f_pm on the half lattice, from
-    half-lattice Zp, Zm, W and the zero mode of diag."""
+def _set_zero_mode(diag: DiagState, zhat, vhats) -> None:
+    origin = (0,) * diag.grid.dim
+    zhat[origin] = diag.zero_mode[0]
+    for vh, v0 in zip(vhats, diag.zero_mode[1]):
+        vh[origin] = v0
+
+
+class _Workspace:
+    """Scratch buffers of the IF-RK4 stage kernel for one grid shape.
+
+    The module holds one workspace (see _workspace); the stage kernel and
+    step_exponential write only into its buffers, and every array they
+    return to a caller is fresh, so no output aliases a buffer.  Half
+    arrays live on the rfftn half lattice, real ones on the grid.
+    """
+
+    def __init__(self, grid: GridSpec):
+        half_shape = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
+
+        def half():
+            return np.empty(half_shape, dtype=np.complex128)
+
+        self.shape = grid.n
+        # zeta_hat and the v_hats of a stage, then its two product spectra;
+        # spectra[0] is also the scratch of the RK combinations
+        self.spectra = [half() for _ in range(grid.dim + 1)]
+        self.values = [np.empty(grid.n) for _ in range(grid.dim + 1)]
+        self.work = (np.empty(grid.n), np.empty(grid.n))
+        # a stage's input movers, overwritten by its forcing (f+, f-)
+        self.stage = (half(), half())
+        self.acc = (half(), half())
+        # i u2 W and -i u1 W, the rotational part of v_hat in 2-D
+        self.rot = [half() for _ in range(2)] if grid.dim == 2 else []
+        self.phases = [half() for _ in range(4)]
+        self.phase_key = None
+
+    def set_rotation(self, diag: DiagState) -> None:
+        """Form the rotational part of v_hat from diag.W_hat, once per step."""
+        if not self.rot:
+            return
+        W = diag.W_hat[diag.grid.half]
+        u1, u2 = (u[diag.grid.half] for u in diag.grid.unit_xi)
+        np.multiply(np.multiply(W, 1j, out=self.rot[0]), u2, out=self.rot[0])
+        np.multiply(np.multiply(W, -1j, out=self.rot[1]), u1, out=self.rot[1])
+
+    def phase(self, tab: SymbolTable, h: float):
+        """(e^{-i Omega h/2}, e^{+i Omega h/2}, e^{-i Omega h}, e^{+i Omega h})
+        on the half lattice, recomputed only when tab or h changes."""
+        if self.phase_key is None or self.phase_key[0] is not tab or self.phase_key[1] != h:
+            ep_h, em_h, ep_f, em_f = self.phases
+            np.multiply(tab.Omega[tab.grid.half], -0.5j * h, out=ep_h)
+            np.exp(ep_h, out=ep_h)
+            np.conjugate(ep_h, out=em_h)
+            np.multiply(ep_h, ep_h, out=ep_f)
+            np.conjugate(ep_f, out=em_f)
+            self.phase_key = (tab, h)
+        return self.phases
+
+
+_WORKSPACE: _Workspace | None = None
+
+
+def _workspace(grid: GridSpec) -> _Workspace:
+    """The workspace for grid's shape; a new shape replaces the old one."""
+    global _WORKSPACE
+    if _WORKSPACE is None or _WORKSPACE.shape != grid.n:
+        _WORKSPACE = _Workspace(grid)
+    return _WORKSPACE
+
+
+def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Zp, Zm):
+    """The stage kernel: forcing (f+_hat, f-_hat) on the half lattice.
+
+    Reads half-lattice movers Zp, Zm (which may be ws.stage), the
+    rotational part set by ws.set_rotation and the zero mode of diag, and
+    writes the forcing into ws.stage, which it returns.
+    """
     grid = diag.grid
-    half = grid.half
-    zhat, vhats = _reconstruct_hats(diag, tab, Zp, Zm, W, half)
-    zr = grid.ifft_real(zhat)
-    vr = [grid.ifft_real(vh) for vh in vhats]
-    div_zv, vsq = quadratic_products(zr, vr, grid)
+    zhat, *vhats = ws.spectra
+    np.multiply(np.add(Zp, Zm, out=zhat), 0.5, out=zhat)
+    diff = np.subtract(Zp, Zm, out=vhats[0])
+    for j in reversed(range(grid.dim)):  # vhats[0] holds diff, so it goes last
+        np.multiply(diff, tab.mover_velocity[j], out=vhats[j])
+    for vh, rot in zip(vhats, ws.rot):
+        vh += rot
+    _set_zero_mode(diag, zhat, vhats)
 
-    eps, gamma = diag.params.epsilon, diag.params.gamma
-    common = eps / gamma * div_zv / tab.helmholtz_b[half]
-    split = (eps / (2.0 * gamma) * tab.ratio_sqrt[half] * 1j * grid.abs_xi[half]
-             * vsq / tab.helmholtz_d[half])
-    return common + split, common - split
-
-
-def _half_of(diag: DiagState):
-    """(Zp, Zm, W) of diag on the half lattice, as views."""
-    half = diag.grid.half
-    W = None if diag.W_hat is None else diag.W_hat[half]
-    return diag.Zp_hat[half], diag.Zm_hat[half], W
+    zr, *vr = (grid.ifft_real(hat, out=values)
+               for hat, values in zip(ws.spectra, ws.values))
+    div_zv, vsq = quadratic_products(zr, vr, grid, out=ws.spectra[:2], work=ws.work)
+    div_zv *= tab.forcing_div
+    vsq *= tab.forcing_vsq
+    vsq *= tab.ratio_sqrt[grid.half]
+    fp, fm = ws.stage
+    np.add(div_zv, vsq, out=fp)
+    np.subtract(div_zv, vsq, out=fm)
+    return fp, fm
 
 
 def nonlinear_f_pm(diag: DiagState):
@@ -197,14 +263,17 @@ def nonlinear_f_pm(diag: DiagState):
           +- (eps/(2*gamma)) sqrt(omega1/(g*omega2)) i|xi|
              (1 - d*mu*Lap)^{-1} (|v|^2).
     Both terms carry a factor xi, so the xi = 0 component is exactly 0.
-    The forcing is computed on the half lattice, as in step_exponential,
-    and extended with f+(-xi) = conj f-(xi); so it reads only the half
-    lattice of diag and requires Z+(-xi) = conj Z-(xi), which every
-    diagonalize output satisfies.  At eps = 0 both spectra are 0.
+    This is the stage kernel of step_exponential, run once on the half
+    lattice of diag and extended with f+(-xi) = conj f-(xi); so it requires
+    Z+(-xi) = conj Z-(xi), which every diagonalize output satisfies.  The
+    returned spectra are fresh arrays.  At eps = 0 both spectra are 0.
     """
     grid = diag.grid
-    tab = symbol_table(grid, diag.params)
-    fp, fm = _forcing_half(diag, tab, *_half_of(diag))
+    ws = _workspace(grid)
+    ws.set_rotation(diag)
+    half = grid.half
+    fp, fm = _stage(diag, symbol_table(grid, diag.params), ws,
+                    diag.Zp_hat[half], diag.Zm_hat[half])
     return grid.extend_half(fp, fm), grid.extend_half(fm, fp)
 
 
@@ -213,13 +282,16 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
 
     The linear phase e^{-+ i dt Omega_sys} is applied exactly; W_hat and the
     zero mode are carried through untouched.  At eps = 0 the step is that
-    phase alone, on the full lattice.  Otherwise the four stages run on the
-    rfftn half lattice (last axis 0..n/2) and the result is extended with
-    Z+(-xi) = conj Z-(xi), so the step reads only the half lattice of diag
-    and requires that symmetry, which every diagonalize output satisfies;
-    the returned state satisfies it bitwise.  Precondition: no content on
-    the Nyquist modes (evolve checks it), or the step leaves a
-    non-Hermitian spectrum.
+    phase alone, on the full lattice.  Otherwise the four stages run the
+    stage kernel on the rfftn half lattice (last axis 0..n/2), in the
+    buffers of the module's workspace, with the RK combinations formed in
+    place as running sums; the phases are cached per dt and the rotational
+    part of v_hat is formed once per step.  The result is extended with
+    Z+(-xi) = conj Z-(xi) into fresh arrays, so the step reads only the
+    half lattice of diag and requires that symmetry, which every
+    diagonalize output satisfies; the returned state satisfies it bitwise.
+    Precondition: no content on the Nyquist modes (evolve checks it), or
+    the step leaves a non-Hermitian spectrum.
     """
     grid, p = diag.grid, diag.params
     tab = symbol_table(grid, p)
@@ -230,23 +302,38 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
                          Zm_hat=np.conj(ep_f) * diag.Zm_hat, W_hat=diag.W_hat,
                          zero_mode=diag.zero_mode, grid=grid, params=p)
 
-    ep_h = np.exp(-0.5j * h * tab.Omega[grid.half])
-    em_h = np.conj(ep_h)
-    ep_f = ep_h * ep_h
-    em_f = np.conj(ep_f)
-    Zp0, Zm0, W = _half_of(diag)
+    ws = _workspace(grid)
+    ws.set_rotation(diag)
+    ep_h, em_h, ep_f, em_f = ws.phase(tab, h)
+    half = grid.half
+    Z0 = (diag.Zp_hat[half], diag.Zm_hat[half])
+    tmp = ws.spectra[0]
+    # each k_i lands in ws.stage and is turned there, in place, into the
+    # next stage's input; acc sums E_f k1 + 2 E_h k2 + 2 E_h k3 + k4
+    k = _stage(diag, tab, ws, *Z0)
+    for z0, kk, acc, e_h, e_f in zip(Z0, k, ws.acc, (ep_h, em_h), (ep_f, em_f)):
+        np.multiply(kk, e_f, out=acc)
+        kk *= h / 2
+        kk += z0
+        kk *= e_h
+    k = _stage(diag, tab, ws, *ws.stage)
+    for z0, kk, acc, e_h in zip(Z0, k, ws.acc, (ep_h, em_h)):
+        acc += np.multiply(np.multiply(kk, e_h, out=tmp), 2.0, out=tmp)
+        kk *= h / 2
+        kk += np.multiply(z0, e_h, out=tmp)
+    k = _stage(diag, tab, ws, *ws.stage)
+    for z0, kk, acc, e_h, e_f in zip(Z0, k, ws.acc, (ep_h, em_h), (ep_f, em_f)):
+        acc += np.multiply(np.multiply(kk, e_h, out=tmp), 2.0, out=tmp)
+        kk *= e_h
+        kk *= h
+        kk += np.multiply(z0, e_f, out=tmp)
+    k = _stage(diag, tab, ws, *ws.stage)
+    for z0, kk, acc, e_f in zip(Z0, k, ws.acc, (ep_f, em_f)):
+        acc += kk
+        acc *= h / 6
+        acc += np.multiply(z0, e_f, out=tmp)
 
-    def nl(Zp, Zm):
-        return _forcing_half(diag, tab, Zp, Zm, W)
-
-    k1p, k1m = nl(Zp0, Zm0)
-    k2p, k2m = nl(ep_h * (Zp0 + h / 2 * k1p), em_h * (Zm0 + h / 2 * k1m))
-    k3p, k3m = nl(ep_h * Zp0 + h / 2 * k2p, em_h * Zm0 + h / 2 * k2m)
-    k4p, k4m = nl(ep_f * Zp0 + h * ep_h * k3p, em_f * Zm0 + h * em_h * k3m)
-
-    Zp1 = ep_f * Zp0 + h / 6 * (ep_f * k1p + 2.0 * ep_h * (k2p + k3p) + k4p)
-    Zm1 = em_f * Zm0 + h / 6 * (em_f * k1m + 2.0 * em_h * (k2m + k3m) + k4m)
-
+    Zp1, Zm1 = ws.acc
     return DiagState(t=t0 + h, Zp_hat=grid.extend_half(Zp1, Zm1),
                      Zm_hat=grid.extend_half(Zm1, Zp1), W_hat=diag.W_hat,
                      zero_mode=diag.zero_mode, grid=grid, params=p)
@@ -324,7 +411,9 @@ def evolve(state: FieldState, cfg: SchemeConfig,
 
     When cfg.dt does not divide the interval, a short last step lands the
     run on cfg.max_t exactly.  A state with Nyquist content above
-    NYQUIST_TOL relative in spectral L2 raises ParameterDomainError.
+    NYQUIST_TOL relative in spectral L2 raises ParameterDomainError; a
+    non-finite one raises BlowUpSignal at its own time, before any
+    transform of it.
 
     The run steps the diagonal variables; monitors receive the primitive
     state, reconstructed for them by undiagonalize.  Raises BlowUpSignal
@@ -335,12 +424,14 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     happenings only (blow-up, threshold); an uneventful run returns an
     empty log.
     """
+    t0 = state.t
+    events: list[dict] = []
+    if not state.is_finite():
+        events.append({"event": "blow-up", "t": t0, "norm": float("inf")})
+        raise BlowUpSignal(t0, float("inf"), 0, events)
     require_no_nyquist(state)
     current = diagonalize(state)
-
-    t0 = state.t
     n_steps, last_dt = _step_plan(cfg.max_t - t0, cfg.dt)
-    events: list[dict] = []
 
     def norm_of(snap: FieldState) -> float:
         return x_norm_state(snap, 0.0, 1, 1)

@@ -64,8 +64,7 @@ def multipliers(abs2, params: ModelParams) -> dict[str, np.ndarray]:
     g = helm_b / helm_d
     omega1 = A / (gamma * helm_b)
     omega2 = (1.0 - gamma) * one_minus_cmu / helm_b
-    return dict(sigma=sig, A=A, g=g, omega1=omega1, omega2=omega2,
-                Omega=abs_xi * np.sqrt(omega1 * omega2 * g),
+    return dict(A=A, g=g, Omega=abs_xi * np.sqrt(omega1 * omega2 * g),
                 impedance=np.sqrt(omega1 / (g * omega2)),
                 helmholtz_b=helm_b, helmholtz_d=helm_d,
                 one_minus_cmu=one_minus_cmu)
@@ -73,20 +72,48 @@ def multipliers(abs2, params: ModelParams) -> dict[str, np.ndarray]:
 
 @dataclass(eq=False)
 class SymbolTable:
-    """Multiplier arrays over one grid for one parameter set."""
+    """Multiplier arrays over one grid for one parameter set.
+
+    The full-lattice arrays are the linear symbols of multipliers.  The
+    rest fold the per-mode constants of the IF-RK4 stage into one
+    multiplier each, on the rfftn half lattice grid.half:
+
+        forcing_div = (eps/gamma) / (1 + b*mu*|xi|^2),
+        forcing_vsq = (eps/(2*gamma)) * i|xi| / (1 + d*mu*|xi|^2),
+        mover_velocity[j] = 0.5 * (xi_j/|xi|) / r,
+
+    with the impedance r.  The stage rebuilds the gradient part of v_hat_j
+    as mover_velocity[j]*(Z+ - Z-), and its forcing is forcing_div times
+    div(zeta v)_hat, plus or minus r*forcing_vsq times (|v|^2)_hat.
+    sigma, omega1 and omega2 are read by no stage, so they are derived on
+    access rather than stored.
+    """
 
     grid: GridSpec
     params: ModelParams
-    sigma: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
-    omega1: np.ndarray = field(repr=False)
-    omega2: np.ndarray = field(repr=False)
     Omega: np.ndarray = field(repr=False)
     impedance: np.ndarray = field(repr=False)
     helmholtz_b: np.ndarray = field(repr=False)
     helmholtz_d: np.ndarray = field(repr=False)
     one_minus_cmu: np.ndarray = field(repr=False)
+    forcing_div: np.ndarray = field(repr=False)
+    forcing_vsq: np.ndarray = field(repr=False)
+    mover_velocity: np.ndarray = field(repr=False)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """sqrt(mu2)*|xi|*coth(sqrt(mu2)*|xi|), the full-dispersion symbol."""
+        return sigma_of(np.sqrt(self.params.mu2) * self.grid.abs_xi)
+
+    @property
+    def omega1(self) -> np.ndarray:
+        return self.A / (self.params.gamma * self.helmholtz_b)
+
+    @property
+    def omega2(self) -> np.ndarray:
+        return (1.0 - self.params.gamma) * self.one_minus_cmu / self.helmholtz_b
 
     @property
     def ratio_sqrt(self) -> np.ndarray:
@@ -102,5 +129,12 @@ class SymbolTable:
 @lru_cache(maxsize=64)
 def symbol_table(grid: GridSpec, params: ModelParams) -> SymbolTable:
     """Build (or fetch the cached) symbol table for a grid/parameter pair."""
-    return SymbolTable(grid=grid, params=params,
-                       **multipliers(grid.abs2_xi, params))
+    sym = multipliers(grid.abs2_xi, params)
+    half = grid.half
+    eps, gamma = params.epsilon, params.gamma
+    return SymbolTable(
+        grid=grid, params=params, **sym,
+        forcing_div=eps / gamma / sym["helmholtz_b"][half],
+        forcing_vsq=eps / (2.0 * gamma) * 1j * grid.abs_xi[half] / sym["helmholtz_d"][half],
+        mover_velocity=np.stack([0.5 * u[half] / sym["impedance"][half]
+                                 for u in grid.unit_xi]))

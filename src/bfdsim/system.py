@@ -74,23 +74,40 @@ class FieldState:
         return all(np.all(np.isfinite(c.hat)) for c in self.v)
 
 
-def quadratic_products(zr: np.ndarray, vr, grid: GridSpec):
+def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None):
     """Half-lattice spectra (div(zeta v)_hat, (|v|^2)_hat) of the quadratic terms.
 
     zr and vr are zeta and the velocity components in physical space.  Each
     product goes through GridSpec.product_hat, the one product kernel, so
     it is truncated by the two-thirds rule and returned on the half lattice
     grid.half (last axis 0..n/2); grid.extend_half(s, s) gives the full
-    spectrum.  The caller owns the physical fields: freeing them here,
-    before the caller's next large temporaries, made a 256^2 mover step
-    fault in about 6x more pages and run 25-30% slower (glibc malloc,
-    numpy 2.4).
+    spectrum.
+
+    out, if given, is a pair of half-lattice complex arrays that receive
+    the two spectra, and work a pair of real grid arrays used as scratch
+    for the products.  The IF-RK4 stage kernel passes buffers of the
+    evolution workspace, so a stage allocates nothing here.  Fresh large
+    temporaries fault in new pages at every stage: over setup and 4
+    solutions of the 256^2 mover benchmark the process took 119k minor
+    faults with them and 46k with the buffers (numpy 2.4, glibc malloc).
+    Without out and work every array is fresh.
     """
     half = grid.half
-    div_zv = sum(1j * xi[half] * grid.product_hat(zr * comp)
-                 for xi, comp in zip(grid.xi_mesh, vr))
-    vsq_hat = grid.product_hat(sum(comp * comp for comp in vr))
-    return div_zv, vsq_hat
+    div_zv, vsq_hat = (None, None) if out is None else out
+    prod, square = (None, None) if work is None else work
+    for j, (xi, comp) in enumerate(zip(grid.xi_mesh, vr)):
+        # vsq_hat is free until |v|^2 lands in it, so it holds the j >= 1 terms
+        hat = grid.product_hat(np.multiply(zr, comp, out=prod),
+                               out=div_zv if j == 0 else vsq_hat)
+        hat *= 1j * xi[half]
+        if j == 0:
+            div_zv = hat
+        else:
+            div_zv += hat
+    vsq = np.multiply(vr[0], vr[0], out=prod)
+    for comp in vr[1:]:
+        vsq += np.multiply(comp, comp, out=square)
+    return div_zv, grid.product_hat(vsq, out=vsq_hat)
 
 
 def rhs_hat(zhat: np.ndarray, vhats: tuple[np.ndarray, ...], grid: GridSpec,

@@ -2,6 +2,7 @@
 (tests/rk4_oracle.py) is the independent cross-check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,6 +459,24 @@ def test_default_dt_classical_stable_for_distinct_coefficients(b, d):
     assert x_norm_state(final, 0.0, 1, 1) <= BLOWUP_NORM
 
 
+def test_second_step_allocates_little_beyond_its_output():
+    """With the stage buffers in place, a repeated 128^2 step allocates its
+    two output spectra and the transforms' transients: a traced peak of at
+    most 4 full-lattice complex arrays.  Fresh per-stage temporaries would
+    peak near 12."""
+    grid = GridSpec.square(128, TWO_PI, dim=2)
+    p = _params(epsilon=0.1)
+    diag = step_exponential(diagonalize(_random_state(grid, p, 21)), 0.05)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step_exponential(diag, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 4 * grid.npoints * np.dtype(np.complex128).itemsize
+
+
 # ---------------------------------------------------------------------------
 # evolve(): monitors, events, termination
 # ---------------------------------------------------------------------------
@@ -512,14 +531,20 @@ def test_evolve_blow_up_on_oversized_data():
     assert [e["event"] for e in sig.events] == ["blow-up"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evolve_blow_up_on_nonfinite_data():
+    """A non-finite start state raises at its own time, before any transform
+    of it could warn."""
     grid = GridSpec.square(16, TWO_PI, dim=1)
     bad = np.zeros(grid.n)
     bad[2] = np.inf
-    state = FieldState.from_arrays(grid, _params(), bad, (np.zeros(grid.n),))
+    state = FieldState.from_arrays(grid, _params(), bad, (np.zeros(grid.n),), t=0.5)
     with pytest.raises(BlowUpSignal) as err:
         evolve(state, SchemeConfig(dt=0.1, max_t=1.0))
-    assert math.isinf(err.value.norm)
+    sig = err.value
+    assert math.isinf(sig.norm)
+    assert sig.steps == 0 and sig.t == 0.5
+    assert sig.events == [{"event": "blow-up", "t": 0.5, "norm": math.inf}]
 
 
 def test_evolve_exponential_for_distinct_coefficients():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from bfdsim import (
@@ -34,6 +34,7 @@ from bfdsim import (
     undiagonalize,
     write_snapshot,
 )
+from bfdsim import evolution
 from bfdsim.energy import hamiltonian, symmetrizer_apply, variational_gradients
 from bfdsim.evolution import nonlinear_f_pm, step_exponential
 from bfdsim.initial_data import PROFILES, VELOCITIES
@@ -276,6 +277,49 @@ def test_step_pairs_the_movers_bitwise(case, seed, epsilon, fraction):
             assert out.W_hat is None
         else:
             assert np.array_equal(out.W_hat, diag.W_hat)
+
+
+# one workspace for every grid: the stage buffers of step_exponential ----------
+
+REUSE_GRIDS = (GridSpec.square(64, TWO_PI, dim=1), GridSpec.square(16, TWO_PI, dim=2),
+               GridSpec(n=(12, 8), length=(TWO_PI, 3.0)))
+# (grid, case 2 (b = d) or case 1 (b != d), step h, -h or a short last one);
+# the lengths do not depend on the case, so the two cases share them
+REUSE_STEPS = [(g, case, h) for g in range(len(REUSE_GRIDS)) for case in (2, 1)
+               for h in (0.05, -0.05, 0.02)]
+reuse_orders = st.lists(st.integers(0, len(REUSE_STEPS) - 1), min_size=6, max_size=12)
+
+
+def _reuse_step(index: int, seed: int):
+    """The diag and the step length of REUSE_STEPS[index]."""
+    g, case, h = REUSE_STEPS[index]
+    grid = REUSE_GRIDS[g]
+    return diagonalize(_state(grid, _params(case, 0.2), seed + index)), h
+
+
+@PROPERTY
+@example(seed=7, order=[0, 3, 4, 1, 7, 6, 9, 13, 16, 12, 15, 0, 2, 5, 17, 14, 8, 11])
+@given(seed=seeds, order=reuse_orders)
+def test_interleaved_steps_equal_steps_in_a_fresh_workspace(seed, order):
+    """Steps interleaved over grid shapes, parameter sets and step lengths
+    equal, bitwise, the same steps each taken first in a fresh workspace.
+    A returned state is unchanged by the next step, and mutating it leaves
+    that step unchanged, so no output aliases a buffer."""
+    fresh = {}
+    for index in set(order):
+        evolution._WORKSPACE = None
+        fresh[index] = step_exponential(*_reuse_step(index, seed))
+    taken = []
+    for index in order:
+        taken.append((step_exponential(*_reuse_step(index, seed)), index))
+        for out, i in taken[-2:]:
+            assert np.array_equal(out.Zp_hat, fresh[i].Zp_hat)
+            assert np.array_equal(out.Zm_hat, fresh[i].Zm_hat)
+        if len(taken) > 1:
+            out = taken[-2][0]
+            for arr in (out.Zp_hat, out.Zm_hat, out.W_hat):
+                if arr is not None:
+                    arr.fill(np.nan)
 
 
 # round trips ----------------------------------------------------------------
