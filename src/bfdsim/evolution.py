@@ -8,7 +8,7 @@ dt Z+- = -(+-) i Omega_sys Z+- + f+- with Omega_sys(xi) =
 one scheme is an integrating-factor RK4 whose linear part is the exact
 phase, so eps = 0 evolution is exact to roundoff; its stages run on the
 rfftn half lattice, since Z+(-xi) = conj Z-(xi).  Each stage is one call
-of the stage kernel, which writes into the buffers of the module's one
+of the stage kernel, which writes into the buffers of its thread's
 workspace (kept for the last grid shape stepped) and allocates nothing.
 The xi = 0 modes decouple, are stored separately, and are conserved
 bitwise.  Classical RK4 on the primitive equations (rhs_hat) lives on
@@ -18,6 +18,7 @@ only as a test oracle.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -86,7 +87,7 @@ class DiagState:
     The spectra are full-lattice arrays.  For a real state the movers pair
     up as Z+(-xi) = conj Z-(xi), so the rfftn half lattice (grid.half)
     carries all of them: step_exponential and nonlinear_f_pm read only
-    that half, run the stage kernel in the buffers of the module's
+    that half, run the stage kernel in the buffers of the thread's
     workspace, and rebuild the rest with GridSpec.extend_half into fresh
     arrays.  So the movers of a returned state never alias a workspace
     buffer; its W_hat is the input's own array, carried through frozen.
@@ -140,20 +141,23 @@ def diagonalize(state: FieldState) -> DiagState:
 
 
 def undiagonalize(diag: DiagState) -> FieldState:
-    """Rebuild the primitive state; the output fields are real-valued."""
+    """Rebuild the primitive state; the output fields are real-valued.
+
+    This is the reconstruction of the stage kernel, run on the half
+    lattice of diag and extended as Hermitian spectra into fresh arrays;
+    so, like step_exponential, it requires Z+(-xi) = conj Z-(xi) and no
+    content on the Nyquist modes (see require_no_nyquist).
+    """
     grid = diag.grid
-    tab = symbol_table(grid, diag.params)
-    zhat = 0.5 * (diag.Zp_hat + diag.Zm_hat)
-    proj = 0.5 * (diag.Zp_hat - diag.Zm_hat) / tab.ratio_sqrt
-    vhats = [u * proj for u in grid.unit_xi]
-    if diag.W_hat is not None:
-        u1, u2 = grid.unit_xi
-        vhats[0] += 1j * u2 * diag.W_hat
-        vhats[1] -= 1j * u1 * diag.W_hat
-    _set_zero_mode(diag, zhat, vhats)
+    ws = _workspace(grid)
+    ws.set_rotation(diag)
+    half = grid.half
+    zhat, *vhats = _reconstruct(diag, symbol_table(grid, diag.params), ws,
+                                diag.Zp_hat[half], diag.Zm_hat[half])
     return FieldState(t=diag.t,
-                      zeta=SpectralField(grid, hat=zhat),
-                      v=tuple(SpectralField(grid, hat=vh) for vh in vhats),
+                      zeta=SpectralField(grid, hat=grid.extend_half(zhat, zhat)),
+                      v=tuple(SpectralField(grid, hat=grid.extend_half(vh, vh))
+                              for vh in vhats),
                       params=diag.params)
 
 
@@ -167,10 +171,11 @@ def _set_zero_mode(diag: DiagState, zhat, vhats) -> None:
 class _Workspace:
     """Scratch buffers of the IF-RK4 stage kernel for one grid shape.
 
-    The module holds one workspace (see _workspace); the stage kernel and
-    step_exponential write only into its buffers, and every array they
-    return to a caller is fresh, so no output aliases a buffer.  Half
-    arrays live on the rfftn half lattice, real ones on the grid.
+    Each thread holds one workspace (see _workspace); the stage kernel,
+    step_exponential and undiagonalize write only into its buffers, and
+    every array they return to a caller is fresh, so no output aliases a
+    buffer.  Half arrays live on the rfftn half lattice, real ones on the
+    grid.
     """
 
     def __init__(self, grid: GridSpec):
@@ -216,15 +221,34 @@ class _Workspace:
         return self.phases
 
 
-_WORKSPACE: _Workspace | None = None
+# one workspace per thread: the studies step several runs at once
+_LOCAL = threading.local()
 
 
 def _workspace(grid: GridSpec) -> _Workspace:
-    """The workspace for grid's shape; a new shape replaces the old one."""
-    global _WORKSPACE
-    if _WORKSPACE is None or _WORKSPACE.shape != grid.n:
-        _WORKSPACE = _Workspace(grid)
-    return _WORKSPACE
+    """This thread's workspace for grid's shape; a new shape replaces it."""
+    ws = getattr(_LOCAL, "ws", None)
+    if ws is None or ws.shape != grid.n:
+        ws = _LOCAL.ws = _Workspace(grid)
+    return ws
+
+
+def _reconstruct(diag: DiagState, tab: SymbolTable, ws: _Workspace, Zp, Zm):
+    """zeta_hat and the v_hats on the half lattice, in ws.spectra.
+
+    From half-lattice movers Zp, Zm, the rotational part set by
+    ws.set_rotation and the zero mode of diag: zeta_hat = (Z+ + Z-)/2 and
+    v_hat = mover_velocity (Z+ - Z-) + i u-perp W.
+    """
+    zhat, *vhats = ws.spectra
+    np.multiply(np.add(Zp, Zm, out=zhat), 0.5, out=zhat)
+    diff = np.subtract(Zp, Zm, out=vhats[0])
+    for j in reversed(range(len(vhats))):  # vhats[0] holds diff, so it goes last
+        np.multiply(diff, tab.mover_velocity[j], out=vhats[j])
+    for vh, rot in zip(vhats, ws.rot):
+        vh += rot
+    _set_zero_mode(diag, zhat, vhats)
+    return ws.spectra
 
 
 def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Zp, Zm):
@@ -235,15 +259,7 @@ def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Zp, Zm):
     writes the forcing into ws.stage, which it returns.
     """
     grid = diag.grid
-    zhat, *vhats = ws.spectra
-    np.multiply(np.add(Zp, Zm, out=zhat), 0.5, out=zhat)
-    diff = np.subtract(Zp, Zm, out=vhats[0])
-    for j in reversed(range(grid.dim)):  # vhats[0] holds diff, so it goes last
-        np.multiply(diff, tab.mover_velocity[j], out=vhats[j])
-    for vh, rot in zip(vhats, ws.rot):
-        vh += rot
-    _set_zero_mode(diag, zhat, vhats)
-
+    _reconstruct(diag, tab, ws, Zp, Zm)
     zr, *vr = (grid.ifft_real(hat, out=values)
                for hat, values in zip(ws.spectra, ws.values))
     div_zv, vsq = quadratic_products(zr, vr, grid, out=ws.spectra[:2], work=ws.work)
@@ -284,7 +300,7 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     zero mode are carried through untouched.  At eps = 0 the step is that
     phase alone, on the full lattice.  Otherwise the four stages run the
     stage kernel on the rfftn half lattice (last axis 0..n/2), in the
-    buffers of the module's workspace, with the RK combinations formed in
+    buffers of the thread's workspace, with the RK combinations formed in
     place as running sums; the phases are cached per dt and the rotational
     part of v_hat is formed once per step.  The result is extended with
     Z+(-xi) = conj Z-(xi) into fresh arrays, so the step reads only the

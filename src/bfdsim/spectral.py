@@ -8,12 +8,13 @@ GridSpec.product_hat is the one product kernel, used by the mover forcing
 and the energy layer alike.  GridSpec.fft(values, half=True) lands on the
 half lattice, ifft_real inverts either layout, GridSpec.half slices the
 half lattice out of a full array, and GridSpec.extend_half rebuilds a full
-spectrum from half ones.  fft, ifft_real and product_hat take an optional
-out= array (numpy >= 2.0 transforms write it directly); the IF-RK4 stages
-pass the buffers of their workspace, which bfdsim.evolution owns, and
-every call without out= returns a fresh array.  The wavenumbers are
-xi_j = 2*pi*k_j/L_j for integer k_j.  Quadrature on the torus is the rectangle rule, which is
-exact for band-limited integrands, and Parseval takes the form
+spectrum from half ones.  On the half lattice, fft, ifft_real and
+product_hat take an optional out= array (numpy >= 2.0 transforms write it
+directly); the IF-RK4 stages pass the buffers of their thread's workspace,
+which bfdsim.evolution owns, and every call without out= returns a fresh
+array.  The wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.
+Quadrature on the torus is the rectangle rule, which is exact for
+band-limited integrands, and Parseval takes the form
 integral |u|^2 dx = (cell/N) * sum |u_hat|^2.
 The operators on fields are gradient, divergence and dealias (the
 two-thirds truncation); every other multiplier multiplies a spectrum
@@ -142,9 +143,9 @@ class GridSpec:
     def fft(self, values: np.ndarray, half: bool = False, out=None) -> np.ndarray:
         """Full spectrum of real values, or its half lattice when half is set.
 
-        out, if given, is a complex array of the result's shape that
-        receives it (and is returned)."""
-        return np.fft.rfftn(values, out=out) if half else np.fft.fftn(values, out=out)
+        out, if given, is a half-lattice complex array that receives the
+        half spectrum (and is returned); it serves half=True only."""
+        return np.fft.rfftn(values, out=out) if half else np.fft.fftn(values)
 
     def ifft(self, hat: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(hat)
@@ -152,14 +153,10 @@ class GridSpec:
     def ifft_real(self, hat: np.ndarray, out=None) -> np.ndarray:
         """Real values of a full spectrum, or of a half one (last axis n/2+1).
 
-        out, if given, is a real grid array that receives them; from a half
-        spectrum the transform writes it directly."""
+        out, if given, is a real grid array that receives the values of a
+        half spectrum; it serves half spectra only."""
         if hat.shape[-1] == self.n[-1]:
-            values = np.fft.ifftn(hat).real
-            if out is None:
-                return values
-            np.copyto(out, values)
-            return out
+            return np.fft.ifftn(hat).real
         return np.fft.irfftn(hat, s=self.n, axes=tuple(range(self.dim)), out=out)
 
     def product_hat(self, values: np.ndarray, out=None) -> np.ndarray:

@@ -307,7 +307,7 @@ def test_interleaved_steps_equal_steps_in_a_fresh_workspace(seed, order):
     that step unchanged, so no output aliases a buffer."""
     fresh = {}
     for index in set(order):
-        evolution._WORKSPACE = None
+        evolution._LOCAL.ws = None
         fresh[index] = step_exponential(*_reuse_step(index, seed))
     taken = []
     for index in order:

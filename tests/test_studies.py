@@ -195,6 +195,18 @@ def test_conservation_fourth_order_drift(tmp_path):
     assert manifest["derived"]["order_fit"] == result.order_fit
 
 
+def test_conservation_threaded_matches_serial(monkeypatch):
+    """Threaded jobs on one grid shape, each with its own dt, step in their
+    own workspaces: every drift equals the serial one bitwise."""
+    cfg = _conservation_cfg(grid=GridSpec.square(32, TWO_PI, dim=2),
+                            dts=(0.05, 0.04, 0.025, 0.02), max_t=1.0)
+    monkeypatch.setenv("BFD_THREADS", "1")
+    serial = conservation_study(cfg)
+    monkeypatch.setenv("BFD_THREADS", "4")
+    threaded = conservation_study(cfg)
+    assert threaded.drifts == serial.drifts
+
+
 # ---------------------------------------------------------------------------
 # Smallness
 # ---------------------------------------------------------------------------
