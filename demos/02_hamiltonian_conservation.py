@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Hamiltonian drift of the two time integrators.
+"""Hamiltonian drift of the integrating-factor RK4 scheme.
 
 With equal Helmholtz coefficients (b = d) the system conserves a cubic
-Hamiltonian.  Neither integrator enforces that conservation, so the drift
-of H along a trajectory is an honest global error meter:
+Hamiltonian.  The integrator does not enforce that conservation, so the
+drift of H along a trajectory is an honest global error meter:
 
   * the integrating-factor scheme treats the stiff linear part exactly and
     keeps the drift near roundoff at practical step sizes;

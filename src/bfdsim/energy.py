@@ -86,10 +86,19 @@ def _product_full(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return grid.extend_half(hat, hat)
 
 
-def _mult_dealias(grid: GridSpec, coeff_values: np.ndarray, hat: np.ndarray) -> np.ndarray:
-    """Pointwise multiply a Hermitian spectrum by a real coefficient field,
-    dealiased.  Only the half lattice of hat is read."""
-    return _product_full(grid, coeff_values * grid.ifft_real(hat[grid.half]))
+def _vv_values(grid: GridSpec, vvals) -> list[list[np.ndarray]]:
+    """Dealiased values of every v_j v_k, each symmetric pair formed once."""
+    dim = len(vvals)
+    vv = [[None] * dim for _ in range(dim)]
+    for j in range(dim):
+        for k in range(j, dim):
+            vv[j][k] = vv[k][j] = grid.ifft_real(grid.product_hat(vvals[j] * vvals[k]))
+    return vv
+
+
+def _dot(fs, gs) -> np.ndarray:
+    """sum_j f_j g_j of real grid arrays."""
+    return sum(f * g for f, g in zip(fs, gs))
 
 
 def _pair(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray) -> complex:
@@ -102,7 +111,10 @@ def symmetrizer_apply(state: FieldState, arg_z: np.ndarray,
     """Apply the case's symmetrizer to the argument spectra (arg_z, arg_v).
 
     The coefficients (zeta, v) come from the state; the argument is the
-    (already Bessel-weighted) field the energy pairs against.
+    (already Bessel-weighted) field the energy pairs against.  Each distinct
+    spectral operand is inverse-transformed once, and the products that
+    share an outer multiplier are summed in physical space before one
+    dealiased transform (dealiasing is linear).
     """
     grid = state.grid
     p = state.params
@@ -112,55 +124,53 @@ def symmetrizer_apply(state: FieldState, arg_z: np.ndarray,
     omc = tab.one_minus_cmu
     zvals = state.zeta.values
     vvals = [c.values for c in state.v]
-    dim = grid.dim
+    dims = range(grid.dim)
+
+    def values(hat):
+        """Real values of a Hermitian spectrum, read from its half lattice."""
+        return grid.ifft_real(hat[grid.half])
 
     if variant == VARIANT_BD_EQUAL:
-        out_z = gg * omc * arg_z
-        for j in range(dim):
-            out_z = out_z - eps * _mult_dealias(grid, vvals[j], arg_v[j])
-        out_v = []
-        for j in range(dim):
-            comp = tab.A * arg_v[j] - eps * _mult_dealias(grid, zvals, arg_v[j])
-            comp = comp - eps * _mult_dealias(grid, vvals[j], arg_z)
-            out_v.append(comp)
-        return out_z, tuple(out_v)
+        z_arg = values(arg_z)
+        v_arg = [values(a) for a in arg_v]
+        out_z = gg * omc * arg_z - eps * _product_full(grid, _dot(vvals, v_arg))
+        out_v = tuple(
+            tab.A * arg_v[j] - eps * _product_full(grid, zvals * v_arg[j] + vvals[j] * z_arg)
+            for j in dims)
+        return out_z, out_v
+
+    if variant == VARIANT_B_ZERO and p.b != 0.0:
+        raise ParameterDomainError("the b=0 variant requires b = 0 exactly")
+    if variant not in (VARIANT_BD_DISTINCT, VARIANT_B_ZERO):
+        raise ParameterDomainError(f"unknown symmetrizer variant {variant!r}")
+
+    # both remaining variants pair v with (1 - c mu Lap) arg and need v_j v_k
+    z_omc = values(omc * arg_z)
+    v_omc = [values(omc * a) for a in arg_v]
+    vv = _vv_values(grid, vvals)
 
     if variant == VARIANT_BD_DISTINCT:
         g = tab.g
-        out_z = gg * (gg * omc**2 * g * arg_z)
-        for j in range(dim):
-            out_z = out_z - gg * eps * g * _mult_dealias(grid, vvals[j], omc * arg_v[j])
-        out_v = []
-        for j in range(dim):
-            omc_arg = omc * arg_v[j]
-            comp = gg * (tab.A * omc_arg - eps * _mult_dealias(grid, zvals, omc_arg))
-            comp = comp - gg * eps * g * _mult_dealias(grid, vvals[j], omc * arg_z)
-            for k in range(dim):
-                vv = grid.ifft_real(grid.product_hat(vvals[j] * vvals[k]))
-                comp = comp + eps**2 * _mult_dealias(grid, vv, (g - 1.0) * arg_v[k])
-            out_v.append(comp)
-        return out_z, tuple(out_v)
+        v_g1 = [values((g - 1.0) * a) for a in arg_v]
+        out_z = (gg * (gg * omc**2 * g * arg_z)
+                 - gg * eps * g * _product_full(grid, _dot(vvals, v_omc)))
+        out_v = tuple(
+            gg * (tab.A * omc * arg_v[j])
+            + _product_full(grid, eps**2 * _dot(vv[j], v_g1) - gg * eps * zvals * v_omc[j])
+            - gg * eps * g * _product_full(grid, vvals[j] * z_omc)
+            for j in dims)
+        return out_z, out_v
 
-    if variant == VARIANT_B_ZERO:
-        if p.b != 0.0:
-            raise ParameterDomainError("the b=0 variant requires b = 0 exactly")
-        out_z = gg * (gg * omc**2 * arg_z)
-        for j in range(dim):
-            out_z = out_z - gg * eps * _mult_dealias(grid, vvals[j], omc * arg_v[j])
-        out_v = []
-        for j in range(dim):
-            helm_arg = tab.helmholtz_d * arg_v[j]
-            inner = tab.A * helm_arg - eps * _mult_dealias(grid, zvals, helm_arg)
-            comp = gg * omc * inner
-            comp = comp - gg * eps * _mult_dealias(grid, vvals[j], omc * arg_z)
-            for k in range(dim):
-                vv = grid.ifft_real(grid.product_hat(vvals[j] * vvals[k]))
-                lap = -grid.abs2_xi * arg_v[k]
-                comp = comp + p.d * eps**2 * mu * _mult_dealias(grid, vv, lap)
-            out_v.append(comp)
-        return out_z, tuple(out_v)
-
-    raise ParameterDomainError(f"unknown symmetrizer variant {variant!r}")
+    helm_d = tab.helmholtz_d
+    v_helm = [values(helm_d * a) for a in arg_v]
+    v_lap = [values(grid.abs2_xi * a) for a in arg_v]  # -Lap arg_v
+    out_z = gg * (gg * omc**2 * arg_z) - gg * eps * _product_full(grid, _dot(vvals, v_omc))
+    out_v = tuple(
+        gg * omc * (tab.A * (helm_d * arg_v[j]) - eps * _product_full(grid, zvals * v_helm[j]))
+        - _product_full(grid, gg * eps * vvals[j] * z_omc
+                        + p.d * eps**2 * mu * _dot(vv[j], v_lap))
+        for j in dims)
+    return out_z, out_v
 
 
 def energy_Es(state: FieldState, s: float, case: CaseClass | None = None) -> float:

@@ -68,19 +68,19 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.n)
 
-    @property
+    @cached_property
     def npoints(self) -> int:
         return int(np.prod(self.n))
 
-    @property
+    @cached_property
     def dx(self) -> tuple[float, ...]:
         return tuple(L / m for L, m in zip(self.length, self.n))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.dx))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod(self.length))
 

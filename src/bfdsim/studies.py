@@ -1,10 +1,12 @@
 """Reproducible desk-scale studies: lifespan scaling, conservation,
 smallness persistence, and energy-equivalence statistics.
 
-Every study is deterministic given (config, seed): sweep points run as
+Every study is deterministic given (config, seed).  Work runs as
 independent jobs (parallelism capped by the BFD_THREADS environment
-variable), results are merged in parameter order, and CSV floats are
-written with 17 significant digits so re-runs are byte-identical.
+variable): one per sweep point for lifespan, one per dt for conservation,
+and one per random state for equivalence, which scores its state at every
+(epsilon, mu) point.  Results are merged in parameter order, and CSV floats
+are written with 17 significant digits so re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .evolution import BlowUpSignal, evolve
 from .initial_data import make_initial_state
 from .params import classify_case
 from .spectral import SpectralField
+from .symbols import symbol_table
 from .system import FieldState
 
 
@@ -279,34 +282,27 @@ class EquivalenceRecord:
     ratio_max: float
 
 
-def _equivalence_point(cfg: RunConfig, eps: float, mu: float) -> EquivalenceRecord:
-    params = cfg.params.replace(epsilon=eps, mu=mu)
-    case = classify_case(params, cfg.case_override)
-    s = cfg.monitor_s(cfg.grid)
-    lo, hi = math.inf, -math.inf
-    for i in range(cfg.num_states):
-        state = make_initial_state(cfg.grid, params, profile="random_bandlimited",
-                                   amplitude=cfg.amplitude,
-                                   seed=cfg.seed + 1000 * i, velocity="random")
-        # Spread the mixture from zeta-dominant to velocity-dominant states;
-        # the observed ratio band is then anchored by the per-component
-        # extremes rather than by whichever balance the draw happened to hit.
-        mix = np.random.default_rng(cfg.seed + 1000 * i + 7)
-        weight = 10.0 ** mix.uniform(-2.0, 2.0)
-        state = FieldState(
-            t=state.t,
-            zeta=state.zeta,
-            v=tuple(SpectralField(state.grid, hat=weight * vj.hat)
-                    for vj in state.v),
-            params=params,
-        )
-        ratio, _, _ = equivalence_ratio(state, s, case)
-        if math.isnan(ratio):  # zero energy
-            continue
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
-    return EquivalenceRecord(epsilon=eps, mu=mu, case_id=case.case_id,
-                             ratio_min=lo, ratio_max=hi)
+def _equivalence_ratios(cfg: RunConfig, i: int, points, s: float) -> list[float]:
+    """E_s/calE_s of random state i at every (params, case) point.
+
+    The draw depends on neither epsilon nor mu, so each state is drawn once
+    and scored at every point; the fields are shared, so their values are
+    transformed once too.
+    """
+    state = make_initial_state(cfg.grid, cfg.params, profile="random_bandlimited",
+                               amplitude=cfg.amplitude,
+                               seed=cfg.seed + 1000 * i, velocity="random")
+    # Spread the mixture from zeta-dominant to velocity-dominant states;
+    # the observed ratio band is then anchored by the per-component
+    # extremes rather than by whichever balance the draw happened to hit.
+    mix = np.random.default_rng(cfg.seed + 1000 * i + 7)
+    weight = 10.0 ** mix.uniform(-2.0, 2.0)
+    v = tuple(SpectralField(state.grid, hat=weight * vj.hat) for vj in state.v)
+    ratios = []
+    for params, case in points:
+        point_state = FieldState(t=state.t, zeta=state.zeta, v=v, params=params)
+        ratios.append(equivalence_ratio(point_state, s, case)[0])
+    return ratios
 
 
 def equivalence_spread_monotone(records: list[EquivalenceRecord],
@@ -346,9 +342,25 @@ def equivalence_study(cfg: RunConfig) -> list[EquivalenceRecord]:
         pairs = [(e, e) for e in cfg.epsilons]
     else:
         pairs = [(e, m) for e in cfg.epsilons for m in cfg.mus]
-    records = _run_jobs([
-        (lambda e=e, m=m: _equivalence_point(cfg, e, m)) for e, m in pairs
+    points = []
+    for e, m in pairs:
+        params = cfg.params.replace(epsilon=e, mu=m)
+        points.append((params, classify_case(params, cfg.case_override)))
+        symbol_table(cfg.grid, params)  # built here, not raced for by the jobs
+    s = cfg.monitor_s(cfg.grid)
+    # one job per state, scored at every point; min and max do not depend
+    # on the order of the states, so any thread count gives the same records
+    per_state = _run_jobs([
+        (lambda i=i: _equivalence_ratios(cfg, i, points, s))
+        for i in range(cfg.num_states)
     ])
+    records = []
+    for col, ((e, m), (_, case)) in enumerate(zip(pairs, points)):
+        ratios = [r[col] for r in per_state if not math.isnan(r[col])]  # NaN: zero energy
+        records.append(EquivalenceRecord(
+            epsilon=e, mu=m, case_id=case.case_id,
+            ratio_min=min(ratios, default=math.inf),
+            ratio_max=max(ratios, default=-math.inf)))
     rows = [",".join([fmt(r.epsilon), fmt(r.mu), str(r.case_id),
                       fmt(r.ratio_min), fmt(r.ratio_max)]) for r in records]
     _write_csv(cfg, "equivalence.csv", "epsilon,mu,case,ratio_min,ratio_max", rows)

@@ -21,6 +21,7 @@ from bfdsim import (
     smallness_check,
 )
 from bfdsim.spectral import TWO_PI
+from bfdsim import studies
 from bfdsim.studies import EquivalenceRecord, fmt, thread_count
 
 
@@ -316,6 +317,71 @@ def test_equivalence_case_override():
                                                  case_override=1))
     assert records[0].case_id == 1
     assert 0.0 < records[0].ratio_min <= records[0].ratio_max
+
+
+def _sweep_3x3(**kw):
+    return _equivalence_cfg(epsilons=(0.1, 0.03, 0.01), mus=(0.2, 0.05, 0.02), **kw)
+
+
+def test_equivalence_threaded_matches_serial(monkeypatch):
+    def bits(records):
+        return [(r.epsilon, r.mu, r.case_id, r.ratio_min.hex(), r.ratio_max.hex())
+                for r in records]
+
+    monkeypatch.setenv("BFD_THREADS", "1")
+    serial = equivalence_study(_sweep_3x3())
+    monkeypatch.setenv("BFD_THREADS", "2")
+    threaded = equivalence_study(_sweep_3x3())
+    assert bits(serial) == bits(threaded)
+
+
+def test_equivalence_draws_each_state_once(monkeypatch):
+    """The draw depends on neither epsilon nor mu: num_states draws per
+    study, and one ratio through the module global per (state, point)."""
+    calls = {"draw": 0, "ratio": 0}
+
+    def counted(name, inner):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return inner(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(studies, "make_initial_state",
+                        counted("draw", studies.make_initial_state))
+    monkeypatch.setattr(studies, "equivalence_ratio",
+                        counted("ratio", studies.equivalence_ratio))
+    records = equivalence_study(_sweep_3x3(num_states=4))
+    assert len(records) == 9
+    assert calls == {"draw": 4, "ratio": 4 * 9}
+
+
+# (case, epsilon, mu, ratio_min, ratio_max) of a 16^2 sweep, 5 states,
+# amplitude 0.5, seed 42, taken when each point drew its own states
+PINNED_EQUIVALENCE = [
+    (1, 0.1, 0.2, 0.07717590198777483, 3.6582934920505124),
+    (1, 0.1, 0.02, 0.06652987518305287, 0.7564496714880878),
+    (1, 0.01, 0.2, 0.07716620124286373, 3.303089878989503),
+    (1, 0.01, 0.02, 0.06651985759053272, 0.7209663982644855),
+    (7, 0.1, 0.2, 0.2085851547498201, 9.494257497650693),
+    (7, 0.1, 0.02, 0.24887495269827742, 2.7314120839476157),
+    (7, 0.01, 0.2, 0.20855864534963256, 9.505287434799957),
+    (7, 0.01, 0.02, 0.24883744777295833, 2.7459627497125094),
+]
+
+
+def test_equivalence_records_are_pinned():
+    """Guards the seed-to-state mapping: state i is drawn from seed
+    cfg.seed + 1000 i with mixing weight from seed cfg.seed + 1000 i + 7."""
+    got = []
+    for coeffs in (dict(b=0.25, d=1.0 / 6.0), dict(b=0.0, d=0.0)):
+        cfg = _equivalence_cfg(params=_params(gamma=0.5, **coeffs), amplitude=0.5,
+                               epsilons=(0.1, 0.01), mus=(0.2, 0.02))
+        got += equivalence_study(cfg)
+    assert [(r.case_id, r.epsilon, r.mu) for r in got] == \
+        [row[:3] for row in PINNED_EQUIVALENCE]
+    for r, (*_, lo, hi) in zip(got, PINNED_EQUIVALENCE):
+        assert r.ratio_min == pytest.approx(lo, rel=1e-12)
+        assert r.ratio_max == pytest.approx(hi, rel=1e-12)
 
 
 def test_spread_monotone_logic():
