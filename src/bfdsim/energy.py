@@ -24,6 +24,7 @@ from .params import (
     VARIANT_BD_DISTINCT,
     VARIANT_BD_EQUAL,
     CaseClass,
+    check_variant,
     classify_case,
 )
 from .spectral import GridSpec, SpectralField
@@ -118,6 +119,7 @@ def symmetrizer_apply(state: FieldState, arg_z: np.ndarray,
     """
     grid = state.grid
     p = state.params
+    check_variant(p, variant)
     tab = symbol_table(grid, p)
     gamma, eps, mu = p.gamma, p.epsilon, p.mu
     gg = gamma * (1.0 - gamma)
@@ -126,32 +128,23 @@ def symmetrizer_apply(state: FieldState, arg_z: np.ndarray,
     vvals = [c.values for c in state.v]
     dims = range(grid.dim)
 
-    def values(hat):
-        """Real values of a Hermitian spectrum, read from its half lattice."""
-        return grid.ifft_real(hat[grid.half])
-
     if variant == VARIANT_BD_EQUAL:
-        z_arg = values(arg_z)
-        v_arg = [values(a) for a in arg_v]
+        z_arg = grid.ifft_real(arg_z)
+        v_arg = [grid.ifft_real(a) for a in arg_v]
         out_z = gg * omc * arg_z - eps * _product_full(grid, _dot(vvals, v_arg))
         out_v = tuple(
             tab.A * arg_v[j] - eps * _product_full(grid, zvals * v_arg[j] + vvals[j] * z_arg)
             for j in dims)
         return out_z, out_v
 
-    if variant == VARIANT_B_ZERO and p.b != 0.0:
-        raise ParameterDomainError("the b=0 variant requires b = 0 exactly")
-    if variant not in (VARIANT_BD_DISTINCT, VARIANT_B_ZERO):
-        raise ParameterDomainError(f"unknown symmetrizer variant {variant!r}")
-
     # both remaining variants pair v with (1 - c mu Lap) arg and need v_j v_k
-    z_omc = values(omc * arg_z)
-    v_omc = [values(omc * a) for a in arg_v]
+    z_omc = grid.ifft_real(omc * arg_z)
+    v_omc = [grid.ifft_real(omc * a) for a in arg_v]
     vv = _vv_values(grid, vvals)
 
     if variant == VARIANT_BD_DISTINCT:
         g = tab.g
-        v_g1 = [values((g - 1.0) * a) for a in arg_v]
+        v_g1 = [grid.ifft_real((g - 1.0) * a) for a in arg_v]
         out_z = (gg * (gg * omc**2 * g * arg_z)
                  - gg * eps * g * _product_full(grid, _dot(vvals, v_omc)))
         out_v = tuple(
@@ -162,8 +155,8 @@ def symmetrizer_apply(state: FieldState, arg_z: np.ndarray,
         return out_z, out_v
 
     helm_d = tab.helmholtz_d
-    v_helm = [values(helm_d * a) for a in arg_v]
-    v_lap = [values(grid.abs2_xi * a) for a in arg_v]  # -Lap arg_v
+    v_helm = [grid.ifft_real(helm_d * a) for a in arg_v]
+    v_lap = [grid.ifft_real(grid.abs2_xi * a) for a in arg_v]  # -Lap arg_v
     out_z = gg * (gg * omc**2 * arg_z) - gg * eps * _product_full(grid, _dot(vvals, v_omc))
     out_v = tuple(
         gg * omc * (tab.A * (helm_d * arg_v[j]) - eps * _product_full(grid, zvals * v_helm[j]))

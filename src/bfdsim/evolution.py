@@ -132,8 +132,6 @@ def diagonalize(state: FieldState) -> DiagState:
         W = None
 
     zero_mode = (complex(zhat[origin]), tuple(complex(vh[origin]) for vh in vhats))
-    Zp = Zp.copy()
-    Zm = Zm.copy()
     Zp[origin] = 0.0
     Zm[origin] = 0.0
     return DiagState(t=state.t, Zp_hat=Zp, Zm_hat=Zm, W_hat=W,
@@ -153,19 +151,12 @@ def undiagonalize(diag: DiagState) -> FieldState:
     ws.set_rotation(diag)
     half = grid.half
     zhat, *vhats = _reconstruct(diag, symbol_table(grid, diag.params), ws,
-                                diag.Zp_hat[half], diag.Zm_hat[half])
+                                (diag.Zp_hat[half], diag.Zm_hat[half]))
     return FieldState(t=diag.t,
                       zeta=SpectralField(grid, hat=grid.extend_half(zhat, zhat)),
                       v=tuple(SpectralField(grid, hat=grid.extend_half(vh, vh))
                               for vh in vhats),
                       params=diag.params)
-
-
-def _set_zero_mode(diag: DiagState, zhat, vhats) -> None:
-    origin = (0,) * diag.grid.dim
-    zhat[origin] = diag.zero_mode[0]
-    for vh, v0 in zip(vhats, diag.zero_mode[1]):
-        vh[origin] = v0
 
 
 class _Workspace:
@@ -175,32 +166,36 @@ class _Workspace:
     step_exponential and undiagonalize write only into its buffers, and
     every array they return to a caller is fresh, so no output aliases a
     buffer.  Half arrays live on the rfftn half lattice, real ones on the
-    grid.
+    grid; each +- pair is one stacked (2, ...) array, so one ufunc call
+    updates both movers.
     """
 
     def __init__(self, grid: GridSpec):
         half_shape = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
 
-        def half():
-            return np.empty(half_shape, dtype=np.complex128)
+        def half(count):
+            return np.empty((count,) + half_shape, dtype=np.complex128)
 
         self.shape = grid.n
         # zeta_hat and the v_hats of a stage, then its two product spectra;
-        # spectra[0] is also the scratch of the RK combinations
-        self.spectra = [half() for _ in range(grid.dim + 1)]
-        self.values = [np.empty(grid.n) for _ in range(grid.dim + 1)]
+        # spectra[:2] is also the scratch of the RK combinations
+        self.spectra = half(grid.dim + 1)
+        self.values = np.empty((grid.dim + 1,) + grid.n)
         self.work = (np.empty(grid.n), np.empty(grid.n))
-        # a stage's input movers, overwritten by its forcing (f+, f-)
-        self.stage = (half(), half())
-        self.acc = (half(), half())
+        # stage: a stage's input movers, overwritten by its forcing (f+, f-);
+        # acc: the RK sum; z0: the input movers of the step
+        self.stage = half(2)
+        self.acc = half(2)
+        self.z0 = half(2)
         # i u2 W and -i u1 W, the rotational part of v_hat in 2-D
-        self.rot = [half() for _ in range(2)] if grid.dim == 2 else []
-        self.phases = [half() for _ in range(4)]
+        self.rot = half(2) if grid.dim == 2 else None
+        self.e_h = half(2)
+        self.e_f = half(2)
         self.phase_key = None
 
     def set_rotation(self, diag: DiagState) -> None:
         """Form the rotational part of v_hat from diag.W_hat, once per step."""
-        if not self.rot:
+        if self.rot is None:
             return
         W = diag.W_hat[diag.grid.half]
         u1, u2 = (u[diag.grid.half] for u in diag.grid.unit_xi)
@@ -208,17 +203,17 @@ class _Workspace:
         np.multiply(np.multiply(W, -1j, out=self.rot[1]), u1, out=self.rot[1])
 
     def phase(self, tab: SymbolTable, h: float):
-        """(e^{-i Omega h/2}, e^{+i Omega h/2}, e^{-i Omega h}, e^{+i Omega h})
-        on the half lattice, recomputed only when tab or h changes."""
+        """The stacked half-step and full-step phases (e_h, e_f) of the
+        movers on the half lattice, e_h = (e^{-i Omega h/2}, e^{+i Omega h/2})
+        and e_f = e_h**2, recomputed only when tab or h changes."""
         if self.phase_key is None or self.phase_key[0] is not tab or self.phase_key[1] != h:
-            ep_h, em_h, ep_f, em_f = self.phases
-            np.multiply(tab.Omega[tab.grid.half], -0.5j * h, out=ep_h)
-            np.exp(ep_h, out=ep_h)
-            np.conjugate(ep_h, out=em_h)
-            np.multiply(ep_h, ep_h, out=ep_f)
-            np.conjugate(ep_f, out=em_f)
+            e_h = self.e_h
+            np.multiply(tab.Omega[tab.grid.half], -0.5j * h, out=e_h[0])
+            np.exp(e_h[0], out=e_h[0])
+            np.conjugate(e_h[0], out=e_h[1])
+            np.multiply(e_h, e_h, out=self.e_f)
             self.phase_key = (tab, h)
-        return self.phases
+        return self.e_h, self.e_f
 
 
 # one workspace per thread: the studies step several runs at once
@@ -233,33 +228,35 @@ def _workspace(grid: GridSpec) -> _Workspace:
     return ws
 
 
-def _reconstruct(diag: DiagState, tab: SymbolTable, ws: _Workspace, Zp, Zm):
+def _reconstruct(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
     """zeta_hat and the v_hats on the half lattice, in ws.spectra.
 
-    From half-lattice movers Zp, Zm, the rotational part set by
-    ws.set_rotation and the zero mode of diag: zeta_hat = (Z+ + Z-)/2 and
-    v_hat = mover_velocity (Z+ - Z-) + i u-perp W.
+    From the half-lattice movers Z = (Z+, Z-) (stacked or a pair), the
+    rotational part set by ws.set_rotation and the zero mode of diag:
+    zeta_hat = (Z+ + Z-)/2 and v_hat = mover_velocity (Z+ - Z-) + i u-perp W.
     """
-    zhat, *vhats = ws.spectra
+    Zp, Zm = Z
+    zhat, vhats = ws.spectra[0], ws.spectra[1:]
+    # Z+ - Z- waits in zhat's slot, which vhats does not overlap
+    np.multiply(np.subtract(Zp, Zm, out=zhat), tab.mover_velocity, out=vhats)
     np.multiply(np.add(Zp, Zm, out=zhat), 0.5, out=zhat)
-    diff = np.subtract(Zp, Zm, out=vhats[0])
-    for j in reversed(range(len(vhats))):  # vhats[0] holds diff, so it goes last
-        np.multiply(diff, tab.mover_velocity[j], out=vhats[j])
-    for vh, rot in zip(vhats, ws.rot):
-        vh += rot
-    _set_zero_mode(diag, zhat, vhats)
+    if ws.rot is not None:
+        vhats += ws.rot
+    origin = (0,) * diag.grid.dim
+    zhat[origin] = diag.zero_mode[0]
+    vhats[(slice(None),) + origin] = diag.zero_mode[1]
     return ws.spectra
 
 
-def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Zp, Zm):
+def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
     """The stage kernel: forcing (f+_hat, f-_hat) on the half lattice.
 
-    Reads half-lattice movers Zp, Zm (which may be ws.stage), the
+    Reads the half-lattice movers Z (which may be ws.stage), the
     rotational part set by ws.set_rotation and the zero mode of diag, and
     writes the forcing into ws.stage, which it returns.
     """
     grid = diag.grid
-    _reconstruct(diag, tab, ws, Zp, Zm)
+    _reconstruct(diag, tab, ws, Z)
     zr, *vr = (grid.ifft_real(hat, out=values)
                for hat, values in zip(ws.spectra, ws.values))
     div_zv, vsq = quadratic_products(zr, vr, grid, out=ws.spectra[:2], work=ws.work)
@@ -269,7 +266,7 @@ def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Zp, Zm):
     fp, fm = ws.stage
     np.add(div_zv, vsq, out=fp)
     np.subtract(div_zv, vsq, out=fm)
-    return fp, fm
+    return ws.stage
 
 
 def nonlinear_f_pm(diag: DiagState):
@@ -289,7 +286,7 @@ def nonlinear_f_pm(diag: DiagState):
     ws.set_rotation(diag)
     half = grid.half
     fp, fm = _stage(diag, symbol_table(grid, diag.params), ws,
-                    diag.Zp_hat[half], diag.Zm_hat[half])
+                    (diag.Zp_hat[half], diag.Zm_hat[half]))
     return grid.extend_half(fp, fm), grid.extend_half(fm, fp)
 
 
@@ -301,8 +298,9 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     phase alone, on the full lattice.  Otherwise the four stages run the
     stage kernel on the rfftn half lattice (last axis 0..n/2), in the
     buffers of the thread's workspace, with the RK combinations formed in
-    place as running sums; the phases are cached per dt and the rotational
-    part of v_hat is formed once per step.  The result is extended with
+    place as running sums on the stacked pair (Z+, Z-); the phases are
+    cached per dt and the rotational part of v_hat is formed once per
+    step.  The result is extended with
     Z+(-xi) = conj Z-(xi) into fresh arrays, so the step reads only the
     half lattice of diag and requires that symmetry, which every
     diagonalize output satisfies; the returned state satisfies it bitwise.
@@ -320,36 +318,33 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
 
     ws = _workspace(grid)
     ws.set_rotation(diag)
-    ep_h, em_h, ep_f, em_f = ws.phase(tab, h)
+    e_h, e_f = ws.phase(tab, h)
     half = grid.half
-    Z0 = (diag.Zp_hat[half], diag.Zm_hat[half])
-    tmp = ws.spectra[0]
+    z0, acc, tmp = ws.z0, ws.acc, ws.spectra[:2]
+    z0[0] = diag.Zp_hat[half]
+    z0[1] = diag.Zm_hat[half]
     # each k_i lands in ws.stage and is turned there, in place, into the
     # next stage's input; acc sums E_f k1 + 2 E_h k2 + 2 E_h k3 + k4
-    k = _stage(diag, tab, ws, *Z0)
-    for z0, kk, acc, e_h, e_f in zip(Z0, k, ws.acc, (ep_h, em_h), (ep_f, em_f)):
-        np.multiply(kk, e_f, out=acc)
-        kk *= h / 2
-        kk += z0
-        kk *= e_h
-    k = _stage(diag, tab, ws, *ws.stage)
-    for z0, kk, acc, e_h in zip(Z0, k, ws.acc, (ep_h, em_h)):
-        acc += np.multiply(np.multiply(kk, e_h, out=tmp), 2.0, out=tmp)
-        kk *= h / 2
-        kk += np.multiply(z0, e_h, out=tmp)
-    k = _stage(diag, tab, ws, *ws.stage)
-    for z0, kk, acc, e_h, e_f in zip(Z0, k, ws.acc, (ep_h, em_h), (ep_f, em_f)):
-        acc += np.multiply(np.multiply(kk, e_h, out=tmp), 2.0, out=tmp)
-        kk *= e_h
-        kk *= h
-        kk += np.multiply(z0, e_f, out=tmp)
-    k = _stage(diag, tab, ws, *ws.stage)
-    for z0, kk, acc, e_f in zip(Z0, k, ws.acc, (ep_f, em_f)):
-        acc += kk
-        acc *= h / 6
-        acc += np.multiply(z0, e_f, out=tmp)
+    k = _stage(diag, tab, ws, z0)
+    np.multiply(k, e_f, out=acc)
+    k *= h / 2
+    k += z0
+    k *= e_h
+    k = _stage(diag, tab, ws, k)
+    acc += np.multiply(np.multiply(k, e_h, out=tmp), 2.0, out=tmp)
+    k *= h / 2
+    k += np.multiply(z0, e_h, out=tmp)
+    k = _stage(diag, tab, ws, k)
+    acc += np.multiply(np.multiply(k, e_h, out=tmp), 2.0, out=tmp)
+    k *= e_h
+    k *= h
+    k += np.multiply(z0, e_f, out=tmp)
+    k = _stage(diag, tab, ws, k)
+    acc += k
+    acc *= h / 6
+    acc += np.multiply(z0, e_f, out=tmp)
 
-    Zp1, Zm1 = ws.acc
+    Zp1, Zm1 = acc
     return DiagState(t=t0 + h, Zp_hat=grid.extend_half(Zp1, Zm1),
                      Zm_hat=grid.extend_half(Zm1, Zp1), W_hat=diag.W_hat,
                      zero_mode=diag.zero_mode, grid=grid, params=p)
@@ -391,7 +386,7 @@ def require_no_nyquist(state: FieldState) -> None:
 
     The odd multipliers (i*xi in rhs_hat, xi/|xi| in diagonalize) see the
     wavenumber -n_j/2 without its mirror image, so one step would make the
-    spectrum non-Hermitian and ifft_real would drop the imaginary part.
+    spectrum non-Hermitian, and ifft_real reads only its half lattice.
     """
     grid = state.grid
     nyquist = np.zeros(grid.n, dtype=bool)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .params import ModelParams
-from .spectral import GridSpec, SpectralField, dealias
+from .spectral import GridSpec, SpectralField
 from .symbols import symbol_table
 from .system import FieldState
 
@@ -64,14 +64,14 @@ def _profile_mode(grid: GridSpec, mode_k: tuple[int, ...]) -> np.ndarray:
 
 def _profile_random(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
     white = rng.standard_normal(grid.n)
-    hat = grid.fft(white)
+    hat = grid.fft(white, half=True)
     k2 = np.zeros(grid.n)
     k_axes = [np.rint(np.fft.fftfreq(m) * m) for m in grid.n]
     mesh = np.meshgrid(*k_axes, indexing="ij", sparse=True)
     for comp in mesh:
         k2 = k2 + comp**2
     band = np.sqrt(k2) <= min(grid.n) / 8.0
-    hat = hat * band / (1.0 + grid.abs2_xi)
+    hat = hat * band[grid.half] / (1.0 + grid.abs2_xi[grid.half])
     hat[(0,) * grid.dim] = 0.0
     return grid.ifft_real(hat)
 
@@ -93,8 +93,7 @@ def make_zeta(grid: GridSpec, profile: str, amplitude: float,
         raise ParameterDomainError(
             f"unknown profile {profile!r}; expected one of {PROFILES}"
         )
-    field = dealias(SpectralField.from_real(grid, vals))
-    vals = field.values
+    vals = grid.ifft_real(grid.product_hat(vals))
     peak = float(np.max(np.abs(vals)))
     if peak > 0.0 and amplitude != 0.0:
         vals = vals * (amplitude / peak)

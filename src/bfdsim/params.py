@@ -126,6 +126,14 @@ def symmetrizer_variant(params: ModelParams) -> str:
     return VARIANT_B_ZERO
 
 
+def check_variant(params: ModelParams, variant: str) -> None:
+    """Raise unless variant names a symmetrizer family the coefficients admit."""
+    if variant not in (VARIANT_BD_EQUAL, VARIANT_BD_DISTINCT, VARIANT_B_ZERO):
+        raise ParameterDomainError(f"unknown symmetrizer variant {variant!r}")
+    if variant == VARIANT_B_ZERO and params.b != 0.0:
+        raise ParameterDomainError("the b=0 variant requires b = 0 exactly")
+
+
 def _case_id(b: float, c: float, d: float) -> int:
     if b > 0.0 and d > 0.0:
         if b == d:

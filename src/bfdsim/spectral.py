@@ -2,17 +2,19 @@
 
 Fields live on uniform grids over [0, L1) x [0, L2) (or an interval in 1D)
 with full complex spectra in numpy fft layout; every public spectrum
-(SpectralField.hat, the DiagState movers) is full.  The rfftn half lattice
-(last axis 0..n/2) serves the mover stages and every real product:
-GridSpec.product_hat is the one product kernel, used by the mover forcing
-and the energy layer alike.  GridSpec.fft(values, half=True) lands on the
-half lattice, ifft_real inverts either layout, GridSpec.half slices the
-half lattice out of a full array, and GridSpec.extend_half rebuilds a full
-spectrum from half ones.  On the half lattice, fft, ifft_real and
-product_hat take an optional out= array (numpy >= 2.0 transforms write it
-directly); the IF-RK4 stages pass the buffers of their thread's workspace,
-which bfdsim.evolution owns, and every call without out= returns a fresh
-array.  The wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.
+(SpectralField.hat, the DiagState movers) is full.  One transform pair,
+rfftn/irfftn, serves both layouts: the rfftn half lattice (last axis
+0..n/2) carries all of a real field's spectrum.  GridSpec.fft extends it to
+the full spectrum (Hermitian bitwise), or stops there with half=True;
+ifft_real reads a full spectrum on its half lattice only.  GridSpec.half
+slices the half lattice out of a full array, and extend_half rebuilds a
+full spectrum from half ones.  The mover stages and every real product run
+on the half lattice: GridSpec.product_hat is the one product kernel, used
+by the mover forcing and the energy layer alike.  On the half lattice, fft,
+ifft_real and product_hat take an optional out= array (numpy >= 2.0
+transforms write it directly); the IF-RK4 stages pass the buffers of their
+thread's workspace, which bfdsim.evolution owns, and every call without
+out= returns a fresh array.  The wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.
 Quadrature on the torus is the rectangle rule, which is exact for
 band-limited integrands, and Parseval takes the form
 integral |u|^2 dx = (cell/N) * sum |u_hat|^2.
@@ -144,19 +146,22 @@ class GridSpec:
         """Full spectrum of real values, or its half lattice when half is set.
 
         out, if given, is a half-lattice complex array that receives the
-        half spectrum (and is returned); it serves half=True only."""
-        return np.fft.rfftn(values, out=out) if half else np.fft.fftn(values)
+        half spectrum (and is returned); it serves half=True only.  The
+        full spectrum is the half one extended, so it is Hermitian bitwise."""
+        hat = np.fft.rfftn(values, out=out)
+        return hat if half else self.extend_half(hat, hat)
 
     def ifft(self, hat: np.ndarray) -> np.ndarray:
+        """Complex values of a full spectrum; only perfbench/spans.py uses it."""
         return np.fft.ifftn(hat)
 
     def ifft_real(self, hat: np.ndarray, out=None) -> np.ndarray:
         """Real values of a full spectrum, or of a half one (last axis n/2+1).
 
-        out, if given, is a real grid array that receives the values of a
-        half spectrum; it serves half spectra only."""
+        A full spectrum is read on its half lattice only (no package caller
+        passes a non-Hermitian one); out, if given, receives the values."""
         if hat.shape[-1] == self.n[-1]:
-            return np.fft.ifftn(hat).real
+            hat = hat[self.half]
         return np.fft.irfftn(hat, s=self.n, axes=tuple(range(self.dim)), out=out)
 
     def product_hat(self, values: np.ndarray, out=None) -> np.ndarray:

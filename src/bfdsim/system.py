@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import GridMismatchError, ParameterDomainError
 from .params import (
-    VARIANT_B_ZERO,
     VARIANT_BD_DISTINCT,
     VARIANT_BD_EQUAL,
     ModelParams,
+    check_variant,
     symmetrizer_variant,
 )
 from .spectral import GridSpec, SpectralField, _check_same_grid
@@ -169,10 +169,7 @@ def frozen_symbol_matrices(xi, zeta_bar: float, v_bar, params: ModelParams,
         raise ParameterDomainError("xi and v_bar must both have 1 or 2 components")
     if variant is None:
         variant = symmetrizer_variant(params)
-    if variant not in (VARIANT_BD_EQUAL, VARIANT_BD_DISTINCT, VARIANT_B_ZERO):
-        raise ParameterDomainError(f"unknown symmetrizer variant {variant!r}")
-    if variant == VARIANT_B_ZERO and params.b != 0.0:
-        raise ParameterDomainError("the b=0 variant requires b = 0 exactly")
+    check_variant(params, variant)
 
     gamma, eps, mu = params.gamma, params.epsilon, params.mu
     abs2 = sum(c * c for c in xi)

@@ -15,6 +15,7 @@ from bfdsim import (
     energy_Es,
     energy_report,
     equivalence_ratio,
+    frozen_symbol_matrices,
     hamiltonian,
     variational_check,
     x_norm,
@@ -25,6 +26,7 @@ from bfdsim.energy import (
     calE_s,
     csv_header,
     hamiltonian_coercivity_form,
+    symmetrizer_apply,
     variational_gradients,
     x_norm_state,
 )
@@ -321,6 +323,32 @@ def test_energy_dense_matrix_oracle():
         dense += norm * np.vdot(out_v[j], arg_v[j]).real
 
     assert energy_Es(state, s) == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("b, d", [(5.0 / 24.0, 5.0 / 24.0), (0.25, 1.0 / 6.0),
+                                  (0.0, 1.0 / 6.0), (0.0, 0.0)],
+                         ids=["b=d", "b!=d", "b=0", "b=d=0"])
+def test_symmetrizer_apply_is_the_frozen_symmetrizer(b, d):
+    """On a constant background (zeta_bar, v_bar) every product with a
+    band-limited argument is exact, so symmetrizer_apply is the frozen
+    S(xi) of frozen_symbol_matrices, applied mode by mode."""
+    g = GridSpec.square(16, TWO_PI, dim=2)
+    p = _params(epsilon=0.4, b=b, d=d)
+    zbar, vbar = 0.3, (0.2, -0.15)
+    state = FieldState.from_arrays(g, p, np.full(g.n, zbar),
+                                   tuple(np.full(g.n, c) for c in vbar))
+    rng = np.random.default_rng(5)
+    args = np.stack([g.fft(rng.standard_normal(g.n)) * g.dealias_mask
+                     for _ in range(3)])
+    variant = classify_case(p).variant
+    s_z, s_v = symmetrizer_apply(state, args[0], tuple(args[1:]), variant)
+    got = np.stack((s_z, *s_v))
+    want = np.empty_like(got)
+    for idx in np.ndindex(g.n):
+        xi = tuple(float(g.xi[axis][i]) for axis, i in enumerate(idx))
+        S = frozen_symbol_matrices(xi, zbar, vbar, p, variant=variant).S
+        want[(slice(None),) + idx] = S @ args[(slice(None),) + idx]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_equivalence_ratio_zero_state_is_nan():

@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from bfdsim import GridSpec, ParameterDomainError, SpectralField
+from bfdsim import (
+    GridSpec,
+    ModelParams,
+    ParameterDomainError,
+    SchemeConfig,
+    SpectralField,
+    energy_report,
+    equivalence_ratio,
+    evolve,
+    make_initial_state,
+    noncavitation_margin,
+    variational_check,
+)
 from bfdsim.errors import GridMismatchError
 from bfdsim.spectral import TWO_PI, dealias, divergence, gradient
 
@@ -88,17 +100,50 @@ HALF_GRIDS = [GridSpec(n=(16,), length=(TWO_PI,)), GridSpec(n=(64,), length=(3.0
 
 @pytest.mark.parametrize("g", HALF_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
 def test_half_lattice_transforms_match_the_full_ones(g):
-    """fft(x, half=True) is fft(x)[half]; extend_half rebuilds fft(x) from
-    it; ifft_real inverts both layouts to the same values."""
+    """Both layouts agree with numpy's complex fftn/ifftn: fft(x) is the
+    full spectrum and fft(x, half=True) its half lattice, and ifft_real
+    inverts either one.  fft(x) is Hermitian bitwise."""
     x = np.random.default_rng(sum(g.n)).standard_normal(g.n)
+    want = np.fft.fftn(x)
     full = g.fft(x)
     half = g.fft(x, half=True)
-    scale = np.max(np.abs(full))
-    assert half.shape == full[g.half].shape
-    assert np.max(np.abs(half - full[g.half])) <= 1e-13 * scale
-    assert np.max(np.abs(g.extend_half(half, half) - full)) <= 1e-13 * scale
-    np.testing.assert_allclose(g.ifft_real(half), g.ifft_real(full), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(g.ifft_real(half), x, rtol=0, atol=1e-13)
+    scale = np.max(np.abs(want))
+    assert half.shape == want[g.half].shape
+    assert np.max(np.abs(full - want)) <= 1e-13 * scale
+    assert np.max(np.abs(half - want[g.half])) <= 1e-13 * scale
+    refl = full
+    for ax in range(g.dim):
+        refl = np.roll(np.flip(refl, axis=ax), 1, axis=ax)
+    assert np.array_equal(refl, np.conj(full))
+    back = np.fft.ifftn(want).real
+    for hat in (full, half):
+        np.testing.assert_allclose(g.ifft_real(hat), back, rtol=0, atol=1e-13)
+
+
+def test_the_package_runs_on_one_transform_pair(monkeypatch):
+    """Initial data, a two-step run and every diagnostic of its monitor go
+    through with numpy's complex fftn and ifftn made to raise: the package
+    transforms with rfftn and irfftn only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex n-D transform was called")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    grid = _grid2(16)
+    p = ModelParams(gamma=0.7, epsilon=0.2, mu=0.1, mu2=0.2,
+                    a=0.0, b=0.25, c=-0.1, d=1.0 / 6.0)
+    seen = []
+
+    def monitor(state):
+        seen.append((energy_report(state), equivalence_ratio(state, 1.0),
+                     variational_check(state), noncavitation_margin(state)))
+
+    for velocity in ("random", "right-mover"):
+        state = make_initial_state(grid, p, profile="random_bandlimited",
+                                   seed=3, velocity=velocity)
+        summary = evolve(state, SchemeConfig(dt=0.05, max_t=0.1), monitors=(monitor,))
+        assert summary.steps == 2
+    assert len(seen) == 6
 
 
 @pytest.mark.parametrize("g", HALF_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
