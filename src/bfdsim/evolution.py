@@ -300,10 +300,10 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     buffers of the thread's workspace, with the RK combinations formed in
     place as running sums on the stacked pair (Z+, Z-); the phases are
     cached per dt and the rotational part of v_hat is formed once per
-    step.  The result is extended with
-    Z+(-xi) = conj Z-(xi) into fresh arrays, so the step reads only the
-    half lattice of diag and requires that symmetry, which every
-    diagonalize output satisfies; the returned state satisfies it bitwise.
+    step.  The result is extended with Z+(-xi) = conj Z-(xi) into fresh
+    arrays, so the step reads only the half lattice of diag and requires
+    that symmetry, which every diagonalize output satisfies; the returned
+    state satisfies it bitwise.
     Precondition: no content on the Nyquist modes (evolve checks it), or
     the step leaves a non-Hermitian spectrum.
     """
