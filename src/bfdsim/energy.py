@@ -2,19 +2,24 @@
 
 The weighted Sobolev scale is  ||u||^2_{X^s_{mu^k}} = ||u||^2_{H^s}
 + mu^k ||grad^k u||^2_{H^s}, realized spectrally with the Bessel weight
-<xi>^s = (1 + |xi|^2)^{s/2} and |xi|^k in place of the k-th gradient.  The
+<xi>^s = (1 + |xi|^2)^{s/2} and |xi|^k in place of the k-th gradient; the
+weights are cached per (grid, s, k, mu) by sobolev_weight.  The
 symmetrizer energy E_s pairs the Helmholtz-weighted state against the
 symmetrizer applied to it, with every operator chain evaluated exactly as
 displayed (multipliers in spectral space, coefficient multiplications
 pointwise with two-thirds dealiasing after each product).  Every product
 here, as in the mover forcing, goes through GridSpec.product_hat on the
 rfftn half lattice; a full spectrum is rebuilt with GridSpec.extend_half.
+The noncav column of energy_report is min(1 - eps*zeta) alone
+(system.noncav_margin); the steepness proxy eps*W^{1,inf} is formed only
+by system.noncavitation_margin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .params import (
 )
 from .spectral import GridSpec, SpectralField
 from .symbols import symbol_table
-from .system import FieldState, noncavitation_margin, rhs_hat
+from .system import FieldState, noncav_margin, rhs_hat
 
 REPORT_COLUMNS = ("t", "hamiltonian", "E_s", "calE_s", "ratio",
                   "x0_norm", "noncav", "smallness")
@@ -59,8 +64,29 @@ def csv_header() -> str:
     return ",".join(REPORT_COLUMNS)
 
 
+def sobolev_weight(grid: GridSpec, s: float, k: int, mu: float) -> np.ndarray:
+    """Weight of the X^s_{mu^k} norm on the full lattice.
+
+    (1 + |xi|^2)^s (1 + mu^k |xi|^{2k}), and (1 + |xi|^2)^s alone at k = 0,
+    where mu is ignored.  Read-only and cached: _weight_cache keeps the 8
+    most recent (grid, s, k, mu), one float64 grid array of 8*npoints
+    bytes each (32 KiB at 64^2, 512 KiB at 256^2, 8 MiB at 1024^2).
+    """
+    return _weight_cache(grid, s, k, mu if k > 0 else 0.0)
+
+
+@lru_cache(maxsize=8)
+def _weight_cache(grid: GridSpec, s: float, k: int, mu: float) -> np.ndarray:
+    weight = (1.0 + grid.abs2_xi) ** s
+    if k > 0:
+        weight = weight * (1.0 + mu**k * grid.abs2_xi**k)
+    weight.flags.writeable = False
+    return weight
+
+
 def bessel_weight(grid: GridSpec, s: float) -> np.ndarray:
-    return (1.0 + grid.abs2_xi) ** (s / 2.0)
+    """<xi>^s = (1 + |xi|^2)^{s/2}, cached and read-only (sobolev_weight)."""
+    return sobolev_weight(grid, s / 2.0, 0, 0.0)
 
 
 def x_norm(field: SpectralField, s: float, k: int, mu: float) -> float:
@@ -68,10 +94,7 @@ def x_norm(field: SpectralField, s: float, k: int, mu: float) -> float:
     if s < 0.0 or k < 0:
         raise ParameterDomainError("s and k must be nonnegative")
     grid = field.grid
-    weight = (1.0 + grid.abs2_xi) ** s
-    if k > 0:
-        weight = weight * (1.0 + mu**k * grid.abs2_xi**k)
-    return math.sqrt(grid.spectral_l2_sq(field.hat, weight=weight))
+    return math.sqrt(grid.spectral_l2_sq(field.hat, weight=sobolev_weight(grid, s, k, mu)))
 
 
 def x_norm_state(state: FieldState, s: float, k: int, k_prime: int) -> float:
@@ -107,14 +130,16 @@ def _pair(grid: GridSpec, f_hat: np.ndarray, g_hat: np.ndarray) -> complex:
     return grid.cell_volume / grid.npoints * complex(np.vdot(g_hat, f_hat))
 
 
-def symmetrizer_apply(state: FieldState, arg_z: np.ndarray,
-                      arg_v: tuple[np.ndarray, ...], variant: str):
-    """Apply the case's symmetrizer to the argument spectra (arg_z, arg_v).
+def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
+                      arg_v: tuple[SpectralField, ...], variant: str):
+    """Apply the case's symmetrizer to the argument fields (arg_z, arg_v).
 
     The coefficients (zeta, v) come from the state; the argument is the
-    (already Bessel-weighted) field the energy pairs against.  Each distinct
-    spectral operand is inverse-transformed once, and the products that
-    share an outer multiplier are summed in physical space before one
+    (already Bessel-weighted) field the energy pairs against, and the
+    spectra returned are of S applied to it.  Each distinct spectral
+    operand is inverse-transformed once; the b = d variant reads the
+    argument's .values, so cached values cost no transform.  The products
+    that share an outer multiplier are summed in physical space before one
     dealiased transform (dealiasing is linear).
     """
     grid = state.grid
@@ -127,39 +152,40 @@ def symmetrizer_apply(state: FieldState, arg_z: np.ndarray,
     zvals = state.zeta.values
     vvals = [c.values for c in state.v]
     dims = range(grid.dim)
+    z_hat, v_hat = arg_z.hat, [a.hat for a in arg_v]
 
     if variant == VARIANT_BD_EQUAL:
-        z_arg = grid.ifft_real(arg_z)
-        v_arg = [grid.ifft_real(a) for a in arg_v]
-        out_z = gg * omc * arg_z - eps * _product_full(grid, _dot(vvals, v_arg))
+        z_arg = arg_z.values
+        v_arg = [a.values for a in arg_v]
+        out_z = gg * omc * z_hat - eps * _product_full(grid, _dot(vvals, v_arg))
         out_v = tuple(
-            tab.A * arg_v[j] - eps * _product_full(grid, zvals * v_arg[j] + vvals[j] * z_arg)
+            tab.A * v_hat[j] - eps * _product_full(grid, zvals * v_arg[j] + vvals[j] * z_arg)
             for j in dims)
         return out_z, out_v
 
     # both remaining variants pair v with (1 - c mu Lap) arg and need v_j v_k
-    z_omc = grid.ifft_real(omc * arg_z)
-    v_omc = [grid.ifft_real(omc * a) for a in arg_v]
+    z_omc = grid.ifft_real(omc * z_hat)
+    v_omc = [grid.ifft_real(omc * a) for a in v_hat]
     vv = _vv_values(grid, vvals)
 
     if variant == VARIANT_BD_DISTINCT:
         g = tab.g
-        v_g1 = [grid.ifft_real((g - 1.0) * a) for a in arg_v]
-        out_z = (gg * (gg * omc**2 * g * arg_z)
+        v_g1 = [grid.ifft_real((g - 1.0) * a) for a in v_hat]
+        out_z = (gg * (gg * omc**2 * g * z_hat)
                  - gg * eps * g * _product_full(grid, _dot(vvals, v_omc)))
         out_v = tuple(
-            gg * (tab.A * omc * arg_v[j])
+            gg * (tab.A * omc * v_hat[j])
             + _product_full(grid, eps**2 * _dot(vv[j], v_g1) - gg * eps * zvals * v_omc[j])
             - gg * eps * g * _product_full(grid, vvals[j] * z_omc)
             for j in dims)
         return out_z, out_v
 
     helm_d = tab.helmholtz_d
-    v_helm = [grid.ifft_real(helm_d * a) for a in arg_v]
-    v_lap = [grid.ifft_real(grid.abs2_xi * a) for a in arg_v]  # -Lap arg_v
-    out_z = gg * (gg * omc**2 * arg_z) - gg * eps * _product_full(grid, _dot(vvals, v_omc))
+    v_helm = [grid.ifft_real(helm_d * a) for a in v_hat]
+    v_lap = [grid.ifft_real(grid.abs2_xi * a) for a in v_hat]  # -Lap arg_v
+    out_z = gg * (gg * omc**2 * z_hat) - gg * eps * _product_full(grid, _dot(vvals, v_omc))
     out_v = tuple(
-        gg * omc * (tab.A * (helm_d * arg_v[j]) - eps * _product_full(grid, zvals * v_helm[j]))
+        gg * omc * (tab.A * (helm_d * v_hat[j]) - eps * _product_full(grid, zvals * v_helm[j]))
         - _product_full(grid, gg * eps * vvals[j] * z_omc
                         + p.d * eps**2 * mu * _dot(vv[j], v_lap))
         for j in dims)
@@ -176,16 +202,19 @@ def energy_Es(state: FieldState, s: float, case: CaseClass | None = None) -> flo
         case = classify_case(state.params)
     grid = state.grid
     tab = symbol_table(grid, state.params)
-    lam = bessel_weight(grid, s)
-
-    arg_z = lam * state.zeta.hat
-    arg_v = tuple(lam * c.hat for c in state.v)
+    if s == 0.0:
+        # Lam^0 = 1: the state's own fields, so their cached values serve
+        arg_z, arg_v = state.zeta, state.v
+    else:
+        lam = bessel_weight(grid, s)
+        arg_z = SpectralField(grid, hat=lam * state.zeta.hat)
+        arg_v = tuple(SpectralField(grid, hat=lam * c.hat) for c in state.v)
     s_z, s_v = symmetrizer_apply(state, arg_z, arg_v, case.variant)
 
     weight = tab.helmholtz_d if case.variant == VARIANT_B_ZERO else tab.helmholtz_b
-    total = _pair(grid, weight * arg_z, s_z)
+    total = _pair(grid, weight * arg_z.hat, s_z)
     for j in range(grid.dim):
-        total += _pair(grid, weight * arg_v[j], s_v[j])
+        total += _pair(grid, weight * arg_v[j].hat, s_v[j])
 
     if abs(total.imag) > PAIRING_IMAG_TOL * max(1.0, abs(total)):
         raise ArithmeticError(
@@ -312,7 +341,13 @@ def hamiltonian_coercivity_form(state: FieldState) -> float:
 
 def energy_report(state: FieldState, s: float = 0.0,
                   case: CaseClass | None = None) -> EnergyReport:
-    """Assemble the standard diagnostic row for one instant."""
+    """Assemble the standard diagnostic row for one instant.
+
+    noncav is min(1 - eps*zeta) alone; the steepness proxy of
+    noncavitation_margin is not formed here.  At s = 0 the symmetrizer
+    energy reads the state's cached values, so on a 2-D b = d state whose
+    values are cached the row costs 4 rfftn and 1 irfftn.
+    """
     if case is None:
         case = classify_case(state.params)
     p = state.params
@@ -321,7 +356,7 @@ def energy_report(state: FieldState, s: float = 0.0,
     cal = calE_s(state, s, case)
     ratio = es / cal if cal > 0.0 else math.nan
     x0 = x_norm_state(state, 0.0, 1, 1)
-    noncav = noncavitation_margin(state).margin
+    noncav = noncav_margin(state)
     small = p.epsilon * state.grid.spectral_l2_sq(state.zeta.hat)
     return EnergyReport(t=state.t, hamiltonian=ham, E_s=es, calE_s=cal,
                         ratio=ratio, x0_norm=x0, noncav=noncav, smallness=small)

@@ -12,6 +12,8 @@ r = sqrt(omega1/(g*omega2)) of bfdsim.symbols (g = 1 when b = d).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ParameterDomainError
@@ -62,16 +64,30 @@ def _profile_mode(grid: GridSpec, mode_k: tuple[int, ...]) -> np.ndarray:
     return np.cos(phase)
 
 
-def _profile_random(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
-    white = rng.standard_normal(grid.n)
-    hat = grid.fft(white, half=True)
+@lru_cache(maxsize=4)
+def _random_filter(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Half-lattice band mask |k| <= min(n)/8 and denominator 1 + |xi|^2.
+
+    Read-only and cached per grid: about 9*npoints/2 bytes an entry (a
+    bool and a float64 half lattice), 19 KiB at 64^2.
+    """
     k2 = np.zeros(grid.n)
     k_axes = [np.rint(np.fft.fftfreq(m) * m) for m in grid.n]
     mesh = np.meshgrid(*k_axes, indexing="ij", sparse=True)
     for comp in mesh:
         k2 = k2 + comp**2
-    band = np.sqrt(k2) <= min(grid.n) / 8.0
-    hat = hat * band[grid.half] / (1.0 + grid.abs2_xi[grid.half])
+    band = (np.sqrt(k2) <= min(grid.n) / 8.0)[grid.half].copy()
+    denom = 1.0 + grid.abs2_xi[grid.half]
+    for a in (band, denom):
+        a.flags.writeable = False
+    return band, denom
+
+
+def _profile_random(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
+    white = rng.standard_normal(grid.n)
+    hat = grid.fft(white, half=True)
+    band, denom = _random_filter(grid)
+    hat = hat * band / denom
     hat[(0,) * grid.dim] = 0.0
     return grid.ifft_real(hat)
 

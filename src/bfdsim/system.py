@@ -250,8 +250,13 @@ class CavitationReport(NamedTuple):
     eps_w1inf: float
 
 
+def noncav_margin(state: FieldState) -> float:
+    """min over the grid of (1 - eps*zeta), the noncavitation margin."""
+    return float(np.min(1.0 - state.params.epsilon * state.zeta.values))
+
+
 def noncavitation_margin(state: FieldState) -> CavitationReport:
-    """min over the grid of (1 - eps*zeta), plus a steepness proxy.
+    """noncav_margin(state), plus a steepness proxy.
 
     The proxy is eps*(||zeta||_inf + ||grad zeta||_inf + ||v||_inf +
     ||grad v||_inf) with gradients from the spectrum; the long-time
@@ -260,7 +265,7 @@ def noncavitation_margin(state: FieldState) -> CavitationReport:
     grid = state.grid
     eps = state.params.epsilon
     zvals = state.zeta.values
-    margin = float(np.min(1.0 - eps * zvals))
+    margin = noncav_margin(state)
 
     def grad_maxabs(field: SpectralField) -> float:
         mag = np.zeros(grid.n)

@@ -26,6 +26,7 @@ from bfdsim.energy import (
     calE_s,
     csv_header,
     hamiltonian_coercivity_form,
+    sobolev_weight,
     symmetrizer_apply,
     variational_gradients,
     x_norm_state,
@@ -100,8 +101,32 @@ def test_x_norm_state_combines_components():
 
 def test_bessel_weight_formula():
     g = GridSpec.square(8, TWO_PI, dim=2)
-    np.testing.assert_allclose(bessel_weight(g, 3.0),
-                               (1.0 + g.abs2_xi) ** 1.5, rtol=1e-15)
+    lam = bessel_weight(g, 3.0)
+    np.testing.assert_allclose(lam, (1.0 + g.abs2_xi) ** 1.5, rtol=1e-15)
+    assert bessel_weight(g, 3.0) is lam
+    with pytest.raises(ValueError):
+        lam[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("s", [0.0, 1.5, 2.0])
+def test_x_norm_weight_is_a_cached_read_only_formula(s, k):
+    """x_norm weighs |u_hat|^2 by sobolev_weight, which is the written-out
+    (1 + |xi|^2)^s (1 + mu^k |xi|^{2k}) (no second factor at k = 0), one
+    read-only array per (grid, s, k, mu)."""
+    g = GridSpec.square(16, 3.0, dim=2)
+    mu = 0.3
+    weight = sobolev_weight(g, s, k, mu)
+    want = (1.0 + g.abs2_xi) ** s
+    if k > 0:
+        want = want * (1.0 + mu**k * g.abs2_xi**k)
+    np.testing.assert_allclose(weight, want, rtol=1e-15)
+    assert sobolev_weight(g, s, k, mu) is weight
+    with pytest.raises(ValueError):
+        weight[1, 1] = 0.0
+    u = _random_state(g, _params(), 7).zeta
+    assert x_norm(u, s, k, mu) == pytest.approx(
+        math.sqrt(g.spectral_l2_sq(u.hat, weight=want)), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +366,8 @@ def test_symmetrizer_apply_is_the_frozen_symmetrizer(b, d):
     args = np.stack([g.fft(rng.standard_normal(g.n)) * g.dealias_mask
                      for _ in range(3)])
     variant = classify_case(p).variant
-    s_z, s_v = symmetrizer_apply(state, args[0], tuple(args[1:]), variant)
+    fields = [SpectralField(g, hat=a) for a in args]
+    s_z, s_v = symmetrizer_apply(state, fields[0], tuple(fields[1:]), variant)
     got = np.stack((s_z, *s_v))
     want = np.empty_like(got)
     for idx in np.ndindex(g.n):
@@ -428,3 +454,88 @@ def test_energy_report_row_and_header():
     assert rep.noncav == pytest.approx(
         1.0 - p.epsilon * np.max(state.zeta.values), rel=1e-12)
     assert rep.ratio == pytest.approx(rep.E_s / rep.calE_s, rel=1e-12)
+
+
+def test_energy_report_at_s0_reuses_the_cached_values(monkeypatch):
+    """At s = 0 on a 2-D b = d state with cached values, one energy_report
+    forms 4 rfftn (the dealiased products) and 1 irfftn (the Hamiltonian's
+    dealiased |v|^2): no argument transform, no gradient of the steepness
+    proxy."""
+    g = GridSpec.square(16, TWO_PI, dim=2)
+    state = _random_state(g, _params(epsilon=0.2), 41, scale=0.3)
+    for f in (state.zeta, *state.v):
+        f.values
+    energy_report(state, s=0.0)  # symbol table and weights built outside the count
+    counts = {"rfftn": 0, "irfftn": 0}
+
+    def counting(name):
+        inner = getattr(np.fft, name)
+
+        def call(*args, **kw):
+            counts[name] += 1
+            return inner(*args, **kw)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counting(name))
+    energy_report(state, s=0.0)
+    assert counts["rfftn"] <= 4 and counts["irfftn"] <= 1, counts
+
+
+# energy_report columns (hamiltonian, E_s, calE_s, ratio, x0_norm, noncav,
+# smallness) of _random_state(grid, params, 50 + dim, scale=0.3) with
+# epsilon = 0.2, recorded from an implementation that inverse-transformed
+# the s = 0 arguments and rebuilt the Sobolev weights at every call
+REPORT_PINS = {
+    ("b=d", 1, 0.0): (
+        0.46218726928410553, 0.8568423622479736, 0.48428400616106, 1.7692972539816039,
+        0.9949035739009696, 0.9956514773518675, 0.04847387675500661),
+    ("b=d", 1, 1.5): (
+        0.46218726928410553, 1.1877297164192486, 1.1287676805785651, 1.0522357583895932,
+        0.9949035739009696, 0.9956514773518675, 0.04847387675500661),
+    ("b=d", 2, 0.0): (
+        2.3110298689212443, 4.1839189196051505, 2.472334443552546, 1.692294879649533,
+        2.2772141456551473, 0.94, 0.2516685164591949),
+    ("b=d", 2, 1.5): (
+        2.3110298689212443, 15.373259367827442, 7.58433267850342, 2.026975875069469,
+        2.2772141456551473, 0.94, 0.2516685164591949),
+    ("b!=d", 1, 0.0): (
+        0.46218726928410553, 0.07731539170471714, 0.4846920823551579, 0.15951445158550026,
+        0.9949035739009696, 0.9956514773518675, 0.04847387675500661),
+    ("b!=d", 1, 1.5): (
+        0.46218726928410553, 0.10853339446500843, 2.97655729295711, 0.03646272649339269,
+        0.9949035739009696, 0.9956514773518675, 0.04847387675500661),
+    ("b!=d", 2, 0.0): (
+        2.3110298689212443, 0.38208733045144927, 2.465527346528312, 0.15497184851324533,
+        2.2772141456551473, 0.94, 0.2516685164591949),
+    ("b!=d", 2, 1.5): (
+        2.3110298689212443, 1.4585966218452233, 11.844563327128604, 0.1231448202488374,
+        2.2772141456551473, 0.94, 0.2516685164591949),
+    ("b=0", 1, 0.0): (
+        0.46218726928410553, 0.07740553951255143, 0.4854753554040655, 0.15944277840453117,
+        0.9949035739009696, 0.9956514773518675, 0.04847387675500661),
+    ("b=0", 1, 1.5): (
+        0.46218726928410553, 0.10999706628426618, 4.620514229725071, 0.023806239049459915,
+        0.9949035739009696, 0.9956514773518675, 0.04847387675500661),
+    ("b=0", 2, 0.0): (
+        2.3110298689212443, 0.38600834427573205, 2.502448511530707, 0.15425226233310874,
+        2.2772141456551473, 0.94, 0.2516685164591949),
+    ("b=0", 2, 1.5): (
+        2.3110298689212443, 1.5338122807462669, 28.926720304443887, 0.053024064415302344,
+        2.2772141456551473, 0.94, 0.2516685164591949),
+}
+VARIANT_COEFFS = {"b=d": (5.0 / 24.0, 5.0 / 24.0), "b!=d": (0.25, 1.0 / 6.0),
+                  "b=0": (0.0, 1.0 / 6.0)}
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_PINS), ids=str)
+def test_energy_report_columns_are_pinned(key):
+    variant, dim, s = key
+    b, d = VARIANT_COEFFS[variant]
+    g = GridSpec.square(32 if dim == 1 else 16, TWO_PI, dim=dim)
+    state = _random_state(g, _params(epsilon=0.2, b=b, d=d), 50 + dim, scale=0.3)
+    rep = energy_report(state, s=s)
+    got = (rep.hamiltonian, rep.E_s, rep.calE_s, rep.ratio, rep.x0_norm,
+           rep.noncav, rep.smallness)
+    for col, x, want in zip(REPORT_COLUMNS[1:], got, REPORT_PINS[key]):
+        assert x == pytest.approx(want, rel=1e-13), col

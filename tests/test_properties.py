@@ -253,7 +253,9 @@ def test_energy_products_match_a_full_lattice_oracle(case, seed, epsilon):
         arg_z = lam * state.zeta.hat
         arg_v = tuple(lam * c.hat for c in state.v)
         want_s, want_h, want_g = _energy_oracle(state, arg_z, arg_v)
-        s_z, s_v = symmetrizer_apply(state, arg_z, arg_v, classify_case(state.params).variant)
+        s_z, s_v = symmetrizer_apply(state, SpectralField(grid, hat=arg_z),
+                                     tuple(SpectralField(grid, hat=a) for a in arg_v),
+                                     classify_case(state.params).variant)
         g_z, g_v = variational_gradients(state)
         for got, want in zip((s_z, *s_v, g_z, *g_v), want_s + want_g):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
