@@ -11,6 +11,7 @@ from .errors import (
     GridMismatchError,
     IllPosedParametersError,
     ParameterDomainError,
+    SnapshotFormatError,
     UnsupportedCaseError,
 )
 from .params import (
@@ -82,7 +83,7 @@ __all__ = [
     "__version__",
     # errors
     "ConfigError", "GridMismatchError", "IllPosedParametersError",
-    "ParameterDomainError", "UnsupportedCaseError",
+    "ParameterDomainError", "SnapshotFormatError", "UnsupportedCaseError",
     # parameters and cases
     "CASE_WEIGHTS", "CaseClass", "ModelParams", "classify_case",
     "params_from_alphas", "symmetrizer_variant",

@@ -22,8 +22,31 @@ from .errors import ConfigError
 from .initial_data import PROFILES, VELOCITIES, make_initial_state
 from .params import CaseClass, ModelParams, classify_case, params_from_alphas
 from .evolution import SCHEME_EXPONENTIAL, SchemeConfig, default_dt
+from .snapshots import load_state
 from .spectral import TWO_PI, GridSpec
 from .system import FieldState
+
+
+# the matplotlib script that write_csv puts beside a CSV when plot_script is set
+_PLOT_SCRIPT = """\
+#!/usr/bin/env python3
+\"\"\"Plot {csv}; generated alongside the data.\"\"\"
+import csv
+from pathlib import Path
+
+import matplotlib.pyplot as plt
+
+here = Path(__file__).parent
+with open(here / {csv!r}) as fh:
+    rows = list(csv.DictReader(fh))
+xs = [float(r[{x!r}]) for r in rows]
+for col in {ys!r}:
+    plt.plot(xs, [float(r[col]) for r in rows], label=col)
+{logy}plt.xlabel({x!r})
+plt.legend()
+plt.tight_layout()
+plt.savefig(here / {png!r}, dpi=150)
+"""
 
 
 class Key(NamedTuple):
@@ -181,11 +204,19 @@ class RunConfig:
         return 4.0 if grid.dim == 2 else 3.0
 
     def initial_state(self, params: ModelParams | None = None) -> FieldState:
-        """The [initial] recipe on grid, with params (default self.params)."""
-        return make_initial_state(self.grid, self.params if params is None else params,
-                                  profile=self.profile, amplitude=self.amplitude,
-                                  seed=self.seed, width=self.width,
-                                  mode_k=self.mode_k, velocity=self.velocity)
+        """The snapshot file if set (it must lie on grid), else the [initial]
+        recipe on grid; with params (default self.params)."""
+        params = self.params if params is None else params
+        if self.snapshot is not None:
+            state = load_state(self.snapshot, params)
+            if state.grid != self.grid:
+                raise ConfigError(f"snapshot {self.snapshot} is on {state.grid}, "
+                                  f"but [grid] is {self.grid}")
+            return state
+        return make_initial_state(self.grid, params, profile=self.profile,
+                                  amplitude=self.amplitude, seed=self.seed,
+                                  width=self.width, mode_k=self.mode_k,
+                                  velocity=self.velocity)
 
     def scheme_config(self, state: FieldState, dt: float | None = None) -> SchemeConfig:
         """The [scheme] settings for a run from state.
@@ -221,6 +252,33 @@ class RunConfig:
                       "smallness_target": self.smallness_target},
         }
 
+    def output_path(self, name: str) -> Path | None:
+        """out_dir/name, creating out_dir; None when out_dir is None."""
+        if self.out_dir is None:
+            return None
+        out = Path(self.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return out / name
+
+    def write_csv(self, name: str, header: str | None, rows,
+                  plot: tuple | None = None) -> Path | None:
+        """Write header (None for none) and rows, one a line, to out_dir/name.
+
+        Returns the path, or None when out_dir is None.  If plot_script is
+        set, plot = (x, ys[, logy]) adds plot_<stem>.py, drawing ys against x.
+        """
+        path = self.output_path(name)
+        if path is None:
+            return None
+        lines = rows if header is None else [header, *rows]
+        path.write_text("".join(line + "\n" for line in lines))
+        if plot is not None and self.plot_script:
+            x, ys, *logy = plot
+            path.with_name(f"plot_{path.stem}.py").write_text(_PLOT_SCRIPT.format(
+                csv=name, x=x, ys=ys, png=f"{path.stem}.png",
+                logy="plt.xscale('log'); plt.yscale('log')\n" if any(logy) else ""))
+        return path
+
     def write_manifest(self, derived: dict | None = None) -> Path | None:
         """Write <kind>_manifest.json into out_dir and return its path.
 
@@ -228,13 +286,11 @@ class RunConfig:
         the run derived, and the package version.  Nothing is written when
         out_dir is None.
         """
-        if self.out_dir is None:
+        path = self.output_path(f"{self.kind}_manifest.json")
+        if path is None:
             return None
-        out = Path(self.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         doc = {"command": self.kind, "config": self.echo(),
                "derived": derived or {}, "version": __version__}
-        path = out / f"{self.kind}_manifest.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return path
 

@@ -19,3 +19,7 @@ class GridMismatchError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration file or flag set is invalid."""
+
+
+class SnapshotFormatError(ValueError):
+    """A file is not a well-formed BFDv1 snapshot."""

@@ -33,6 +33,7 @@ from .system import FieldState, quadratic_products
 
 BLOWUP_NORM = 1e6
 NYQUIST_TOL = 1e-12
+PAIRING_TOL = 1e-12
 
 SCHEME_EXPONENTIAL = "exponential"
 
@@ -91,6 +92,9 @@ class DiagState:
     workspace, and rebuild the rest with GridSpec.extend_half into fresh
     arrays.  So the movers of a returned state never alias a workspace
     buffer; its W_hat is the input's own array, carried through frozen.
+
+    paired marks the outputs of diagonalize and step_exponential, paired by
+    construction; step_exponential checks any other state at eps != 0.
     """
 
     t: float
@@ -100,13 +104,14 @@ class DiagState:
     zero_mode: tuple
     grid: GridSpec
     params: ModelParams
+    paired: bool = field(default=False, repr=False, compare=False)
 
     def copy(self) -> "DiagState":
         return DiagState(t=self.t, Zp_hat=self.Zp_hat.copy(),
                          Zm_hat=self.Zm_hat.copy(),
                          W_hat=None if self.W_hat is None else self.W_hat.copy(),
                          zero_mode=self.zero_mode, grid=self.grid,
-                         params=self.params)
+                         params=self.params, paired=self.paired)
 
 
 def diagonalize(state: FieldState) -> DiagState:
@@ -135,7 +140,7 @@ def diagonalize(state: FieldState) -> DiagState:
     Zp[origin] = 0.0
     Zm[origin] = 0.0
     return DiagState(t=state.t, Zp_hat=Zp, Zm_hat=Zm, W_hat=W,
-                     zero_mode=zero_mode, grid=grid, params=state.params)
+                     zero_mode=zero_mode, grid=grid, params=state.params, paired=True)
 
 
 def undiagonalize(diag: DiagState) -> FieldState:
@@ -303,7 +308,8 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     step.  The result is extended with Z+(-xi) = conj Z-(xi) into fresh
     arrays, so the step reads only the half lattice of diag and requires
     that symmetry, which every diagonalize output satisfies; the returned
-    state satisfies it bitwise.
+    state satisfies it bitwise.  Any other state at eps != 0 that misses
+    it raises ParameterDomainError.
     Precondition: no content on the Nyquist modes (evolve checks it), or
     the step leaves a non-Hermitian spectrum.
     """
@@ -314,7 +320,10 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
         ep_f = np.exp(-1j * h * tab.Omega)
         return DiagState(t=t0 + h, Zp_hat=ep_f * diag.Zp_hat,
                          Zm_hat=np.conj(ep_f) * diag.Zm_hat, W_hat=diag.W_hat,
-                         zero_mode=diag.zero_mode, grid=grid, params=p)
+                         zero_mode=diag.zero_mode, grid=grid, params=p,
+                         paired=diag.paired)
+    if not diag.paired:
+        _require_paired(diag)
 
     ws = _workspace(grid)
     ws.set_rotation(diag)
@@ -347,7 +356,25 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     Zp1, Zm1 = acc
     return DiagState(t=t0 + h, Zp_hat=grid.extend_half(Zp1, Zm1),
                      Zm_hat=grid.extend_half(Zm1, Zp1), W_hat=diag.W_hat,
-                     zero_mode=diag.zero_mode, grid=grid, params=p)
+                     zero_mode=diag.zero_mode, grid=grid, params=p, paired=True)
+
+
+def _require_paired(diag: DiagState) -> None:
+    """Reject movers off Z+(-xi) = conj Z-(xi) by more than PAIRING_TOL
+    relative in spectral L2: the eps != 0 step reads only their half
+    lattice, so it would silently evolve a different state."""
+    grid, half = diag.grid, diag.grid.half
+    Zp, Zm = diag.Zp_hat, diag.Zm_hat
+    defect = total = 0.0
+    for Z, seen in ((Zp, grid.extend_half(Zp[half], Zm[half])),
+                    (Zm, grid.extend_half(Zm[half], Zp[half]))):
+        defect += float(np.sum(np.abs(Z - seen) ** 2))
+        total += float(np.sum(np.abs(Z) ** 2))
+    if defect > PAIRING_TOL**2 * total:
+        raise ParameterDomainError(
+            f"the movers miss Z+(-xi) = conj Z-(xi) by "
+            f"{math.sqrt(defect / total):.3e} relative in spectral L2 "
+            f"(limit {PAIRING_TOL:g}); build them with diagonalize")
 
 
 def default_dt(state: FieldState) -> float:

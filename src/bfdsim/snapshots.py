@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SnapshotFormatError
 from .params import ModelParams
 from .spectral import GridSpec, SpectralField
 from .system import FieldState
@@ -36,27 +37,33 @@ def write_snapshot(path, state: FieldState) -> None:
 
 
 def read_snapshot(path):
-    """Return (t, grid, zeta_values, v_values) from a BFDv1 file."""
+    """Return (t, grid, zeta_values, v_values) from a BFDv1 file; raise
+    SnapshotFormatError if it is malformed or its time or grid not finite."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        header = fh.readline().decode("ascii", errors="replace").split()
         if not header or header[0] != MAGIC:
-            raise ValueError(f"{path}: not a {MAGIC} snapshot")
-        dim = int(header[1])
-        if dim not in (1, 2) or len(header) != 2 + 2 * dim + 1:
-            raise ValueError(f"{path}: malformed {MAGIC} header")
-        n = tuple(int(tok) for tok in header[2:2 + dim])
-        length = tuple(float(tok) for tok in header[2 + dim:2 + 2 * dim])
-        t = float(header[-1])
-        grid = GridSpec(n=n, length=length)
+            raise SnapshotFormatError(f"{path}: not a {MAGIC} snapshot")
+        try:
+            dim = int(header[1])
+            if dim not in (1, 2) or len(header) != 2 + 2 * dim + 1:
+                raise ValueError(f"{len(header)} tokens")
+            n = tuple(int(tok) for tok in header[2:2 + dim])
+            length = tuple(float(tok) for tok in header[2 + dim:2 + 2 * dim])
+            t = float(header[-1])
+            if not np.isfinite(t):
+                raise ValueError(f"non-finite time {t}")
+            grid = GridSpec(n=n, length=length)
+        except (IndexError, ValueError) as exc:
+            raise SnapshotFormatError(f"{path}: malformed {MAGIC} header ({exc})") from exc
         count = grid.npoints
         fields = []
         for _ in range(dim + 1):
             buf = fh.read(8 * count)
             if len(buf) != 8 * count:
-                raise ValueError(f"{path}: truncated {MAGIC} payload")
+                raise SnapshotFormatError(f"{path}: truncated {MAGIC} payload")
             fields.append(np.frombuffer(buf, dtype="<f8").reshape(n).copy())
         if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after {MAGIC} payload")
+            raise SnapshotFormatError(f"{path}: trailing bytes after {MAGIC} payload")
     return t, grid, fields[0], tuple(fields[1:])
 
 

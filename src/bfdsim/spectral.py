@@ -59,8 +59,8 @@ class GridSpec:
             if m < 4 or m % 2:
                 raise ParameterDomainError(f"axis size must be even and >= 4, got {m}")
         for L in self.length:
-            if L <= 0.0:
-                raise ParameterDomainError(f"axis length must be > 0, got {L}")
+            if not (L > 0.0 and np.isfinite(L)):
+                raise ParameterDomainError(f"axis length must be finite and > 0, got {L}")
 
     @classmethod
     def square(cls, n: int, length: float, dim: int = 2) -> "GridSpec":

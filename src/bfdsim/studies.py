@@ -1,6 +1,8 @@
 """Reproducible desk-scale studies: lifespan scaling, conservation,
 smallness persistence, and energy-equivalence statistics.
 
+Lifespan, conservation and smallness start from cfg.initial_state (the
+snapshot when one is set); equivalence draws its own random states.
 Every study is deterministic given (config, seed).  Work runs as
 independent jobs (parallelism capped by the BFD_THREADS environment
 variable): one per sweep point for lifespan, one per dt for conservation,
@@ -15,7 +17,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -56,16 +57,6 @@ def _run_jobs(jobs):
     with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [f.result() for f in futures]
-
-
-def _write_csv(cfg: RunConfig, name: str, header: str, rows: list[str]) -> Path | None:
-    if cfg.out_dir is None:
-        return None
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text("\n".join([header] + rows) + "\n")
-    return path
 
 
 def _sweep_pairs(cfg: RunConfig):
@@ -127,7 +118,8 @@ def lifespan_study(cfg: RunConfig) -> list[LifespanRecord]:
     ])
     rows = [",".join([fmt(r.epsilon), fmt(r.mu), fmt(r.T_obs), fmt(r.product),
                       r.terminated_by]) for r in records]
-    _write_csv(cfg, "lifespan.csv", "epsilon,mu,T_obs,product,terminated_by", rows)
+    cfg.write_csv("lifespan.csv", "epsilon,mu,T_obs,product,terminated_by", rows,
+                  plot=("epsilon", ("T_obs", "product"), True))
     cfg.write_manifest()
     return records
 
@@ -183,7 +175,8 @@ def conservation_study(cfg: RunConfig) -> ConservationResult:
         order_fit = math.nan
     rows = [",".join([fmt(h), fmt(dr), fmt(po)])
             for h, dr, po in zip(dts, drifts, pair_orders)]
-    _write_csv(cfg, "conservation.csv", "dt,drift,order_fit", rows)
+    cfg.write_csv("conservation.csv", "dt,drift,order_fit", rows,
+                  plot=("dt", ("drift",), True))
     cfg.write_manifest({"order_fit": order_fit})
     return ConservationResult(dts=tuple(dts), drifts=tuple(drifts),
                               pair_orders=tuple(pair_orders), order_fit=order_fit)
@@ -256,7 +249,8 @@ def smallness_check(cfg: RunConfig) -> SmallnessReport:
     except BlowUpSignal:
         terminated = "blow-up"
 
-    _write_csv(cfg, "smallness.csv", "t,smallness,noncav,hamiltonian,x0_norm", rows)
+    cfg.write_csv("smallness.csv", "t,smallness,noncav,hamiltonian,x0_norm", rows,
+                  plot=("t", ("smallness", "noncav", "x0_norm")))
     report = SmallnessReport(
         epsilon=eps, target=cfg.smallness_target,
         initial_smallness=initial_small, initial_x0=x0_initial,
@@ -363,6 +357,7 @@ def equivalence_study(cfg: RunConfig) -> list[EquivalenceRecord]:
             ratio_max=max(ratios, default=-math.inf)))
     rows = [",".join([fmt(r.epsilon), fmt(r.mu), str(r.case_id),
                       fmt(r.ratio_min), fmt(r.ratio_max)]) for r in records]
-    _write_csv(cfg, "equivalence.csv", "epsilon,mu,case,ratio_min,ratio_max", rows)
+    cfg.write_csv("equivalence.csv", "epsilon,mu,case,ratio_min,ratio_max", rows,
+                  plot=("epsilon", ("ratio_min", "ratio_max"), True))
     cfg.write_manifest({"spread_monotone": equivalence_spread_monotone(records)})
     return records

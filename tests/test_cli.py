@@ -14,6 +14,7 @@ import pytest
 
 from bfdsim import FieldState, GridSpec, __version__, parse_config
 from bfdsim.cli import main
+from bfdsim.evolution import evolve
 from bfdsim.snapshots import load_state, write_snapshot
 from bfdsim.spectral import TWO_PI
 
@@ -148,22 +149,102 @@ def test_simulate_resumes_from_a_snapshot(tmp_path, capsys):
         (first / "final.bfd").read_bytes()
 
 
-def test_simulate_resume_rejects_a_different_grid(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "lifespan"])
+def test_resume_rejects_a_different_grid(tmp_path, capsys, command):
     first = tmp_path / "first"
     rc = run("simulate", *sets(first, "grid.n=32", "scheme.dt=0.1",
                                "scheme.max_t=0.1", "initial.amplitude=0.05"))
     assert rc == 0
     capsys.readouterr()
     second = tmp_path / "second"
-    rc = run("simulate", *sets(second, "grid.n=16", "scheme.dt=0.1",
-                               "scheme.max_t=0.2",
-                               f"initial.snapshot={first / 'final.bfd'}"))
+    rc = run(command, *sets(second, "grid.n=16", "scheme.dt=0.1",
+                            "scheme.max_t=0.2",
+                            f"initial.snapshot={first / 'final.bfd'}"))
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config: ")
     assert "n=(32,)" in err and "n=(16,)" in err
-    assert not (second / "simulate_manifest.json").exists()
+    assert not (second / f"{command}_manifest.json").exists()
     assert not (second / "final.bfd").exists()
+
+
+STUDY_RUNS = {
+    "lifespan": ["scheme.dt=0.1", "study.epsilons=0.1,0.05"],
+    "conserve": ["study.dts=0.1,0.05"],
+    "smallness": ["scheme.dt=0.05"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(STUDY_RUNS))
+def test_studies_start_from_the_snapshot(tmp_path, capsys, monkeypatch, command):
+    first = tmp_path / "first"
+    rc = run("simulate", *sets(first, "grid.n=32", "scheme.dt=0.1",
+                               "scheme.max_t=0.2", "initial.amplitude=0.05"))
+    assert rc == 0
+    snap = load_state(first / "final.bfd", parse_config().params)
+    starts = []
+
+    def spy(state, *args, **kwargs):
+        starts.append(state)
+        return evolve(state, *args, **kwargs)
+
+    monkeypatch.setattr("bfdsim.studies.evolve", spy)
+    rc = run(command, *sets(tmp_path / "second", "grid.n=32", "scheme.max_t=0.4",
+                            f"initial.snapshot={first / 'final.bfd'}",
+                            *STUDY_RUNS[command]))
+    assert rc == 0
+    capsys.readouterr()
+    assert len(starts) == (1 if command == "smallness" else 2)
+    for state in starts:
+        assert state.t == snap.t == pytest.approx(0.2)
+        # smallness rescales the data to its target smallness
+        scale = 1.0
+        if command == "smallness":
+            scale = np.linalg.norm(state.zeta.values) / np.linalg.norm(snap.zeta.values)
+        for got, ref in zip((state.zeta, *state.v), (snap.zeta, *snap.v)):
+            np.testing.assert_allclose(got.values, scale * ref.values, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("command", sorted(STUDY_RUNS))
+def test_missing_snapshot_exits_four(tmp_path, capsys, command):
+    rc = run(command, *sets(tmp_path / "x", "grid.n=32", "scheme.max_t=0.2",
+                            f"initial.snapshot={tmp_path / 'missing.bfd'}",
+                            *STUDY_RUNS[command]))
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: ") and "missing.bfd" in err
+    assert not (tmp_path / "x" / f"{command}_manifest.json").exists()
+
+
+def _corrupt(kind, blob):
+    header, payload = blob.split(b"\n", 1)
+    tokens = header.split()
+    if kind == "magic":
+        tokens[0] = b"BFDv0"
+    elif kind == "truncated":
+        payload = payload[:-8]
+    elif kind == "nan-time":
+        tokens[-1] = b"nan"
+    else:  # nan-length
+        tokens[3] = b"nan"
+    return b" ".join(tokens) + b"\n" + payload
+
+
+@pytest.mark.parametrize("kind", ["magic", "truncated", "nan-time", "nan-length"])
+def test_malformed_snapshot_exits_four(tmp_path, capsys, kind):
+    first = tmp_path / "first"
+    rc = run("simulate", *sets(first, "grid.n=16", "scheme.dt=0.1",
+                               "scheme.max_t=0.1", "initial.amplitude=0.05"))
+    assert rc == 0
+    capsys.readouterr()
+    snap = tmp_path / "bad.bfd"
+    snap.write_bytes(_corrupt(kind, (first / "final.bfd").read_bytes()))
+    rc = run("simulate", *sets(tmp_path / "x", "grid.n=16", "scheme.dt=0.1",
+                               "scheme.max_t=0.2", f"initial.snapshot={snap}"))
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: io: {snap}: ")
+    assert not (tmp_path / "x" / "initial.bfd").exists()
 
 
 def test_simulate_resume_rejects_nyquist_content(tmp_path, capsys):
@@ -336,14 +417,30 @@ def test_each_command_leaves_one_manifest(tmp_path, capsys, command, overrides):
         parse_config(None, [f"output.dir={out}"] + overrides).echo()
 
 
-def test_plot_script_emission(tmp_path, capsys):
+PLOT_RUNS = [
+    ("simulate", ["grid.n=16", "scheme.dt=0.1", "scheme.max_t=0.2"], "report"),
+    ("lifespan", ["grid.n=16", "scheme.dt=0.1", "scheme.max_t=0.2",
+                  "study.epsilons=0.1"], "lifespan"),
+    ("conserve", ["grid.n=16", "scheme.max_t=0.2", "study.dts=0.1"], "conservation"),
+    ("smallness", ["grid.n=16", "scheme.dt=0.05", "scheme.max_t=0.1"], "smallness"),
+    ("equivalence", ["grid.n=16", "study.num_states=2", "study.epsilons=0.1"],
+     "equivalence"),
+    ("symbols", ["grid.n=16"], "symbols"),
+]
+
+
+@pytest.mark.parametrize("command, overrides, stem", PLOT_RUNS,
+                         ids=[command for command, _, _ in PLOT_RUNS])
+def test_plot_script_emission(tmp_path, capsys, command, overrides, stem):
     out = tmp_path / "plots"
-    rc = run("symbols", *sets(out, "grid.n=16", "output.plot_script=true"))
+    rc = run(command, *sets(out, *overrides, "output.plot_script=true"))
     assert rc == 0
     capsys.readouterr()
-    script = (out / "plot_symbols.py").read_text()
+    assert sorted(p.name for p in out.glob("plot_*")) == [f"plot_{stem}.py"]
+    script = (out / f"plot_{stem}.py").read_text()
     assert "matplotlib" in script
-    assert "symbols.csv" in script
+    assert f"{stem}.csv" in script
+    compile(script, f"plot_{stem}.py", "exec")
 
 
 def test_config_error_exits_two(tmp_path, capsys):

@@ -304,6 +304,34 @@ def test_linear_dispersion_phase_velocity():
                                                    abs=1e-10)
 
 
+def test_step_rejects_unpaired_movers():
+    """At eps != 0 the step reads only the half lattice, so gate 04's single
+    forward mode, which has no partner in Z-, raises instead of silently
+    stepping a different state."""
+    grid = GridSpec.square(64, TWO_PI, dim=1)
+    Zp = np.zeros(grid.n, dtype=complex)
+    Zp[3] = Zp[-3] = 1.0
+    single = DiagState(t=0.0, Zp_hat=Zp, Zm_hat=np.zeros_like(Zp), W_hat=None,
+                       zero_mode=(0.0, (0.0,)), grid=grid,
+                       params=_params(epsilon=1e-9))
+    with pytest.raises(ParameterDomainError, match=r"Z\+\(-xi\) = conj Z-\(xi\)"):
+        step_exponential(single, 0.125)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_accepts_hand_built_paired_movers(dim):
+    """A hand-built copy of a diagonalize output passes the pairing check
+    and steps bitwise like the original."""
+    grid = GridSpec.square(16, TWO_PI, dim=dim)
+    p = _params()
+    diag = diagonalize(_random_state(grid, p, 8, scale=0.5))
+    hand = DiagState(t=diag.t, Zp_hat=diag.Zp_hat.copy(), Zm_hat=diag.Zm_hat.copy(),
+                     W_hat=diag.W_hat, zero_mode=diag.zero_mode, grid=grid, params=p)
+    want, got = step_exponential(diag, 0.05), step_exponential(hand, 0.05)
+    np.testing.assert_array_equal(got.Zp_hat, want.Zp_hat)
+    np.testing.assert_array_equal(got.Zm_hat, want.Zm_hat)
+
+
 def test_classical_step_order_four():
     """Halving dt cuts the eps > 0 global error by about 2^4."""
     grid = GridSpec.square(32, TWO_PI, dim=1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bfdsim import FieldState, GridSpec, ModelParams, SpectralField
+from bfdsim import FieldState, GridSpec, ModelParams, SnapshotFormatError, SpectralField
 from bfdsim.snapshots import load_state, read_snapshot, write_snapshot
 from bfdsim.spectral import TWO_PI
 
@@ -100,3 +100,16 @@ def test_trailing_bytes_rejected(tmp_path):
     (tmp_path / "long.bfd").write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing bytes after BFDv1 payload"):
         read_snapshot(tmp_path / "long.bfd")
+
+
+@pytest.mark.parametrize("header, reason", [
+    (b"BFDv1 1 8 6.28 nan", "non-finite time"),
+    (b"BFDv1 1 8 nan 0.0", "axis length must be finite"),
+    (b"BFDv1 2 8 8 6.28 inf 0.0", "axis length must be finite"),
+])
+def test_non_finite_header_rejected(tmp_path, header, reason):
+    path = tmp_path / "bad.bfd"
+    dim = int(header.split()[1])
+    path.write_bytes(header + b"\n" + b"\x00" * 8 * 8 ** dim * (dim + 1))
+    with pytest.raises(SnapshotFormatError, match=f"malformed BFDv1 header.*{reason}"):
+        read_snapshot(path)

@@ -58,6 +58,8 @@ def test_grid_square_and_1d():
     dict(n=(2,), length=(1.0,)),                 # too small
     dict(n=(8,), length=(0.0,)),                 # zero length
     dict(n=(8,), length=(-1.0,)),                # negative length
+    dict(n=(16,), length=(float("nan"),)),       # non-finite length
+    dict(n=(8, 8), length=(1.0, float("inf"))),
 ])
 def test_grid_rejection(kw):
     with pytest.raises(ParameterDomainError):

@@ -112,9 +112,12 @@ def test_lifespan_crossing_and_scaling():
     assert horizons[0.25] > horizons[0.5]
 
 
-def test_lifespan_artifacts(tmp_path):
-    cfg = _lifespan_cfg(epsilons=(0.5,), max_t=2.0, out_dir=str(tmp_path))
+@pytest.mark.parametrize("plot_script", [False, True])
+def test_lifespan_artifacts(tmp_path, plot_script):
+    cfg = _lifespan_cfg(epsilons=(0.5,), max_t=2.0, out_dir=str(tmp_path),
+                        plot_script=plot_script)
     lifespan_study(cfg)
+    assert (tmp_path / "plot_lifespan.py").exists() == plot_script
     csv = (tmp_path / "lifespan.csv").read_text().splitlines()
     assert csv[0] == "epsilon,mu,T_obs,product,terminated_by"
     assert len(csv) == 2
