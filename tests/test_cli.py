@@ -149,8 +149,7 @@ def test_simulate_resumes_from_a_snapshot(tmp_path, capsys):
         (first / "final.bfd").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["simulate", "lifespan"])
-def test_resume_rejects_a_different_grid(tmp_path, capsys, command):
+def _resume_on_a_different_grid(tmp_path, capsys, command):
     first = tmp_path / "first"
     rc = run("simulate", *sets(first, "grid.n=32", "scheme.dt=0.1",
                                "scheme.max_t=0.1", "initial.amplitude=0.05"))
@@ -166,6 +165,14 @@ def test_resume_rejects_a_different_grid(tmp_path, capsys, command):
     assert "n=(32,)" in err and "n=(16,)" in err
     assert not (second / f"{command}_manifest.json").exists()
     assert not (second / "final.bfd").exists()
+
+
+def test_simulate_resume_rejects_a_different_grid(tmp_path, capsys):
+    _resume_on_a_different_grid(tmp_path, capsys, "simulate")
+
+
+def test_lifespan_resume_rejects_a_different_grid(tmp_path, capsys):
+    _resume_on_a_different_grid(tmp_path, capsys, "lifespan")
 
 
 STUDY_RUNS = {
@@ -429,9 +436,7 @@ PLOT_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("command, overrides, stem", PLOT_RUNS,
-                         ids=[command for command, _, _ in PLOT_RUNS])
-def test_plot_script_emission(tmp_path, capsys, command, overrides, stem):
+def _emit_plot_script(tmp_path, capsys, command, overrides, stem):
     out = tmp_path / "plots"
     rc = run(command, *sets(out, *overrides, "output.plot_script=true"))
     assert rc == 0
@@ -441,6 +446,17 @@ def test_plot_script_emission(tmp_path, capsys, command, overrides, stem):
     assert "matplotlib" in script
     assert f"{stem}.csv" in script
     compile(script, f"plot_{stem}.py", "exec")
+
+
+def test_plot_script_emission(tmp_path, capsys):
+    _emit_plot_script(tmp_path, capsys, *PLOT_RUNS[-1])
+
+
+@pytest.mark.parametrize("command, overrides, stem", PLOT_RUNS[:-1],
+                         ids=[command for command, _, _ in PLOT_RUNS[:-1]])
+def test_every_command_emits_its_plot_script(tmp_path, capsys, command,
+                                             overrides, stem):
+    _emit_plot_script(tmp_path, capsys, command, overrides, stem)
 
 
 def test_config_error_exits_two(tmp_path, capsys):

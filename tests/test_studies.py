@@ -112,8 +112,7 @@ def test_lifespan_crossing_and_scaling():
     assert horizons[0.25] > horizons[0.5]
 
 
-@pytest.mark.parametrize("plot_script", [False, True])
-def test_lifespan_artifacts(tmp_path, plot_script):
+def _check_lifespan_artifacts(tmp_path, plot_script):
     cfg = _lifespan_cfg(epsilons=(0.5,), max_t=2.0, out_dir=str(tmp_path),
                         plot_script=plot_script)
     lifespan_study(cfg)
@@ -126,6 +125,14 @@ def test_lifespan_artifacts(tmp_path, plot_script):
     assert manifest["config"] == cfg.echo()
     assert manifest["derived"] == {}
     assert "version" in manifest
+
+
+def test_lifespan_artifacts(tmp_path):
+    _check_lifespan_artifacts(tmp_path, plot_script=False)
+
+
+def test_lifespan_artifacts_with_plot_script(tmp_path):
+    _check_lifespan_artifacts(tmp_path, plot_script=True)
 
 
 def test_lifespan_deterministic(tmp_path):
