@@ -14,6 +14,7 @@ import configparser
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -205,18 +206,33 @@ class RunConfig:
 
     def initial_state(self, params: ModelParams | None = None) -> FieldState:
         """The snapshot file if set (it must lie on grid), else the [initial]
-        recipe on grid; with params (default self.params)."""
+        recipe on grid; with params (default self.params).
+
+        The snapshot is read once per config: every call wraps the same
+        fields (see _snapshot_fields) with its own params."""
         params = self.params if params is None else params
         if self.snapshot is not None:
-            state = load_state(self.snapshot, params)
-            if state.grid != self.grid:
-                raise ConfigError(f"snapshot {self.snapshot} is on {state.grid}, "
-                                  f"but [grid] is {self.grid}")
-            return state
+            t, zeta, v = self._snapshot_fields
+            return FieldState(t=t, zeta=zeta, v=v, params=params)
         return make_initial_state(self.grid, params, profile=self.profile,
                                   amplitude=self.amplitude, seed=self.seed,
                                   width=self.width, mode_k=self.mode_k,
                                   velocity=self.velocity)
+
+    @cached_property
+    def _snapshot_fields(self) -> tuple:
+        """(t, zeta, v) of the snapshot file, read on first use.
+
+        A sweep's points share these fields, so both representations of
+        each are filled here: no point fills one lazily, and the threaded
+        studies read the snapshot before they dispatch their jobs."""
+        state = load_state(self.snapshot, self.params)
+        if state.grid != self.grid:
+            raise ConfigError(f"snapshot {self.snapshot} is on {state.grid}, "
+                              f"but [grid] is {self.grid}")
+        for field in (state.zeta, *state.v):
+            field.hat  # fills the cached spectrum
+        return state.t, state.zeta, state.v
 
     def scheme_config(self, state: FieldState, dt: float | None = None) -> SchemeConfig:
         """The [scheme] settings for a run from state.

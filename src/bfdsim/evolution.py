@@ -6,13 +6,19 @@ div v, with the impedance r = sqrt(omega1/(g*omega2)), obey
 dt Z+- = -(+-) i Omega_sys Z+- + f+- with Omega_sys(xi) =
 |xi| sqrt(omega1 omega2 g) (see bfdsim.symbols; g = 1 when b = d).  The
 one scheme is an integrating-factor RK4 whose linear part is the exact
-phase, so eps = 0 evolution is exact to roundoff; its stages run on the
-rfftn half lattice, since Z+(-xi) = conj Z-(xi).  Each stage is one call
-of the stage kernel, which writes into the buffers of its thread's
-workspace (kept for the last grid shape stepped) and allocates nothing.
-The xi = 0 modes decouple, are stored separately, and are conserved
-bitwise.  Classical RK4 on the primitive equations (rhs_hat) lives on
-only as a test oracle.
+phase, so eps = 0 evolution is exact to roundoff.  At eps != 0 its
+lattice is the two-thirds band (GridSpec.band_shape: rows |k_0| <= n_0/3
+by columns 0..n_1/3 of the rfftn half lattice), which is all a stepped
+mover holds: Z+(-xi) = conj Z-(xi) gives the other half, and every
+product is truncated by the two-thirds rule, so the stages transform,
+multiply and sum 44 % of the half lattice at 256^2.  The step drops
+content off the band, so it rejects a state that carries any (evolve
+checks its start state, step_exponential any state it did not make).
+Each stage is one call of the stage kernel, which writes into the buffers
+of its thread's workspace (kept for the last grid shape stepped) and
+allocates nothing.  The xi = 0 modes decouple, are stored separately, and
+are conserved bitwise.  Classical RK4 on the primitive equations
+(rhs_hat) and the half-lattice IF-RK4 stage live on only as test oracles.
 """
 
 from __future__ import annotations
@@ -87,14 +93,20 @@ class DiagState:
 
     The spectra are full-lattice arrays.  For a real state the movers pair
     up as Z+(-xi) = conj Z-(xi), so the rfftn half lattice (grid.half)
-    carries all of them: step_exponential and nonlinear_f_pm read only
-    that half, run the stage kernel in the buffers of the thread's
-    workspace, and rebuild the rest with GridSpec.extend_half into fresh
-    arrays.  So the movers of a returned state never alias a workspace
-    buffer; its W_hat is the input's own array, carried through frozen.
+    carries all of them, and undiagonalize reads only that half.  At
+    eps != 0, step_exponential and nonlinear_f_pm read less: the
+    two-thirds band (grid.band), the stepper's lattice.  They run the
+    stage kernel on it in the buffers of the thread's workspace and
+    rebuild the rest with GridSpec.extend_band into fresh arrays, which
+    are 0 off the band.  So the movers of a returned state never alias a
+    workspace buffer; its W_hat is the input's own array, carried through
+    frozen.
 
-    paired marks the outputs of diagonalize and step_exponential, paired by
-    construction; step_exponential checks any other state at eps != 0.
+    checked marks the outputs of step_exponential at eps != 0, paired and
+    on the band by construction.  step_exponential and nonlinear_f_pm
+    check any other state (_require_on_band), a diagonalize output
+    included, since diagonalize serves undealiased states too; so evolve
+    pays for one check, at its first step.
     """
 
     t: float
@@ -104,14 +116,14 @@ class DiagState:
     zero_mode: tuple
     grid: GridSpec
     params: ModelParams
-    paired: bool = field(default=False, repr=False, compare=False)
+    checked: bool = field(default=False, repr=False, compare=False)
 
     def copy(self) -> "DiagState":
         return DiagState(t=self.t, Zp_hat=self.Zp_hat.copy(),
                          Zm_hat=self.Zm_hat.copy(),
                          W_hat=None if self.W_hat is None else self.W_hat.copy(),
                          zero_mode=self.zero_mode, grid=self.grid,
-                         params=self.params, paired=self.paired)
+                         params=self.params, checked=self.checked)
 
 
 def diagonalize(state: FieldState) -> DiagState:
@@ -140,28 +152,38 @@ def diagonalize(state: FieldState) -> DiagState:
     Zp[origin] = 0.0
     Zm[origin] = 0.0
     return DiagState(t=state.t, Zp_hat=Zp, Zm_hat=Zm, W_hat=W,
-                     zero_mode=zero_mode, grid=grid, params=state.params, paired=True)
+                     zero_mode=zero_mode, grid=grid, params=state.params)
 
 
 def undiagonalize(diag: DiagState) -> FieldState:
     """Rebuild the primitive state; the output fields are real-valued.
 
-    This is the reconstruction of the stage kernel, run on the half
-    lattice of diag and extended as Hermitian spectra into fresh arrays;
-    so, like step_exponential, it requires Z+(-xi) = conj Z-(xi) and no
-    content on the Nyquist modes (see require_no_nyquist).
+    zeta_hat = (Z+ + Z-)/2 and v_hat = mover_velocity (Z+ - Z-) + i u-perp
+    W, formed on the half lattice of diag (not the band: gates and tests
+    round-trip states with content off it) in ws.half of the thread's
+    workspace, and extended as Hermitian spectra into fresh arrays; so it
+    requires Z+(-xi) = conj Z-(xi) and no content on the Nyquist modes
+    (see require_no_nyquist).  zeta_hat's slot is the scratch of the
+    rotational part before zeta_hat lands in it.
     """
     grid = diag.grid
-    ws = _workspace(grid)
-    ws.set_rotation(diag)
+    tab = symbol_table(grid, diag.params)
     half = grid.half
-    zhat, *vhats = _reconstruct(diag, symbol_table(grid, diag.params), ws,
-                                (diag.Zp_hat[half], diag.Zm_hat[half]))
-    return FieldState(t=diag.t,
-                      zeta=SpectralField(grid, hat=grid.extend_half(zhat, zhat)),
-                      v=tuple(SpectralField(grid, hat=grid.extend_half(vh, vh))
-                              for vh in vhats),
-                      params=diag.params)
+    ws = _workspace(grid)
+    zhat, vhats = ws.half[0], ws.half[1:]
+    Zp, Zm = diag.Zp_hat[half], diag.Zm_hat[half]
+    np.multiply(np.subtract(Zp, Zm, out=zhat), tab.mover_velocity, out=vhats)
+    if diag.W_hat is not None:
+        W = diag.W_hat[half]
+        u1, u2 = grid.unit_xi
+        for vh, sign, u in ((vhats[0], 1j, u2), (vhats[1], -1j, u1)):
+            vh += np.multiply(np.multiply(W, sign, out=zhat), u[half], out=zhat)
+    np.multiply(np.add(Zp, Zm, out=zhat), 0.5, out=zhat)
+    origin = (0,) * grid.dim
+    zhat[origin] = diag.zero_mode[0]
+    vhats[(slice(None),) + origin] = diag.zero_mode[1]
+    zeta, *v = (SpectralField(grid, hat=grid.extend_half(f, f)) for f in ws.half)
+    return FieldState(t=diag.t, zeta=zeta, v=tuple(v), params=diag.params)
 
 
 class _Workspace:
@@ -170,50 +192,61 @@ class _Workspace:
     Each thread holds one workspace (see _workspace); the stage kernel,
     step_exponential and undiagonalize write only into its buffers, and
     every array they return to a caller is fresh, so no output aliases a
-    buffer.  Half arrays live on the rfftn half lattice, real ones on the
-    grid; each +- pair is one stacked (2, ...) array, so one ufunc call
-    updates both movers.
+    buffer.  Spectra live on the two-thirds band (grid.band_shape), the
+    stepper's lattice, real arrays on the grid, and fft_work is the
+    scratch of the band transforms (GridSpec.band_work); each +- pair is
+    one stacked (2, ...) array, so one ufunc call updates both movers.
+    undiagonalize's half-lattice spectra (half) and the stage's real
+    values share one buffer, which neither needs while the other runs, so
+    the half lattice adds no resident scratch to the band workspace.
     """
 
     def __init__(self, grid: GridSpec):
-        half_shape = grid.n[:-1] + (grid.n[-1] // 2 + 1,)
+        def band(count):
+            return np.empty((count,) + grid.band_shape, dtype=np.complex128)
 
-        def half(count):
-            return np.empty((count,) + half_shape, dtype=np.complex128)
-
+        count = grid.dim + 1
         self.shape = grid.n
         # zeta_hat and the v_hats of a stage, then its two product spectra;
         # spectra[:2] is also the scratch of the RK combinations
-        self.spectra = half(grid.dim + 1)
-        self.values = np.empty((grid.dim + 1,) + grid.n)
+        self.spectra = band(count)
+        # (count, n..., n_last/2 + 1) complex holds count real grids: the
+        # last axis has 2 more floats than a grid row, per row
+        self.half = np.empty((count,) + grid.n[:-1] + (grid.n[-1] // 2 + 1,),
+                             dtype=np.complex128)
+        self.values = (self.half.reshape(-1).view(np.float64)[:count * grid.npoints]
+                       .reshape((count,) + grid.n))
         self.work = (np.empty(grid.n), np.empty(grid.n))
+        self.fft_work = grid.band_work()
         # stage: a stage's input movers, overwritten by its forcing (f+, f-);
         # acc: the RK sum; z0: the input movers of the step
-        self.stage = half(2)
-        self.acc = half(2)
-        self.z0 = half(2)
+        self.stage = band(2)
+        self.acc = band(2)
+        self.z0 = band(2)
         # i u2 W and -i u1 W, the rotational part of v_hat in 2-D
-        self.rot = half(2) if grid.dim == 2 else None
-        self.e_h = half(2)
-        self.e_f = half(2)
+        self.rot = band(2) if grid.dim == 2 else None
+        self.e_h = band(2)
+        self.e_f = band(2)
         self.phase_key = None
 
     def set_rotation(self, diag: DiagState) -> None:
         """Form the rotational part of v_hat from diag.W_hat, once per step."""
         if self.rot is None:
             return
-        W = diag.W_hat[diag.grid.half]
-        u1, u2 = (u[diag.grid.half] for u in diag.grid.unit_xi)
-        np.multiply(np.multiply(W, 1j, out=self.rot[0]), u2, out=self.rot[0])
-        np.multiply(np.multiply(W, -1j, out=self.rot[1]), u1, out=self.rot[1])
+        u1, u2 = diag.grid.unit_xi
+        for b, f in diag.grid.band_blocks:
+            W, rp, rm = diag.W_hat[f], self.rot[0][b], self.rot[1][b]
+            np.multiply(np.multiply(W, 1j, out=rp), u2[f], out=rp)
+            np.multiply(np.multiply(W, -1j, out=rm), u1[f], out=rm)
 
     def phase(self, tab: SymbolTable, h: float):
         """The stacked half-step and full-step phases (e_h, e_f) of the
-        movers on the half lattice, e_h = (e^{-i Omega h/2}, e^{+i Omega h/2})
-        and e_f = e_h**2, recomputed only when tab or h changes."""
+        movers on the band, e_h = (e^{-i Omega h/2}, e^{+i Omega h/2}) and
+        e_f = e_h**2, recomputed only when tab or h changes."""
         if self.phase_key is None or self.phase_key[0] is not tab or self.phase_key[1] != h:
             e_h = self.e_h
-            np.multiply(tab.Omega[tab.grid.half], -0.5j * h, out=e_h[0])
+            for b, f in tab.grid.band_blocks:
+                np.multiply(tab.Omega[f], -0.5j * h, out=e_h[0][b])
             np.exp(e_h[0], out=e_h[0])
             np.conjugate(e_h[0], out=e_h[1])
             np.multiply(e_h, e_h, out=self.e_f)
@@ -234,16 +267,19 @@ def _workspace(grid: GridSpec) -> _Workspace:
 
 
 def _reconstruct(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
-    """zeta_hat and the v_hats on the half lattice, in ws.spectra.
+    """zeta_hat and the v_hats on the band, in ws.spectra.
 
-    From the half-lattice movers Z = (Z+, Z-) (stacked or a pair), the
-    rotational part set by ws.set_rotation and the zero mode of diag:
-    zeta_hat = (Z+ + Z-)/2 and v_hat = mover_velocity (Z+ - Z-) + i u-perp W.
+    From the band movers Z = (Z+, Z-) (stacked or a pair), the rotational
+    part set by ws.set_rotation and the zero mode of diag, as undiagonalize
+    forms them on the half lattice: zeta_hat = (Z+ + Z-)/2 and v_hat =
+    mover_velocity (Z+ - Z-) + i u-perp W.
     """
     Zp, Zm = Z
     zhat, vhats = ws.spectra[0], ws.spectra[1:]
     # Z+ - Z- waits in zhat's slot, which vhats does not overlap
-    np.multiply(np.subtract(Zp, Zm, out=zhat), tab.mover_velocity, out=vhats)
+    np.subtract(Zp, Zm, out=zhat)
+    for b, f in diag.grid.band_blocks:
+        np.multiply(zhat[b], tab.mover_velocity[f], out=vhats[b])
     np.multiply(np.add(Zp, Zm, out=zhat), 0.5, out=zhat)
     if ws.rot is not None:
         vhats += ws.rot
@@ -254,20 +290,23 @@ def _reconstruct(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
 
 
 def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
-    """The stage kernel: forcing (f+_hat, f-_hat) on the half lattice.
+    """The stage kernel: forcing (f+_hat, f-_hat) on the band.
 
-    Reads the half-lattice movers Z (which may be ws.stage), the
-    rotational part set by ws.set_rotation and the zero mode of diag, and
-    writes the forcing into ws.stage, which it returns.
+    Reads the band movers Z (which may be ws.stage), the rotational part
+    set by ws.set_rotation and the zero mode of diag, and writes the
+    forcing into ws.stage, which it returns.  The impedance r is read from
+    tab.ratio_sqrt by the band's row blocks.
     """
     grid = diag.grid
     _reconstruct(diag, tab, ws, Z)
-    zr, *vr = (grid.ifft_real(hat, out=values)
+    zr, *vr = (grid.ifft_real(hat, out=values, work=ws.fft_work)
                for hat, values in zip(ws.spectra, ws.values))
-    div_zv, vsq = quadratic_products(zr, vr, grid, out=ws.spectra[:2], work=ws.work)
+    div_zv, vsq = quadratic_products(zr, vr, grid, out=ws.spectra[:2], work=ws.work,
+                                     fft_work=ws.fft_work)
     div_zv *= tab.forcing_div
     vsq *= tab.forcing_vsq
-    vsq *= tab.ratio_sqrt[grid.half]
+    for b, f in grid.band_blocks:
+        vsq[b] *= tab.ratio_sqrt[f]
     fp, fm = ws.stage
     np.add(div_zv, vsq, out=fp)
     np.subtract(div_zv, vsq, out=fm)
@@ -281,18 +320,21 @@ def nonlinear_f_pm(diag: DiagState):
           +- (eps/(2*gamma)) sqrt(omega1/(g*omega2)) i|xi|
              (1 - d*mu*Lap)^{-1} (|v|^2).
     Both terms carry a factor xi, so the xi = 0 component is exactly 0.
-    This is the stage kernel of step_exponential, run once on the half
-    lattice of diag and extended with f+(-xi) = conj f-(xi); so it requires
-    Z+(-xi) = conj Z-(xi), which every diagonalize output satisfies.  The
-    returned spectra are fresh arrays.  At eps = 0 both spectra are 0.
+    This is the stage kernel of step_exponential, run once on the band of
+    diag and extended with f+(-xi) = conj f-(xi); so, like the step, it
+    requires Z+(-xi) = conj Z-(xi) and no content off the band, and
+    raises ParameterDomainError for a state that misses either (see
+    _require_on_band).  The returned spectra are fresh arrays.  At eps = 0
+    both spectra are 0.
     """
     grid = diag.grid
+    if not diag.checked:
+        _require_on_band(diag)
     ws = _workspace(grid)
     ws.set_rotation(diag)
-    half = grid.half
     fp, fm = _stage(diag, symbol_table(grid, diag.params), ws,
-                    (diag.Zp_hat[half], diag.Zm_hat[half]))
-    return grid.extend_half(fp, fm), grid.extend_half(fm, fp)
+                    (grid.band(diag.Zp_hat), grid.band(diag.Zm_hat)))
+    return grid.extend_band(fp, fm), grid.extend_band(fm, fp)
 
 
 def step_exponential(diag: DiagState, dt: float) -> DiagState:
@@ -301,17 +343,17 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     The linear phase e^{-+ i dt Omega_sys} is applied exactly; W_hat and the
     zero mode are carried through untouched.  At eps = 0 the step is that
     phase alone, on the full lattice.  Otherwise the four stages run the
-    stage kernel on the rfftn half lattice (last axis 0..n/2), in the
-    buffers of the thread's workspace, with the RK combinations formed in
-    place as running sums on the stacked pair (Z+, Z-); the phases are
-    cached per dt and the rotational part of v_hat is formed once per
-    step.  The result is extended with Z+(-xi) = conj Z-(xi) into fresh
-    arrays, so the step reads only the half lattice of diag and requires
-    that symmetry, which every diagonalize output satisfies; the returned
-    state satisfies it bitwise.  Any other state at eps != 0 that misses
-    it raises ParameterDomainError.
-    Precondition: no content on the Nyquist modes (evolve checks it), or
-    the step leaves a non-Hermitian spectrum.
+    stage kernel on the two-thirds band (grid.band_shape), the stepper's
+    lattice, in the buffers of the thread's workspace, with the RK
+    combinations formed in place as running sums on the stacked pair
+    (Z+, Z-); the phases are cached per dt and the rotational part of
+    v_hat is formed once per step.  The result is extended with Z+(-xi) =
+    conj Z-(xi) into fresh arrays that are 0 off the band, so the step
+    reads only the band of diag: the returned state is paired bitwise and
+    carries nothing off the band.  A state the step did not make is
+    checked once, and one whose movers miss the pairing or carry content
+    off the band by more than PAIRING_TOL relative raises
+    ParameterDomainError, so no content is dropped silently.
     """
     grid, p = diag.grid, diag.params
     tab = symbol_table(grid, p)
@@ -321,17 +363,16 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
         return DiagState(t=t0 + h, Zp_hat=ep_f * diag.Zp_hat,
                          Zm_hat=np.conj(ep_f) * diag.Zm_hat, W_hat=diag.W_hat,
                          zero_mode=diag.zero_mode, grid=grid, params=p,
-                         paired=diag.paired)
-    if not diag.paired:
-        _require_paired(diag)
+                         checked=diag.checked)
+    if not diag.checked:
+        _require_on_band(diag)
 
     ws = _workspace(grid)
     ws.set_rotation(diag)
     e_h, e_f = ws.phase(tab, h)
-    half = grid.half
     z0, acc, tmp = ws.z0, ws.acc, ws.spectra[:2]
-    z0[0] = diag.Zp_hat[half]
-    z0[1] = diag.Zm_hat[half]
+    grid.band(diag.Zp_hat, out=z0[0])
+    grid.band(diag.Zm_hat, out=z0[1])
     # each k_i lands in ws.stage and is turned there, in place, into the
     # next stage's input; acc sums E_f k1 + 2 E_h k2 + 2 E_h k3 + k4
     k = _stage(diag, tab, ws, z0)
@@ -354,27 +395,37 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     acc += np.multiply(z0, e_f, out=tmp)
 
     Zp1, Zm1 = acc
-    return DiagState(t=t0 + h, Zp_hat=grid.extend_half(Zp1, Zm1),
-                     Zm_hat=grid.extend_half(Zm1, Zp1), W_hat=diag.W_hat,
-                     zero_mode=diag.zero_mode, grid=grid, params=p, paired=True)
+    return DiagState(t=t0 + h, Zp_hat=grid.extend_band(Zp1, Zm1),
+                     Zm_hat=grid.extend_band(Zm1, Zp1), W_hat=diag.W_hat,
+                     zero_mode=diag.zero_mode, grid=grid, params=p, checked=True)
 
 
-def _require_paired(diag: DiagState) -> None:
-    """Reject movers off Z+(-xi) = conj Z-(xi) by more than PAIRING_TOL
-    relative in spectral L2: the eps != 0 step reads only their half
-    lattice, so it would silently evolve a different state."""
-    grid, half = diag.grid, diag.grid.half
+def _require_on_band(diag: DiagState) -> None:
+    """Reject movers that the eps != 0 stage would silently change.
+
+    The stage reads only the two-thirds band of the movers and rebuilds
+    the rest from Z+(-xi) = conj Z-(xi), so it evolves extend_band of
+    their bands.  The movers must equal that to PAIRING_TOL relative in
+    spectral L2: content off the band (where it is 0) or off the pairing
+    raises ParameterDomainError."""
+    grid = diag.grid
     Zp, Zm = diag.Zp_hat, diag.Zm_hat
-    defect = total = 0.0
-    for Z, seen in ((Zp, grid.extend_half(Zp[half], Zm[half])),
-                    (Zm, grid.extend_half(Zm[half], Zp[half]))):
-        defect += float(np.sum(np.abs(Z - seen) ** 2))
-        total += float(np.sum(np.abs(Z) ** 2))
-    if defect > PAIRING_TOL**2 * total:
+    bp, bm = grid.band(Zp), grid.band(Zm)
+    kept = grid.dealias_mask
+    unpaired = off_band = total = 0.0
+    for Z, seen in ((Zp, grid.extend_band(bp, bm)), (Zm, grid.extend_band(bm, bp))):
+        miss = np.abs(np.subtract(Z, seen, out=seen))
+        miss *= miss
+        unpaired += float(np.sum(miss[kept]))
+        off_band += float(np.sum(miss[~kept]))
+        total += float(np.vdot(Z, Z).real)
+    if unpaired + off_band > PAIRING_TOL**2 * total:
         raise ParameterDomainError(
             f"the movers miss Z+(-xi) = conj Z-(xi) by "
-            f"{math.sqrt(defect / total):.3e} relative in spectral L2 "
-            f"(limit {PAIRING_TOL:g}); build them with diagonalize")
+            f"{math.sqrt(unpaired / total):.3e} and carry "
+            f"{math.sqrt(off_band / total):.3e} off the two-thirds band, relative "
+            f"in spectral L2 (limit {PAIRING_TOL:g} for both together); build "
+            f"them with diagonalize from a dealiased state (bfdsim.dealias)")
 
 
 def default_dt(state: FieldState) -> float:
@@ -409,28 +460,27 @@ def _step_plan(span: float, dt: float) -> tuple[int, float]:
 
 
 def require_no_nyquist(state: FieldState) -> None:
-    """Reject a state with content on the Nyquist modes k_j = -n_j/2.
+    """Reject a state with content off the two-thirds band, where the
+    Nyquist modes k_j = -n_j/2 lie.
 
-    The odd multipliers (i*xi in rhs_hat, xi/|xi| in diagonalize) see the
-    wavenumber -n_j/2 without its mirror image, so one step would make the
-    spectrum non-Hermitian, and ifft_real reads only its half lattice.
+    The eps != 0 stepper's lattice is the band, so it would silently drop
+    that content.  On the Nyquist modes it would also break the spectrum:
+    the odd multipliers (i*xi in rhs_hat, xi/|xi| in diagonalize) see the
+    wavenumber -n_j/2 without its mirror image, so one step would make
+    the spectrum non-Hermitian, and ifft_real reads only its half lattice.
     """
     grid = state.grid
-    nyquist = np.zeros(grid.n, dtype=bool)
-    for axis, m in enumerate(grid.n):
-        index = [slice(None)] * grid.dim
-        index[axis] = m // 2
-        nyquist[tuple(index)] = True
+    off = ~grid.dealias_mask
     content = total = 0.0
     for hat in (state.zeta.hat, *(c.hat for c in state.v)):
         mag = hat.real**2 + hat.imag**2
-        content += float(np.sum(mag[nyquist]))
+        content += float(np.sum(mag[off]))
         total += float(np.sum(mag))
     if content > NYQUIST_TOL**2 * total:
         raise ParameterDomainError(
-            f"the start state has Nyquist content "
-            f"{math.sqrt(content / total):.3e} relative in spectral L2 "
-            f"(limit {NYQUIST_TOL:g}); dealias it first (bfdsim.dealias)")
+            f"the start state has Nyquist content or other content off the "
+            f"two-thirds band, {math.sqrt(content / total):.3e} relative in "
+            f"spectral L2 (limit {NYQUIST_TOL:g}); dealias it first (bfdsim.dealias)")
 
 
 @dataclass
@@ -448,8 +498,9 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     steps.
 
     When cfg.dt does not divide the interval, a short last step lands the
-    run on cfg.max_t exactly.  A state with Nyquist content above
-    NYQUIST_TOL relative in spectral L2 raises ParameterDomainError; a
+    run on cfg.max_t exactly.  A state with content off the two-thirds
+    band (the Nyquist modes included) above NYQUIST_TOL relative in
+    spectral L2 raises ParameterDomainError (see require_no_nyquist); a
     non-finite one raises BlowUpSignal at its own time, before any
     transform of it.
 

@@ -3,18 +3,34 @@
 Fields live on uniform grids over [0, L1) x [0, L2) (or an interval in 1D)
 with full complex spectra in numpy fft layout; every public spectrum
 (SpectralField.hat, the DiagState movers) is full.  One transform pair,
-rfftn/irfftn, serves both layouts: the rfftn half lattice (last axis
+rfftn/irfftn, serves three layouts: the rfftn half lattice (last axis
 0..n/2) carries all of a real field's spectrum.  GridSpec.fft extends it to
 the full spectrum (Hermitian bitwise), or stops there with half=True;
 ifft_real reads a full spectrum on its half lattice only.  GridSpec.half
 slices the half lattice out of a full array, and extend_half rebuilds a
-full spectrum from half ones.  The mover stages and every real product run
-on the half lattice: GridSpec.product_hat is the one product kernel, used
-by the mover forcing and the energy layer alike.  On the half lattice, fft,
-ifft_real and product_hat take an optional out= array (numpy >= 2.0
-transforms write it directly); the IF-RK4 stages pass the buffers of their
-thread's workspace, which bfdsim.evolution owns, and every call without
-out= returns a fresh array.  The wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.
+full spectrum from half ones.
+
+The third layout is the two-thirds band, the part of the half lattice that
+the two-thirds rule keeps: rows |k_0| <= n_0/3 (the rows k_0 >= 0, then the
+rows k_0 < 0, as two blocks) by columns 0..n_1/3, and 0..n/3 in 1D; it is
+44 % of the half lattice at 256^2.  The IF-RK4 stepper at eps != 0 runs on
+it (see bfdsim.evolution).  GridSpec.band gathers it from a full or half
+array, and extend_band rebuilds a full spectrum from band ones.  Given a
+band spectrum (told apart by its shape, GridSpec.band_shape), fft and
+ifft_real run the 1-D passes that rfftn and irfftn are made of, with the
+axis-0 pass on the band's columns only: the forward transform computes
+every row of them and keeps the band's, and the inverse skips the
+all-zero columns past n_1/3.  On band limited input both are bitwise
+equal to rfftn (masked) and irfftn on the half lattice.
+
+The mover stages and every real product run on the half lattice or the
+band: GridSpec.product_hat is the one product kernel, used by the mover
+forcing and the energy layer alike.  fft, ifft_real and product_hat take
+an optional out= array (numpy >= 2.0 transforms write it directly), and
+on the band a work= tuple of scratch arrays (GridSpec.band_work); the
+IF-RK4 stages pass the buffers of their thread's workspace, which
+bfdsim.evolution owns, and every call without out= returns a fresh array.
+The wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.
 Quadrature on the torus is the rectangle rule, which is exact for
 band-limited integrands, and Parseval takes the form
 integral |u|^2 dx = (cell/N) * sum |u_hat|^2.
@@ -140,14 +156,76 @@ class GridSpec:
         """Index of the rfftn half lattice (last axis 0..n/2) in a full array."""
         return (slice(None),) * (self.dim - 1) + (slice(0, self.n[-1] // 2 + 1),)
 
+    @cached_property
+    def band_shape(self) -> tuple[int, ...]:
+        """Shape of the two-thirds band: (2*(n_0//3) + 1, n_1//3 + 1) in 2D,
+        (n//3 + 1,) in 1D."""
+        return tuple(2 * (m // 3) + 1 for m in self.n[:-1]) + (self.n[-1] // 3 + 1,)
+
+    @cached_property
+    def band_blocks(self) -> tuple[tuple[tuple, tuple], ...]:
+        """(band index, lattice index) pairs: band[b] holds lattice[f] for a
+        full or half lattice array, leading (stacking) axes included.  One
+        block in 1D; in 2D the rows k_0 = 0..n_0/3, then k_0 = -n_0/3..-1."""
+        cols = slice(0, self.band_shape[-1])
+        if self.dim == 1:
+            return (((Ellipsis, slice(None)), (Ellipsis, cols)),)
+        k = self.n[0] // 3
+        return (((Ellipsis, slice(0, k + 1), slice(None)), (Ellipsis, slice(0, k + 1), cols)),
+                ((Ellipsis, slice(k + 1, None), slice(None)),
+                 (Ellipsis, slice(self.n[0] - k, None), cols)))
+
+    @cached_property
+    def band_xi(self) -> tuple[np.ndarray, ...]:
+        """The wavenumber components of xi_mesh on the two-thirds band."""
+        cols = self.band_shape[-1]
+        if self.dim == 1:
+            return (self.xi[0][:cols],)
+        k = self.n[0] // 3
+        rows = np.concatenate([self.xi[0][:k + 1], self.xi[0][self.n[0] - k:]])
+        return rows[:, None], self.xi[1][None, :cols]
+
+    def band(self, arr: np.ndarray, out=None) -> np.ndarray:
+        """The two-thirds band of a full or half lattice array, into out if
+        given; leading axes are kept."""
+        if out is None:
+            out = np.empty(arr.shape[:arr.ndim - self.dim] + self.band_shape, dtype=arr.dtype)
+        for b, f in self.band_blocks:
+            out[b] = arr[f]
+        return out
+
+    def band_work(self) -> tuple[np.ndarray, ...]:
+        """Scratch arrays of the band transforms (the work= of fft and
+        ifft_real): a half-lattice array for the forward passes, and in 2D a
+        zero half-lattice array and an (n_0, n_1//3 + 1) array whose rows
+        between the band's two blocks are zero, for the inverse passes.
+        The transforms keep those zeros."""
+        half_shape = self.n[:-1] + (self.n[-1] // 2 + 1,)
+        forward = np.empty(half_shape, dtype=np.complex128)
+        if self.dim == 1:
+            return (forward,)
+        return (forward, np.zeros(half_shape, dtype=np.complex128),
+                np.zeros((self.n[0], self.band_shape[-1]), dtype=np.complex128))
+
     # transforms -----------------------------------------------------------
 
-    def fft(self, values: np.ndarray, half: bool = False, out=None) -> np.ndarray:
+    def fft(self, values: np.ndarray, half: bool = False, out=None, work=None) -> np.ndarray:
         """Full spectrum of real values, or its half lattice when half is set.
 
         out, if given, is a half-lattice complex array that receives the
         half spectrum (and is returned); it serves half=True only.  The
-        full spectrum is the half one extended, so it is Hermitian bitwise."""
+        full spectrum is the half one extended, so it is Hermitian bitwise.
+        An out of band_shape receives the band instead, with the scratch
+        work (band_work, fresh if not given): rfft along the last axis,
+        then fft along axis 0 of the band's columns only, of which the band
+        keeps the rows of its two blocks.  That is rfftn's own sequence of
+        passes, so the band is bitwise the band of rfftn's output."""
+        if out is not None and out.shape == self.band_shape:
+            work = self.band_work() if work is None else work
+            hat = np.fft.rfft(values, axis=-1, out=work[0])[..., :out.shape[-1]]
+            if self.dim == 2:
+                np.fft.fft(hat, axis=0, out=hat)
+            return self.band(hat, out=out)
         hat = np.fft.rfftn(values, out=out)
         return hat if half else self.extend_half(hat, hat)
 
@@ -155,21 +233,40 @@ class GridSpec:
         """Complex values of a full spectrum; only perfbench/spans.py uses it."""
         return np.fft.ifftn(hat)
 
-    def ifft_real(self, hat: np.ndarray, out=None) -> np.ndarray:
-        """Real values of a full spectrum, or of a half one (last axis n/2+1).
+    def ifft_real(self, hat: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Real values of a full spectrum, of a half one (last axis n/2+1),
+        or of a band one (band_shape).
 
         A full spectrum is read on its half lattice only (no package caller
-        passes a non-Hermitian one); out, if given, receives the values."""
+        passes a non-Hermitian one); out, if given, receives the values.
+        A band spectrum takes irfftn's passes with the scratch work
+        (band_work, fresh if not given): in 2D, ifft along axis 0 of the
+        band's columns (the zero rows between its blocks filled in), then
+        irfft along the last axis of a half lattice that is zero past
+        them; in 1D, irfft pads the band with zeros itself.  On band
+        limited spectra this is bitwise irfftn of the half lattice."""
+        if hat.shape == self.band_shape:
+            if self.dim == 1:
+                return np.fft.irfft(hat, n=self.n[0], out=out)
+            _, half, cols = self.band_work() if work is None else work
+            for b, f in self.band_blocks:
+                cols[f] = hat[b]
+            np.fft.ifft(cols, axis=0, out=half[:, :cols.shape[1]])
+            return np.fft.irfft(half, n=self.n[1], axis=1, out=out)
         if hat.shape[-1] == self.n[-1]:
             hat = hat[self.half]
         return np.fft.irfftn(hat, s=self.n, axes=tuple(range(self.dim)), out=out)
 
-    def product_hat(self, values: np.ndarray, out=None) -> np.ndarray:
+    def product_hat(self, values: np.ndarray, out=None, work=None) -> np.ndarray:
         """Half-lattice spectrum of a real product, truncated by the
         two-thirds rule; extend_half(h, h) gives the full spectrum.
 
-        out, if given, is a half-lattice complex array that receives it."""
-        hat = self.fft(values, half=True, out=out)
+        out, if given, is a half-lattice complex array that receives it,
+        or a band_shape one that receives the band (the modes the rule
+        keeps), with the scratch work of fft."""
+        hat = self.fft(values, half=True, out=out, work=work)
+        if hat.shape == self.band_shape:
+            return hat
         return np.multiply(hat, self.dealias_mask[self.half], out=hat)
 
     def extend_half(self, hat_p: np.ndarray, hat_m: np.ndarray) -> np.ndarray:
@@ -194,6 +291,28 @@ class GridSpec:
             np.conjugate(hat_m[:1, m - 1:0:-1], out=tail[:1])
             np.conjugate(hat_m[:0:-1, m - 1:0:-1], out=tail[1:])
             np.conjugate(hat_m[k - 1:0:-1, ::m], out=full[k + 1:, ::m])
+        return full
+
+    def extend_band(self, hat_p: np.ndarray, hat_m: np.ndarray) -> np.ndarray:
+        """Full spectrum F from band spectra with F(-xi) = conj hat_m(xi):
+        extend_half of the half lattices that hold hat_p and hat_m on the
+        band and 0 off it, so F is 0 off the band and its mirror image."""
+        full = np.zeros(self.n, dtype=np.complex128)
+        for b, f in self.band_blocks:
+            full[f] = hat_p[b]
+        c = self.band_shape[-1]
+        # -xi maps the columns 1..c-1 to the last c-1 columns, and in 2-D
+        # row k_0 to row -k_0: band rows 0..k hold k_0 = 0..k, rows
+        # k+1..2k hold k_0 = -k..-1
+        tail = full[..., self.n[-1] - c + 1:]
+        if self.dim == 1:
+            np.conjugate(hat_m[c - 1:0:-1], out=tail)
+        else:
+            k, n0 = self.n[0] // 3, self.n[0]
+            np.conjugate(hat_m[0, c - 1:0:-1], out=tail[0])
+            np.conjugate(hat_m[2 * k:k:-1, c - 1:0:-1], out=tail[1:k + 1])
+            np.conjugate(hat_m[k:0:-1, c - 1:0:-1], out=tail[n0 - k:])
+            np.conjugate(hat_m[k:0:-1, 0], out=full[n0 - k:, 0])
         return full
 
     # quadrature -----------------------------------------------------------

@@ -2,7 +2,8 @@
 smallness persistence, and energy-equivalence statistics.
 
 Lifespan, conservation and smallness start from cfg.initial_state (the
-snapshot when one is set); equivalence draws its own random states.
+snapshot when one is set, read once per config and shared by the sweep's
+points); equivalence draws its own random states.
 Every study is deterministic given (config, seed).  Work runs as
 independent jobs (parallelism capped by the BFD_THREADS environment
 variable): one per sweep point for lifespan, one per dt for conservation,
@@ -113,6 +114,8 @@ def _lifespan_point(cfg: RunConfig, eps: float, mu: float) -> LifespanRecord:
 def lifespan_study(cfg: RunConfig) -> list[LifespanRecord]:
     """Observed norm-doubling horizon per epsilon; emits CSV + manifest."""
     pairs = _sweep_pairs(cfg)
+    if cfg.snapshot is not None:
+        cfg.initial_state()  # reads the snapshot once, before the jobs share it
     records = _run_jobs([
         (lambda e=e, m=m: _lifespan_point(cfg, e, m)) for e, m in pairs
     ])
@@ -160,6 +163,8 @@ def conservation_study(cfg: RunConfig) -> ConservationResult:
     dts = cfg.dts if cfg.dts else ((cfg.dt,) if cfg.dt else ())
     if not dts:
         raise ConfigError("conservation study requires a dts list")
+    if cfg.snapshot is not None:
+        cfg.initial_state()  # reads the snapshot once, before the jobs share it
     drifts = _run_jobs([(lambda h=h: _drift_for_dt(cfg, h)) for h in dts])
     pair_orders = [math.nan]
     for i in range(1, len(dts)):

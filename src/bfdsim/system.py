@@ -74,7 +74,8 @@ class FieldState:
         return all(np.all(np.isfinite(c.hat)) for c in self.v)
 
 
-def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None):
+def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None,
+                       fft_work=None):
     """Half-lattice spectra (div(zeta v)_hat, (|v|^2)_hat) of the quadratic terms.
 
     zr and vr are zeta and the velocity components in physical space.  Each
@@ -84,22 +85,29 @@ def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None):
     spectrum.
 
     out, if given, is a pair of half-lattice complex arrays that receive
-    the two spectra, and work a pair of real grid arrays used as scratch
-    for the products.  The IF-RK4 stage kernel passes buffers of the
-    evolution workspace, so a stage allocates nothing here.  Fresh large
-    temporaries fault in new pages at every stage: over setup and 4
-    solutions of the 256^2 mover benchmark the process took 119k minor
-    faults with them and 46k with the buffers (numpy 2.4, glibc malloc).
+    the two spectra, or a pair of band_shape arrays that receive their
+    two-thirds band (the IF-RK4 stage's lattice, with fft_work the
+    scratch of the band transforms); work is a pair of real grid arrays
+    used as scratch for the products.  The IF-RK4 stage kernel passes
+    buffers of the evolution workspace, so a stage allocates nothing
+    here.  Fresh large temporaries fault in new pages at every stage:
+    over setup and 4 solutions of the 256^2 mover benchmark the process
+    took 119k minor faults with them and 46k with the buffers when the
+    stage ran on the half lattice; on the band, fresh product arrays
+    alone still make it 34.7k against 31.6k (numpy 2.4, glibc malloc).
     Without out and work every array is fresh.
     """
-    half = grid.half
     div_zv, vsq_hat = (None, None) if out is None else out
     prod, square = (None, None) if work is None else work
-    for j, (xi, comp) in enumerate(zip(grid.xi_mesh, vr)):
+    if div_zv is not None and div_zv.shape == grid.band_shape:
+        xis = grid.band_xi
+    else:
+        xis = tuple(xi[grid.half] for xi in grid.xi_mesh)
+    for j, (xi, comp) in enumerate(zip(xis, vr)):
         # vsq_hat is free until |v|^2 lands in it, so it holds the j >= 1 terms
         hat = grid.product_hat(np.multiply(zr, comp, out=prod),
-                               out=div_zv if j == 0 else vsq_hat)
-        hat *= 1j * xi[half]
+                               out=div_zv if j == 0 else vsq_hat, work=fft_work)
+        hat *= 1j * xi
         if j == 0:
             div_zv = hat
         else:
@@ -107,7 +115,7 @@ def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None):
     vsq = np.multiply(vr[0], vr[0], out=prod)
     for comp in vr[1:]:
         vsq += np.multiply(comp, comp, out=square)
-    return div_zv, grid.product_hat(vsq, out=vsq_hat)
+    return div_zv, grid.product_hat(vsq, out=vsq_hat, work=fft_work)
 
 
 def rhs_hat(zhat: np.ndarray, vhats: tuple[np.ndarray, ...], grid: GridSpec,

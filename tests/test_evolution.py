@@ -435,6 +435,40 @@ def test_evolve_rejects_nyquist_content(scheme):
         assert evolve(clean, cfg).terminated_by == "max_t"
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_evolve_rejects_content_just_off_the_band(dim):
+    """The eps != 0 stepper runs on the two-thirds band, so evolve refuses
+    a state whose only content off the band sits one mode past the cutoff,
+    |k| = n/3 + 1, away from the Nyquist modes."""
+    grid = GridSpec.square(48 if dim == 1 else 24, TWO_PI, dim=dim)
+    k = grid.n[0] // 3 + 1
+    x = grid.x_mesh[0]
+    zeta = 0.1 * np.cos(x) + 1e-6 * np.cos(k * x)
+    state = FieldState.from_arrays(grid, _params(), zeta,
+                                   [0.05 * np.sin(x)] + [np.zeros(grid.n)] * (dim - 1))
+    with pytest.raises(ParameterDomainError, match="Nyquist content .* dealias"):
+        evolve(state, SchemeConfig(dt=0.01, max_t=0.05))
+
+
+def test_step_rejects_the_diagonalize_output_of_an_undealiased_state():
+    """diagonalize keeps content off the band (gates round-trip such
+    states), so at eps != 0 step_exponential and nonlinear_f_pm reject its
+    output instead of dropping that content; at eps = 0 the step is the
+    exact phase on the full lattice and takes it."""
+    grid = GridSpec.square(16, TWO_PI, dim=2)
+    rng = np.random.default_rng(4)
+    noise = [0.05 * rng.standard_normal(grid.n) for _ in range(3)]
+    for eps in (0.1, 0.0):
+        diag = diagonalize(FieldState.from_arrays(grid, _params(epsilon=eps),
+                                                  noise[0], noise[1:]))
+        if eps == 0.0:
+            assert np.any(step_exponential(diag, 0.05).Zp_hat[~grid.dealias_mask] != 0.0)
+            continue
+        for call in (lambda: step_exponential(diag, 0.05), lambda: nonlinear_f_pm(diag)):
+            with pytest.raises(ParameterDomainError, match="off the two-thirds band"):
+                call()
+
+
 def test_rotation_frozen_nonlinearly():
     """W = |D|^-1 curl v never moves: bitwise under IF-RK4, to roundoff
     under the classical RK4 oracle."""

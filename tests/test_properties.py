@@ -9,9 +9,11 @@ States are dealiased, as every make_initial_state recipe is, so they carry
 no Nyquist content: on an even grid the Nyquist mode is its own mirror
 image, and an odd multiplier such as i*xi makes it complex.  Steps stay
 inside classical RK4's stability bound dt*max(Omega_sys) <= 2.8.  The
-mover forcing and step and the energy layer's products run on the rfftn
-half lattice; their parity with full-lattice oracles and the bitwise
-pairing Z+(-xi) = conj Z-(xi) of the returned movers are checked here too.
+mover forcing and step run on the two-thirds band and the energy layer's
+products on the rfftn half lattice; their parity with full-lattice
+oracles, the band step's bitwise parity with the half-lattice IF-RK4
+oracle (tests/half_lattice_oracle.py) and the bitwise pairing
+Z+(-xi) = conj Z-(xi) of the returned movers are checked here too.
 """
 
 import tempfile
@@ -41,6 +43,7 @@ from bfdsim.initial_data import PROFILES, VELOCITIES
 from bfdsim.spectral import TWO_PI, dealias
 from bfdsim.symbols import symbol_table
 
+import half_lattice_oracle
 import rk4_oracle
 
 B, C, D = 5.0 / 24.0, -1.0 / 12.0, 1.0 / 6.0
@@ -147,7 +150,7 @@ def test_linear_step_is_the_exact_phase(case, seed, dt):
         assert np.max(np.abs(out.Zm_hat - np.conj(phase) * diag.Zm_hat)) <= 1e-12 * scale
 
 
-# half-lattice mover stages ----------------------------------------------------
+# mover stages against full-lattice oracles ----------------------------------
 
 positive_epsilons = st.floats(min_value=0.01, max_value=0.3)
 
@@ -279,6 +282,29 @@ def test_step_pairs_the_movers_bitwise(case, seed, epsilon, fraction):
             assert out.W_hat is None
         else:
             assert np.array_equal(out.W_hat, diag.W_hat)
+
+
+# the two-thirds band against the half lattice ----------------------------------
+
+ORACLE_GRIDS = (GridSpec.square(32, TWO_PI, dim=2), GridSpec.square(64, TWO_PI, dim=2),
+                GridSpec.square(64, TWO_PI, dim=1))
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_band_steps_equal_the_half_lattice_oracle_bitwise(case, grid):
+    """From a state built with dealias, 50 steps on the two-thirds band
+    equal, bitwise, 50 steps of the half-lattice oracle, and every mover
+    is exactly 0 off the band: the band stepper drops only zeros."""
+    state = _state(grid, _params(case, 0.2), 40 + case)
+    band = oracle = diagonalize(state)
+    for _ in range(50):
+        band = step_exponential(band, 0.02)
+        oracle = half_lattice_oracle.step(oracle, 0.02)
+    off = ~grid.dealias_mask
+    for got, want in ((band.Zp_hat, oracle.Zp_hat), (band.Zm_hat, oracle.Zm_hat)):
+        assert np.array_equal(got, want)
+        assert np.all(got[off] == 0.0)
 
 
 # one workspace for every grid: the stage buffers of step_exponential ----------

@@ -3,6 +3,7 @@ energy equivalence."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from bfdsim import (
     equivalence_spread_monotone,
     equivalence_study,
     lifespan_study,
+    load_state,
+    make_initial_state,
     smallness_check,
+    write_snapshot,
 )
 from bfdsim.spectral import TWO_PI
 from bfdsim import studies
@@ -216,6 +220,51 @@ def test_conservation_threaded_matches_serial(monkeypatch):
     monkeypatch.setenv("BFD_THREADS", "4")
     threaded = conservation_study(cfg)
     assert threaded.drifts == serial.drifts
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_sweeps_read_the_snapshot_once(monkeypatch, tmp_path, threads):
+    """A lifespan sweep over four epsilons and a conservation sweep over
+    four dts each read their snapshot once, serially or on more threads
+    than cores with a short switch interval, and start every point from
+    the same fields with that point's params."""
+    grid = GridSpec.square(32, TWO_PI, dim=1)
+    snap = tmp_path / "start.bfd"
+    write_snapshot(snap, make_initial_state(grid, _params(gamma=0.5), amplitude=0.3,
+                                            width=1.0, t=0.5))
+    reads = []
+
+    def counted(path, params):
+        reads.append(path)
+        return load_state(path, params)
+
+    monkeypatch.setattr("bfdsim.config.load_state", counted)
+    monkeypatch.setenv("BFD_THREADS", threads)
+    starts, evolve = [], studies.evolve
+
+    def spy(state, *args, **kwargs):
+        starts.append(state)
+        return evolve(state, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "evolve", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lifespan_study(_lifespan_cfg(grid=grid, snapshot=str(snap), max_t=1.0, cadence=5,
+                                     epsilons=(0.2, 0.15, 0.1, 0.05)))
+        assert len(reads) == 1
+        conservation_study(_conservation_cfg(snapshot=str(snap), max_t=1.0,
+                                             dts=(0.1, 0.08, 0.05, 0.04)))
+        assert len(reads) == 2
+    finally:
+        sys.setswitchinterval(interval)
+    lifespan, conservation = starts[:4], starts[4:]
+    assert sorted(s.params.epsilon for s in lifespan) == [0.05, 0.1, 0.15, 0.2]
+    assert len(conservation) == 4
+    for group in (lifespan, conservation):
+        for state in group:
+            assert state.t == 0.5
+            assert state.zeta is group[0].zeta and state.v == group[0].v
 
 
 # ---------------------------------------------------------------------------
