@@ -162,9 +162,10 @@ class RunConfig:
 
     parse_config builds one from the key registry; library callers build
     one by keyword, where every field but params and grid has a default.
-    kind is the command name and names the manifest.  scheme is not a
-    config key: it names the one integrator, and SchemeConfig admits only
-    "exponential".
+    Either way the range checks of [scheme], [initial], [output] and
+    [study] run here and raise ConfigError naming the key.  kind is the
+    command name and names the manifest.  scheme is not a config key: it
+    names the one integrator, and SchemeConfig admits only "exponential".
     """
 
     params: ModelParams
@@ -192,6 +193,39 @@ class RunConfig:
     num_states: int = 100
     smallness_target: float = 0.25
     case_override: int | None = None
+
+    def __post_init__(self):
+        if self.dt is not None and not self.dt > 0.0:
+            raise ConfigError(f"scheme.dt must be > 0, got {self.dt}")
+        if self.cadence < 1:
+            raise ConfigError(f"scheme.cadence must be >= 1, got {self.cadence}")
+        if self.profile not in PROFILES:
+            raise ConfigError(f"initial.profile must be one of {', '.join(PROFILES)}, "
+                              f"got {self.profile!r}")
+        if self.amplitude < 0.0:
+            raise ConfigError(f"initial.amplitude must be >= 0, got {self.amplitude}")
+        if self.width is not None and not self.width > 0.0:
+            raise ConfigError(f"initial.width must be > 0, got {self.width}")
+        if self.mode_k is not None and len(self.mode_k) != self.grid.dim:
+            raise ConfigError(f"initial.mode_k needs {self.grid.dim} entries, "
+                              f"got {len(self.mode_k)}")
+        if self.velocity not in VELOCITIES:
+            raise ConfigError(f"initial.velocity must be one of {', '.join(VELOCITIES)}, "
+                              f"got {self.velocity!r}")
+        if self.snapshot_every < 0:
+            raise ConfigError(f"output.snapshot_every must be >= 0, got {self.snapshot_every}")
+        if not self.growth_factor > 1.0:
+            raise ConfigError(f"study.growth_factor must be > 1, got {self.growth_factor}")
+        if self.s is not None and self.s < 0.0:
+            raise ConfigError(f"study.s must be >= 0, got {self.s}")
+        for h in self.dts:
+            if not h > 0.0:
+                raise ConfigError(f"study.dts entries must be > 0, got {h}")
+        if self.num_states < 1:
+            raise ConfigError(f"study.num_states must be >= 1, got {self.num_states}")
+        if not self.smallness_target > 0.0:
+            raise ConfigError(f"study.smallness_target must be a positive number, "
+                              f"got {self.smallness_target}")
 
     @property
     def case(self) -> CaseClass:
@@ -402,8 +436,9 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     """Read, override, validate, and resolve a configuration.
 
     Raises ConfigError for unknown keys, malformed values, or violated
-    exclusivity; parameter-domain violations (including the well-posedness
-    signs) surface from the model layer with their bounds.
+    exclusivity, and RunConfig raises it for out-of-range values;
+    parameter-domain violations (including the well-posedness signs)
+    surface from the model layer with their bounds.
     """
     cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
@@ -425,42 +460,23 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
 
     dt_raw = get("scheme", "dt", None)
     dt = None if dt_raw is None else _parse_float(dt_raw, "scheme.dt")
-    if dt is not None and not dt > 0.0:
-        raise ConfigError(f"scheme.dt must be > 0, got {dt}")
     max_t = _parse_float(get("scheme", "max_t", "10"), "scheme.max_t")
     cadence = _parse_int(get("scheme", "cadence", "10"), "scheme.cadence")
-    if cadence < 1:
-        raise ConfigError(f"scheme.cadence must be >= 1, got {cadence}")
 
     profile = get("initial", "profile", "gaussian")
-    if profile not in PROFILES:
-        raise ConfigError(f"initial.profile must be one of {', '.join(PROFILES)}, "
-                          f"got {profile!r}")
     amplitude = _parse_float(get("initial", "amplitude", "0.1"), "initial.amplitude")
-    if amplitude < 0.0:
-        raise ConfigError(f"initial.amplitude must be >= 0, got {amplitude}")
     seed = _parse_int(get("initial", "seed", "1234"), "initial.seed")
     width_raw = get("initial", "width", None)
     width = None if width_raw is None else _parse_float(width_raw, "initial.width")
-    if width is not None and not width > 0.0:
-        raise ConfigError(f"initial.width must be > 0, got {width}")
     mode_raw = get("initial", "mode_k", None)
     mode_k = None if mode_raw is None else _parse_list(mode_raw, "initial.mode_k",
                                                        _parse_int)
-    if mode_k is not None and len(mode_k) != grid.dim:
-        raise ConfigError(f"initial.mode_k needs {grid.dim} entries, "
-                          f"got {len(mode_k)}")
     velocity = get("initial", "velocity", "right-mover")
-    if velocity not in VELOCITIES:
-        raise ConfigError(f"initial.velocity must be one of "
-                          f"{', '.join(VELOCITIES)}, got {velocity!r}")
     snapshot = get("initial", "snapshot", None)
 
     out_dir = get("output", "dir", "out")
     snapshot_every = _parse_int(get("output", "snapshot_every", "0"),
                                 "output.snapshot_every")
-    if snapshot_every < 0:
-        raise ConfigError(f"output.snapshot_every must be >= 0, got {snapshot_every}")
     plot_script = _parse_bool(get("output", "plot_script", "false"),
                               "output.plot_script")
 
@@ -470,25 +486,13 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     mus = None if mus_raw is None else _parse_list(mus_raw, "study.mus", _parse_float)
     growth_factor = _parse_float(get("study", "growth_factor", "2"),
                                  "study.growth_factor")
-    if not growth_factor > 1.0:
-        raise ConfigError(f"study.growth_factor must be > 1, got {growth_factor}")
     s_raw = get("study", "s", None)
     s = None if s_raw is None else _parse_float(s_raw, "study.s")
-    if s is not None and s < 0.0:
-        raise ConfigError(f"study.s must be >= 0, got {s}")
     dts = _parse_list(get("study", "dts", "0.1,0.05,0.025,0.0125"),
                       "study.dts", _parse_float)
-    for h in dts:
-        if not h > 0.0:
-            raise ConfigError(f"study.dts entries must be > 0, got {h}")
     num_states = _parse_int(get("study", "num_states", "100"), "study.num_states")
-    if num_states < 1:
-        raise ConfigError(f"study.num_states must be >= 1, got {num_states}")
     smallness_target = _parse_float(get("study", "smallness_target", "0.25"),
                                     "study.smallness_target")
-    if not smallness_target > 0.0:
-        raise ConfigError(
-            f"study.smallness_target must be a positive number, got {smallness_target}")
 
     return RunConfig(
         params=params, grid=grid,

@@ -4,7 +4,8 @@ The linear flow diagonalizes in every coefficient case: W = |D|^{-1}
 curl v is frozen, and the dispersive movers Z+- = zeta +- r (1/(i|D|))
 div v, with the impedance r = sqrt(omega1/(g*omega2)), obey
 dt Z+- = -(+-) i Omega_sys Z+- + f+- with Omega_sys(xi) =
-|xi| sqrt(omega1 omega2 g) (see bfdsim.symbols; g = 1 when b = d).  The
+|xi| sqrt(omega1 omega2 g) (see bfdsim.symbols; g = 1 when b = d) and
+the quadratic forcing f+- written out at the stage kernel, _stage.  The
 one scheme is an integrating-factor RK4 whose linear part is the exact
 phase, so eps = 0 evolution is exact to roundoff.  At eps != 0 its
 lattice is the two-thirds band (GridSpec.band_shape: rows |k_0| <= n_0/3
@@ -38,8 +39,8 @@ from .symbols import SymbolTable, symbol_table
 from .system import FieldState, quadratic_products
 
 BLOWUP_NORM = 1e6
-NYQUIST_TOL = 1e-12
-PAIRING_TOL = 1e-12
+# relative spectral L2 bound on the content the eps != 0 stepper would drop
+BAND_TOL = 1e-12
 
 SCHEME_EXPONENTIAL = "exponential"
 
@@ -94,19 +95,18 @@ class DiagState:
     The spectra are full-lattice arrays.  For a real state the movers pair
     up as Z+(-xi) = conj Z-(xi), so the rfftn half lattice (grid.half)
     carries all of them, and undiagonalize reads only that half.  At
-    eps != 0, step_exponential and nonlinear_f_pm read less: the
-    two-thirds band (grid.band), the stepper's lattice.  They run the
-    stage kernel on it in the buffers of the thread's workspace and
-    rebuild the rest with GridSpec.extend_band into fresh arrays, which
-    are 0 off the band.  So the movers of a returned state never alias a
-    workspace buffer; its W_hat is the input's own array, carried through
-    frozen.
+    eps != 0, step_exponential reads less: the two-thirds band
+    (grid.band), the stepper's lattice.  It runs the stage kernel on it in
+    the buffers of the thread's workspace and rebuilds the rest with
+    GridSpec.extend_band into fresh arrays, which are 0 off the band.  So
+    the movers of a returned state never alias a workspace buffer; its
+    W_hat is the input's own array, carried through frozen.
 
     checked marks the outputs of step_exponential at eps != 0, paired and
-    on the band by construction.  step_exponential and nonlinear_f_pm
-    check any other state (_require_on_band), a diagonalize output
-    included, since diagonalize serves undealiased states too; so evolve
-    pays for one check, at its first step.
+    on the band by construction.  step_exponential checks any other state
+    (_require_on_band), a diagonalize output included, since diagonalize
+    serves undealiased states too; so evolve pays for one check, at its
+    first step.
     """
 
     t: float
@@ -117,13 +117,6 @@ class DiagState:
     grid: GridSpec
     params: ModelParams
     checked: bool = field(default=False, repr=False, compare=False)
-
-    def copy(self) -> "DiagState":
-        return DiagState(t=self.t, Zp_hat=self.Zp_hat.copy(),
-                         Zm_hat=self.Zm_hat.copy(),
-                         W_hat=None if self.W_hat is None else self.W_hat.copy(),
-                         zero_mode=self.zero_mode, grid=self.grid,
-                         params=self.params, checked=self.checked)
 
 
 def diagonalize(state: FieldState) -> DiagState:
@@ -290,12 +283,18 @@ def _reconstruct(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
 
 
 def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
-    """The stage kernel: forcing (f+_hat, f-_hat) on the band.
+    """The stage kernel: forcing (f+_hat, f-_hat) of the mover equations on
+    the band,
 
-    Reads the band movers Z (which may be ws.stage), the rotational part
-    set by ws.set_rotation and the zero mode of diag, and writes the
-    forcing into ws.stage, which it returns.  The impedance r is read from
-    tab.ratio_sqrt by the band's row blocks.
+    f+- = (eps/gamma)(1 - b*mu*Lap)^{-1} div(zeta v)
+          +- (eps/(2*gamma)) sqrt(omega1/(g*omega2)) i|xi|
+             (1 - d*mu*Lap)^{-1} (|v|^2).
+
+    Both terms carry a factor xi, so the xi = 0 component is exactly 0,
+    and at eps = 0 both are 0.  Reads the band movers Z (which may be
+    ws.stage), the rotational part set by ws.set_rotation and the zero
+    mode of diag, and writes the forcing into ws.stage, which it returns.
+    The impedance r is read from tab.ratio_sqrt by the band's row blocks.
     """
     grid = diag.grid
     _reconstruct(diag, tab, ws, Z)
@@ -313,30 +312,6 @@ def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
     return ws.stage
 
 
-def nonlinear_f_pm(diag: DiagState):
-    """Quadratic forcing spectra (f+_hat, f-_hat) of the mover equations.
-
-    f+- = (eps/gamma)(1 - b*mu*Lap)^{-1} div(zeta v)
-          +- (eps/(2*gamma)) sqrt(omega1/(g*omega2)) i|xi|
-             (1 - d*mu*Lap)^{-1} (|v|^2).
-    Both terms carry a factor xi, so the xi = 0 component is exactly 0.
-    This is the stage kernel of step_exponential, run once on the band of
-    diag and extended with f+(-xi) = conj f-(xi); so, like the step, it
-    requires Z+(-xi) = conj Z-(xi) and no content off the band, and
-    raises ParameterDomainError for a state that misses either (see
-    _require_on_band).  The returned spectra are fresh arrays.  At eps = 0
-    both spectra are 0.
-    """
-    grid = diag.grid
-    if not diag.checked:
-        _require_on_band(diag)
-    ws = _workspace(grid)
-    ws.set_rotation(diag)
-    fp, fm = _stage(diag, symbol_table(grid, diag.params), ws,
-                    (grid.band(diag.Zp_hat), grid.band(diag.Zm_hat)))
-    return grid.extend_band(fp, fm), grid.extend_band(fm, fp)
-
-
 def step_exponential(diag: DiagState, dt: float) -> DiagState:
     """One integrating-factor RK4 step in the diagonal variables.
 
@@ -352,7 +327,7 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     reads only the band of diag: the returned state is paired bitwise and
     carries nothing off the band.  A state the step did not make is
     checked once, and one whose movers miss the pairing or carry content
-    off the band by more than PAIRING_TOL relative raises
+    off the band by more than BAND_TOL relative raises
     ParameterDomainError, so no content is dropped silently.
     """
     grid, p = diag.grid, diag.params
@@ -405,7 +380,7 @@ def _require_on_band(diag: DiagState) -> None:
 
     The stage reads only the two-thirds band of the movers and rebuilds
     the rest from Z+(-xi) = conj Z-(xi), so it evolves extend_band of
-    their bands.  The movers must equal that to PAIRING_TOL relative in
+    their bands.  The movers must equal that to BAND_TOL relative in
     spectral L2: content off the band (where it is 0) or off the pairing
     raises ParameterDomainError."""
     grid = diag.grid
@@ -418,13 +393,13 @@ def _require_on_band(diag: DiagState) -> None:
         miss *= miss
         unpaired += float(np.sum(miss[kept]))
         off_band += float(np.sum(miss[~kept]))
-        total += float(np.vdot(Z, Z).real)
-    if unpaired + off_band > PAIRING_TOL**2 * total:
+        total += float(np.sum(Z.real**2 + Z.imag**2))
+    if unpaired + off_band > BAND_TOL**2 * total:
         raise ParameterDomainError(
             f"the movers miss Z+(-xi) = conj Z-(xi) by "
             f"{math.sqrt(unpaired / total):.3e} and carry "
             f"{math.sqrt(off_band / total):.3e} off the two-thirds band, relative "
-            f"in spectral L2 (limit {PAIRING_TOL:g} for both together); build "
+            f"in spectral L2 (limit {BAND_TOL:g} for both together); build "
             f"them with diagonalize from a dealiased state (bfdsim.dealias)")
 
 
@@ -476,11 +451,11 @@ def require_no_nyquist(state: FieldState) -> None:
         mag = hat.real**2 + hat.imag**2
         content += float(np.sum(mag[off]))
         total += float(np.sum(mag))
-    if content > NYQUIST_TOL**2 * total:
+    if content > BAND_TOL**2 * total:
         raise ParameterDomainError(
             f"the start state has Nyquist content or other content off the "
             f"two-thirds band, {math.sqrt(content / total):.3e} relative in "
-            f"spectral L2 (limit {NYQUIST_TOL:g}); dealias it first (bfdsim.dealias)")
+            f"spectral L2 (limit {BAND_TOL:g}); dealias it first (bfdsim.dealias)")
 
 
 @dataclass
@@ -499,19 +474,19 @@ def evolve(state: FieldState, cfg: SchemeConfig,
 
     When cfg.dt does not divide the interval, a short last step lands the
     run on cfg.max_t exactly.  A state with content off the two-thirds
-    band (the Nyquist modes included) above NYQUIST_TOL relative in
+    band (the Nyquist modes included) above BAND_TOL relative in
     spectral L2 raises ParameterDomainError (see require_no_nyquist); a
     non-finite one raises BlowUpSignal at its own time, before any
     transform of it.
 
     The run steps the diagonal variables; monitors receive the primitive
     state, reconstructed for them by undiagonalize.  Raises BlowUpSignal
-    when a non-finite value appears or the X^0_mu norm passes the blow-up
-    threshold; the signal carries t, the norm, the step count, and the
-    event log.  An optional stop_when predicate ends the run early with
-    terminated_by="threshold".  The event log records exceptional
-    happenings only (blow-up, threshold); an uneventful run returns an
-    empty log.
+    when the X^0_mu norm is not within the blow-up threshold, a
+    non-finite value included (logged as norm inf); the signal carries t,
+    the norm, the step count, and the event log.  An optional stop_when
+    predicate ends the run early with terminated_by="threshold".  The
+    event log records exceptional happenings only (blow-up, threshold); an
+    uneventful run returns an empty log.
     """
     t0 = state.t
     events: list[dict] = []
@@ -521,46 +496,25 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     require_no_nyquist(state)
     current = diagonalize(state)
     n_steps, last_dt = _step_plan(cfg.max_t - t0, cfg.dt)
-
-    def norm_of(snap: FieldState) -> float:
-        return x_norm_state(snap, 0.0, 1, 1)
-
-    def check_finite(snap: FieldState, steps_done: int) -> float:
-        if not snap.is_finite():
-            events.append({"event": "blow-up", "t": snap.t, "norm": float("inf")})
-            raise BlowUpSignal(snap.t, float("inf"), steps_done, events)
-        norm = norm_of(snap)
-        if norm > BLOWUP_NORM:
+    for k in range(n_steps + 1):
+        if k > 0:
+            h = last_dt if k == n_steps else cfg.dt
+            current = step_exponential(current, h)
+            current.t = t0 + k * cfg.dt if h == cfg.dt else cfg.max_t
+        if k % cfg.cadence != 0 and k != n_steps:
+            continue
+        snap = undiagonalize(current)
+        norm = x_norm_state(snap, 0.0, 1, 1)
+        if not norm <= BLOWUP_NORM:
+            # a NaN norm fails the test too; it stands for a non-finite field
+            norm = norm if norm > BLOWUP_NORM else math.inf
             events.append({"event": "blow-up", "t": snap.t, "norm": norm})
-            raise BlowUpSignal(snap.t, norm, steps_done, events)
-        return norm
-
-    def crossed(snap: FieldState, norm: float) -> bool:
+            raise BlowUpSignal(snap.t, norm, k, events)
+        for mon in monitors:
+            mon(snap)
         if stop_when is not None and stop_when(snap):
             events.append({"event": "threshold", "t": snap.t, "norm": norm})
-            return True
-        return False
-
-    snap = undiagonalize(current)
-    norm = check_finite(snap, 0)
-    for mon in monitors:
-        mon(snap)
-    if crossed(snap, norm):
-        return EvolveSummary(final_state=snap, steps=0, events=events,
-                             terminated_by="threshold")
-
-    for k in range(1, n_steps + 1):
-        h = last_dt if k == n_steps else cfg.dt
-        current = step_exponential(current, h)
-        current.t = t0 + k * cfg.dt if h == cfg.dt else cfg.max_t
-        if k % cfg.cadence == 0 or k == n_steps:
-            snap = undiagonalize(current)
-            norm = check_finite(snap, k)
-            for mon in monitors:
-                mon(snap)
-            if crossed(snap, norm):
-                return EvolveSummary(final_state=snap, steps=k, events=events,
-                                     terminated_by="threshold")
-
+            return EvolveSummary(final_state=snap, steps=k, events=events,
+                                 terminated_by="threshold")
     return EvolveSummary(final_state=snap, steps=n_steps, events=events,
                          terminated_by="max_t")

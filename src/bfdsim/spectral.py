@@ -25,11 +25,11 @@ equal to rfftn (masked) and irfftn on the half lattice.
 
 The mover stages and every real product run on the half lattice or the
 band: GridSpec.product_hat is the one product kernel, used by the mover
-forcing and the energy layer alike.  fft, ifft_real and product_hat take
-an optional out= array (numpy >= 2.0 transforms write it directly), and
-on the band a work= tuple of scratch arrays (GridSpec.band_work); the
+forcing and the energy layer alike.  On the band, fft, ifft_real and
+product_hat take an optional out= array (numpy >= 2.0 transforms write it
+directly) and a work= tuple of scratch arrays (GridSpec.band_work); the
 IF-RK4 stages pass the buffers of their thread's workspace, which
-bfdsim.evolution owns, and every call without out= returns a fresh array.
+bfdsim.evolution owns, and every other call returns a fresh array.
 The wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.
 Quadrature on the torus is the rectangle rule, which is exact for
 band-limited integrands, and Parseval takes the form
@@ -212,22 +212,21 @@ class GridSpec:
     def fft(self, values: np.ndarray, half: bool = False, out=None, work=None) -> np.ndarray:
         """Full spectrum of real values, or its half lattice when half is set.
 
-        out, if given, is a half-lattice complex array that receives the
-        half spectrum (and is returned); it serves half=True only.  The
-        full spectrum is the half one extended, so it is Hermitian bitwise.
-        An out of band_shape receives the band instead, with the scratch
-        work (band_work, fresh if not given): rfft along the last axis,
-        then fft along axis 0 of the band's columns only, of which the band
-        keeps the rows of its two blocks.  That is rfftn's own sequence of
-        passes, so the band is bitwise the band of rfftn's output."""
-        if out is not None and out.shape == self.band_shape:
-            work = self.band_work() if work is None else work
-            hat = np.fft.rfft(values, axis=-1, out=work[0])[..., :out.shape[-1]]
-            if self.dim == 2:
-                np.fft.fft(hat, axis=0, out=hat)
-            return self.band(hat, out=out)
-        hat = np.fft.rfftn(values, out=out)
-        return hat if half else self.extend_half(hat, hat)
+        The full spectrum is the half one extended, so it is Hermitian
+        bitwise.  out, if given, is a band_shape array that receives the
+        band instead, with the scratch work (band_work, fresh if not
+        given): rfft along the last axis, then fft along axis 0 of the
+        band's columns only, of which the band keeps the rows of its two
+        blocks.  That is rfftn's own sequence of passes, so the band is
+        bitwise the band of rfftn's output."""
+        if out is None:
+            hat = np.fft.rfftn(values)
+            return hat if half else self.extend_half(hat, hat)
+        work = self.band_work() if work is None else work
+        hat = np.fft.rfft(values, axis=-1, out=work[0])[..., :out.shape[-1]]
+        if self.dim == 2:
+            np.fft.fft(hat, axis=0, out=hat)
+        return self.band(hat, out=out)
 
     def ifft(self, hat: np.ndarray) -> np.ndarray:
         """Complex values of a full spectrum; only perfbench/spans.py uses it."""
@@ -238,13 +237,13 @@ class GridSpec:
         or of a band one (band_shape).
 
         A full spectrum is read on its half lattice only (no package caller
-        passes a non-Hermitian one); out, if given, receives the values.
-        A band spectrum takes irfftn's passes with the scratch work
-        (band_work, fresh if not given): in 2D, ifft along axis 0 of the
-        band's columns (the zero rows between its blocks filled in), then
-        irfft along the last axis of a half lattice that is zero past
-        them; in 1D, irfft pads the band with zeros itself.  On band
-        limited spectra this is bitwise irfftn of the half lattice."""
+        passes a non-Hermitian one).  A band spectrum takes irfftn's
+        passes, into out if given, with the scratch work (band_work, fresh
+        if not given): in 2D, ifft along axis 0 of the band's columns (the
+        zero rows between its blocks filled in), then irfft along the last
+        axis of a half lattice that is zero past them; in 1D, irfft pads
+        the band with zeros itself.  On band limited spectra this is
+        bitwise irfftn of the half lattice."""
         if hat.shape == self.band_shape:
             if self.dim == 1:
                 return np.fft.irfft(hat, n=self.n[0], out=out)
@@ -255,19 +254,18 @@ class GridSpec:
             return np.fft.irfft(half, n=self.n[1], axis=1, out=out)
         if hat.shape[-1] == self.n[-1]:
             hat = hat[self.half]
-        return np.fft.irfftn(hat, s=self.n, axes=tuple(range(self.dim)), out=out)
+        return np.fft.irfftn(hat, s=self.n, axes=tuple(range(self.dim)))
 
     def product_hat(self, values: np.ndarray, out=None, work=None) -> np.ndarray:
         """Half-lattice spectrum of a real product, truncated by the
         two-thirds rule; extend_half(h, h) gives the full spectrum.
 
-        out, if given, is a half-lattice complex array that receives it,
-        or a band_shape one that receives the band (the modes the rule
-        keeps), with the scratch work of fft."""
+        out, if given, is a band_shape array that receives the band (the
+        modes the rule keeps) instead, with the scratch work of fft."""
         hat = self.fft(values, half=True, out=out, work=work)
-        if hat.shape == self.band_shape:
-            return hat
-        return np.multiply(hat, self.dealias_mask[self.half], out=hat)
+        if out is None:
+            hat *= self.dealias_mask[self.half]
+        return hat
 
     def extend_half(self, hat_p: np.ndarray, hat_m: np.ndarray) -> np.ndarray:
         """Full spectrum F from half-lattice spectra with F(-xi) = conj hat_m(xi).

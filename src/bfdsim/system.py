@@ -84,25 +84,19 @@ def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None,
     grid.half (last axis 0..n/2); grid.extend_half(s, s) gives the full
     spectrum.
 
-    out, if given, is a pair of half-lattice complex arrays that receive
-    the two spectra, or a pair of band_shape arrays that receive their
-    two-thirds band (the IF-RK4 stage's lattice, with fft_work the
-    scratch of the band transforms); work is a pair of real grid arrays
-    used as scratch for the products.  The IF-RK4 stage kernel passes
-    buffers of the evolution workspace, so a stage allocates nothing
-    here.  Fresh large temporaries fault in new pages at every stage:
-    over setup and 4 solutions of the 256^2 mover benchmark the process
-    took 119k minor faults with them and 46k with the buffers when the
-    stage ran on the half lattice; on the band, fresh product arrays
-    alone still make it 34.7k against 31.6k (numpy 2.4, glibc malloc).
-    Without out and work every array is fresh.
+    out, if given, is a pair of band_shape arrays that receive the two
+    spectra's two-thirds band instead (the IF-RK4 stage's lattice), with
+    work a pair of real grid arrays as scratch for the products and
+    fft_work the scratch of the band transforms.  The IF-RK4 stage kernel
+    passes buffers of the evolution workspace, so a stage allocates
+    nothing here.  Without out every array is fresh.
     """
-    div_zv, vsq_hat = (None, None) if out is None else out
-    prod, square = (None, None) if work is None else work
-    if div_zv is not None and div_zv.shape == grid.band_shape:
-        xis = grid.band_xi
-    else:
+    if out is None:
+        div_zv = vsq_hat = prod = square = None
         xis = tuple(xi[grid.half] for xi in grid.xi_mesh)
+    else:
+        (div_zv, vsq_hat), (prod, square) = out, work
+        xis = grid.band_xi
     for j, (xi, comp) in enumerate(zip(xis, vr)):
         # vsq_hat is free until |v|^2 lands in it, so it holds the j >= 1 terms
         hat = grid.product_hat(np.multiply(zr, comp, out=prod),

@@ -6,6 +6,7 @@ This is the same scheme with every stage run on the whole half lattice
 on that lattice.  Each per-mode operation and each transform is the one
 the band stepper runs, in the same order, so on exactly band-limited
 movers the two agree bitwise: the band only skips modes that hold 0.
+forcing gives the stage's forcing spectra on the full lattice.
 """
 
 import numpy as np
@@ -36,6 +37,33 @@ def _stage(diag: DiagState, consts, Z):
     return np.stack([div_zv + vsq, div_zv - vsq])
 
 
+def _consts(diag: DiagState):
+    """The stage constants of diag on the half lattice."""
+    grid, p = diag.grid, diag.params
+    tab = symbol_table(grid, p)
+    half, eps, gamma = grid.half, p.epsilon, p.gamma
+    rot = None
+    if diag.W_hat is not None:
+        W = diag.W_hat[half]
+        u1, u2 = (u[half] for u in grid.unit_xi)
+        rot = np.stack([W * 1j * u2, W * -1j * u1])
+    return (tab.mover_velocity, rot,
+            eps / gamma / tab.helmholtz_b[half],
+            eps / (2.0 * gamma) * 1j * grid.abs_xi[half] / tab.helmholtz_d[half],
+            tab.ratio_sqrt[half])
+
+
+def forcing(diag: DiagState):
+    """Full-lattice forcing spectra (f+_hat, f-_hat) of the movers of diag,
+    the stage extended with f+(-xi) = conj f-(xi).
+
+    Precondition: Z+(-xi) = conj Z-(xi) (every diagonalize output).
+    """
+    grid, half = diag.grid, diag.grid.half
+    fp, fm = _stage(diag, _consts(diag), (diag.Zp_hat[half], diag.Zm_hat[half]))
+    return grid.extend_half(fp, fm), grid.extend_half(fm, fp)
+
+
 def step(diag: DiagState, dt: float) -> DiagState:
     """One IF-RK4 step at eps != 0, its stages on the half lattice.
 
@@ -44,16 +72,7 @@ def step(diag: DiagState, dt: float) -> DiagState:
     grid, p = diag.grid, diag.params
     tab = symbol_table(grid, p)
     half, h = grid.half, dt
-    eps, gamma = p.epsilon, p.gamma
-    rot = None
-    if diag.W_hat is not None:
-        W = diag.W_hat[half]
-        u1, u2 = (u[half] for u in grid.unit_xi)
-        rot = np.stack([W * 1j * u2, W * -1j * u1])
-    consts = (tab.mover_velocity, rot,
-              eps / gamma / tab.helmholtz_b[half],
-              eps / (2.0 * gamma) * 1j * grid.abs_xi[half] / tab.helmholtz_d[half],
-              tab.ratio_sqrt[half])
+    consts = _consts(diag)
     e_h0 = np.exp(tab.Omega[half] * (-0.5j * h))
     e_h = np.stack([e_h0, np.conjugate(e_h0)])
     e_f = e_h * e_h

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from bfdsim import ConfigError, ParameterDomainError, parse_config
+from bfdsim import (ConfigError, GridSpec, ModelParams, ParameterDomainError, RunConfig,
+                    parse_config)
 from bfdsim.config import CONFIG_KEYS, config_help
 
 
@@ -238,6 +239,30 @@ def test_model_domain_violations_surface_from_model_layer():
 def test_value_validation(override, message):
     with pytest.raises(ConfigError, match=message):
         cfg_from(override)
+
+
+# each value passed the parent's RunConfig when built in Python, and then
+# went wrong in the study that read it
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # a lifespan T_obs of 0.0 with terminated_by="threshold"
+        ("growth_factor", 0.5, "study.growth_factor must be > 1, got 0.5"),
+        # equivalence ratio_min = inf and ratio_max = -inf
+        ("num_states", 0, "study.num_states must be >= 1, got 0"),
+        # ValueError: math domain error in the smallness check
+        ("smallness_target", -1.0, "study.smallness_target must be a positive number"),
+    ],
+    ids=["growth_factor", "num_states", "smallness_target"],
+)
+def test_run_config_built_in_python_runs_the_cli_checks(field, value, message):
+    params = ModelParams(gamma=0.9, epsilon=0.1, mu=0.1, mu2=0.1,
+                         a=0.0, b=5.0 / 24.0, c=-1.0 / 12.0, d=5.0 / 24.0)
+    grid = GridSpec.square(16, 2.0 * math.pi, dim=1)
+    library = RunConfig(params=params, grid=grid)
+    assert (library.epsilons, library.dts, library.out_dir) == ((), (), None)
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(params=params, grid=grid, **{field: value})
 
 
 def test_case_override_flows_through():

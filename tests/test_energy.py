@@ -10,13 +10,16 @@ from bfdsim import (
     GridSpec,
     ModelParams,
     ParameterDomainError,
+    SchemeConfig,
     SpectralField,
     classify_case,
     energy_Es,
     energy_report,
     equivalence_ratio,
+    evolve,
     frozen_symbol_matrices,
     hamiltonian,
+    make_initial_state,
     variational_check,
     x_norm,
 )
@@ -539,3 +542,22 @@ def test_energy_report_columns_are_pinned(key):
            rep.noncav, rep.smallness)
     for col, x, want in zip(REPORT_COLUMNS[1:], got, REPORT_PINS[key]):
         assert x == pytest.approx(want, rel=1e-13), col
+
+
+def test_energy_report_and_evolve_call_no_blas(monkeypatch):
+    """np.vdot and np.dot go through BLAS, whose thread hand-off at the
+    default thread count can cost several times the sum itself, and the
+    benchmark pins that count to 1, so it cannot see this.  The report (all
+    three symmetrizer variants) and a 3-step evolve of a 2-D state call
+    neither."""
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    monkeypatch.setattr(np, "vdot", blas)
+    monkeypatch.setattr(np, "dot", blas)
+    g = GridSpec.square(16, TWO_PI, dim=2)
+    for b, d in VARIANT_COEFFS.values():
+        state = make_initial_state(g, _params(b=b, d=d), profile="random_bandlimited",
+                                   seed=3)
+        energy_report(state, s=1.5)
+        assert evolve(state, SchemeConfig(dt=0.05, max_t=0.15)).steps == 3

@@ -1,6 +1,7 @@
 """Tests for diagonalization, IF-RK4, and the evolve driver; classical RK4
 (tests/rk4_oracle.py) is the independent cross-check."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -21,16 +22,17 @@ from bfdsim import (
     make_initial_state,
     undiagonalize,
 )
+from bfdsim import evolution
 from bfdsim.energy import x_norm_state
 from bfdsim.evolution import (
     BLOWUP_NORM,
     DiagState,
-    nonlinear_f_pm,
     step_exponential,
 )
 from bfdsim.spectral import TWO_PI, dealias, divergence, gradient
 from bfdsim.symbols import symbol_table
 
+import half_lattice_oracle
 import rk4_oracle
 
 
@@ -212,7 +214,8 @@ def test_undiagonalize_zero_mode_only():
 
 
 # ---------------------------------------------------------------------------
-# Nonlinear forcing of the movers
+# Nonlinear forcing of the movers: the stage of the half-lattice oracle,
+# which test_properties ties to the band stage bitwise
 # ---------------------------------------------------------------------------
 
 def test_forcing_vanishes_without_velocity():
@@ -220,14 +223,14 @@ def test_forcing_vanishes_without_velocity():
     p = _params(epsilon=0.5)
     state = FieldState.from_arrays(grid, p, 0.3 * np.cos(grid.x_mesh[0]),
                                    (np.zeros(grid.n),))
-    fp, fm = nonlinear_f_pm(diagonalize(state))
+    fp, fm = half_lattice_oracle.forcing(diagonalize(state))
     assert np.max(np.abs(fp)) < 1e-15 and np.max(np.abs(fm)) < 1e-15
 
 
 def test_forcing_vanishes_at_eps_zero():
     grid = GridSpec.square(16, TWO_PI, dim=2)
     state = _random_state(grid, _params(epsilon=0.0), 8)
-    fp, fm = nonlinear_f_pm(diagonalize(state))
+    fp, fm = half_lattice_oracle.forcing(diagonalize(state))
     assert np.all(fp == 0.0) and np.all(fm == 0.0)
 
 
@@ -242,7 +245,7 @@ def test_forcing_single_mode_convolution_oracle():
     x = grid.x_mesh[0]
     state = FieldState.from_arrays(grid, p, alpha * np.cos(x),
                                    (beta * np.cos(x),))
-    fp, fm = nonlinear_f_pm(diagonalize(state))
+    fp, fm = half_lattice_oracle.forcing(diagonalize(state))
 
     tab = symbol_table(grid, p)
     n = grid.n[0]
@@ -452,9 +455,9 @@ def test_evolve_rejects_content_just_off_the_band(dim):
 
 def test_step_rejects_the_diagonalize_output_of_an_undealiased_state():
     """diagonalize keeps content off the band (gates round-trip such
-    states), so at eps != 0 step_exponential and nonlinear_f_pm reject its
-    output instead of dropping that content; at eps = 0 the step is the
-    exact phase on the full lattice and takes it."""
+    states), so at eps != 0 step_exponential rejects its output instead
+    of dropping that content; at eps = 0 the step is the exact phase on
+    the full lattice and takes it."""
     grid = GridSpec.square(16, TWO_PI, dim=2)
     rng = np.random.default_rng(4)
     noise = [0.05 * rng.standard_normal(grid.n) for _ in range(3)]
@@ -464,9 +467,8 @@ def test_step_rejects_the_diagonalize_output_of_an_undealiased_state():
         if eps == 0.0:
             assert np.any(step_exponential(diag, 0.05).Zp_hat[~grid.dealias_mask] != 0.0)
             continue
-        for call in (lambda: step_exponential(diag, 0.05), lambda: nonlinear_f_pm(diag)):
-            with pytest.raises(ParameterDomainError, match="off the two-thirds band"):
-                call()
+        with pytest.raises(ParameterDomainError, match="off the two-thirds band"):
+            step_exponential(diag, 0.05)
 
 
 def test_rotation_frozen_nonlinearly():
@@ -610,6 +612,32 @@ def test_evolve_blow_up_on_nonfinite_data():
     assert math.isinf(sig.norm)
     assert sig.steps == 0 and sig.t == 0.5
     assert sig.events == [{"event": "blow-up", "t": 0.5, "norm": math.inf}]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evolve_blow_up_on_a_nonfinite_step(monkeypatch):
+    """A step that returns NaN movers raises at its own step and time, with
+    the norm logged as inf and no RuntimeWarning on the way."""
+    real_step = evolution.step_exponential
+    steps = []
+
+    def step(diag, dt):
+        out = real_step(diag, dt)
+        steps.append(out.t)
+        if len(steps) == 3:
+            nan = np.full(out.grid.n, np.nan, dtype=complex)
+            out = dataclasses.replace(out, Zp_hat=nan, Zm_hat=nan.copy())
+        return out
+
+    monkeypatch.setattr(evolution, "step_exponential", step)
+    grid = GridSpec.square(16, TWO_PI, dim=2)
+    with pytest.raises(BlowUpSignal) as err:
+        evolve(_random_state(grid, _params(), 20), SchemeConfig(dt=0.1, max_t=1.0))
+    sig = err.value
+    assert len(steps) == 3
+    assert sig.steps == 3 and sig.t == 3 * 0.1
+    assert math.isinf(sig.norm)
+    assert sig.events == [{"event": "blow-up", "t": sig.t, "norm": math.inf}]
 
 
 def test_evolve_exponential_for_distinct_coefficients():

@@ -9,11 +9,12 @@ States are dealiased, as every make_initial_state recipe is, so they carry
 no Nyquist content: on an even grid the Nyquist mode is its own mirror
 image, and an odd multiplier such as i*xi makes it complex.  Steps stay
 inside classical RK4's stability bound dt*max(Omega_sys) <= 2.8.  The
-mover forcing and step run on the two-thirds band and the energy layer's
-products on the rfftn half lattice; their parity with full-lattice
-oracles, the band step's bitwise parity with the half-lattice IF-RK4
-oracle (tests/half_lattice_oracle.py) and the bitwise pairing
-Z+(-xi) = conj Z-(xi) of the returned movers are checked here too.
+mover step runs on the two-thirds band and the energy layer's products
+on the rfftn half lattice.  The band step's bitwise parity with the
+half-lattice IF-RK4 oracle (tests/half_lattice_oracle.py), the parity of
+that oracle's forcing and of the energy products with full-lattice
+oracles, and the bitwise pairing Z+(-xi) = conj Z-(xi) of the returned
+movers are checked here too.
 """
 
 import tempfile
@@ -38,7 +39,7 @@ from bfdsim import (
 )
 from bfdsim import evolution
 from bfdsim.energy import hamiltonian, symmetrizer_apply, variational_gradients
-from bfdsim.evolution import nonlinear_f_pm, step_exponential
+from bfdsim.evolution import step_exponential
 from bfdsim.initial_data import PROFILES, VELOCITIES
 from bfdsim.spectral import TWO_PI, dealias
 from bfdsim.symbols import symbol_table
@@ -163,9 +164,9 @@ def _reflect(hat: np.ndarray) -> np.ndarray:
 
 
 def _forcing_oracle(state: FieldState):
-    """f+- of the nonlinear_f_pm docstring on the full lattice: fftn/ifftn,
-    the full two-thirds mask, and the Helmholtz factors and the impedance
-    written out here (A from the symbol table)."""
+    """f+- of the stage kernel's docstring (bfdsim.evolution._stage) on the
+    full lattice: fftn/ifftn, the full two-thirds mask, and the Helmholtz
+    factors and the impedance written out here (A from the symbol table)."""
     grid, p = state.grid, state.params
     tab = symbol_table(grid, p)
     mu, k2 = p.mu, grid.abs2_xi
@@ -187,7 +188,8 @@ def _forcing_oracle(state: FieldState):
 def test_half_lattice_forcing_matches_a_full_lattice_oracle(case, seed, epsilon):
     for grid in GRIDS:
         state = _state(grid, _params(case, epsilon), seed)
-        for got, want in zip(nonlinear_f_pm(diagonalize(state)), _forcing_oracle(state)):
+        for got, want in zip(half_lattice_oracle.forcing(diagonalize(state)),
+                             _forcing_oracle(state)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
