@@ -10,6 +10,13 @@ displayed (multipliers in spectral space, coefficient multiplications
 pointwise with two-thirds dealiasing after each product).  Every product
 here, as in the mover forcing, goes through GridSpec.product_hat on the
 rfftn half lattice; a full spectrum is rebuilt with GridSpec.extend_half.
+Each symmetrizer variant stacks its operands into one inverse transform
+and its products into one forward transform (GridSpec.ifft_real and
+product_hat take stacks).  What depends on the fields alone, the |hat|^2
+of every field, the dealiased v_j v_k and the Bessel-weighted fields
+Lam^s zeta, Lam^s v, is formed once per state and kept in its memo
+(FieldState), so the norms, the Hamiltonian and the smallness term of one
+report row, or the points of one equivalence state, share it.
 The noncav column of energy_report is min(1 - eps*zeta) alone
 (system.noncav_margin); the steepness proxy eps*W^{1,inf} is formed only
 by system.noncavitation_margin.
@@ -32,7 +39,7 @@ from .params import (
     check_variant,
     classify_case,
 )
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec, SpectralField, field_values
 from .symbols import symbol_table
 from .system import FieldState, noncav_margin, rhs_hat
 
@@ -99,25 +106,77 @@ def x_norm(field: SpectralField, s: float, k: int, mu: float) -> float:
 
 def x_norm_state(state: FieldState, s: float, k: int, k_prime: int) -> float:
     """||zeta||_{X^s_{mu^k}} + ||v||_{X^s_{mu^k'}} for a full state."""
-    mu = state.params.mu
-    vsq = sum(x_norm(c, s, k_prime, mu) ** 2 for c in state.v)
-    return x_norm(state.zeta, s, k, mu) + math.sqrt(vsq)
+    z_norm, v_norms = _x_norms(state, s, k, k_prime)
+    return z_norm + math.sqrt(sum(n**2 for n in v_norms))
 
 
-def _product_full(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Full dealiased spectrum of a real product (GridSpec.product_hat)."""
-    hat = grid.product_hat(values)
-    return grid.extend_half(hat, hat)
+def _abs2(state: FieldState) -> tuple[np.ndarray, ...]:
+    """|hat|^2 of zeta and of each v_j, kept in the state's memo."""
+    memo = state.memo
+    if "abs2" not in memo:
+        memo["abs2"] = tuple(f.hat.real**2 + f.hat.imag**2 for f in (state.zeta, *state.v))
+    return memo["abs2"]
 
 
-def _vv_values(grid: GridSpec, vvals) -> list[list[np.ndarray]]:
-    """Dealiased values of every v_j v_k, each symmetric pair formed once."""
-    dim = len(vvals)
-    vv = [[None] * dim for _ in range(dim)]
-    for j in range(dim):
-        for k in range(j, dim):
-            vv[j][k] = vv[k][j] = grid.ifft_real(grid.product_hat(vvals[j] * vvals[k]))
-    return vv
+def _bessel_fields(state: FieldState, s: float) -> tuple[SpectralField, ...]:
+    """Lam^s zeta and Lam^s v_j, kept in the state's memo per s, so their
+    values too are transformed once per state.  At s = 0 they are the
+    state's own fields."""
+    if s == 0.0:
+        return (state.zeta, *state.v)
+    key = ("bessel", s)
+    if key not in state.memo:
+        grid = state.grid
+        lam = bessel_weight(grid, s)
+        state.memo[key] = tuple(SpectralField(grid, hat=lam * f.hat)
+                                for f in (state.zeta, *state.v))
+    return state.memo[key]
+
+
+def _x_norms(state: FieldState, s: float, k: int, k_prime: int):
+    """(x_norm of zeta in X^s_{mu^k}, [x_norm of each v_j in X^s_{mu^k'}]),
+    from the memo's |hat|^2."""
+    if s < 0.0 or k < 0 or k_prime < 0:
+        raise ParameterDomainError("s and k must be nonnegative")
+    grid, mu = state.grid, state.params.mu
+    z_abs2, *v_abs2 = _abs2(state)
+    v_weight = sobolev_weight(grid, s, k_prime, mu)
+    return (math.sqrt(grid.abs2_l2_sq(z_abs2, sobolev_weight(grid, s, k, mu))),
+            [math.sqrt(grid.abs2_l2_sq(a, v_weight)) for a in v_abs2])
+
+
+def _products_full(grid: GridSpec, values) -> list[np.ndarray]:
+    """Full dealiased spectra of real products, all in one product_hat call."""
+    return [grid.extend_half(hat, hat) for hat in grid.product_hat(np.stack(values))]
+
+
+def _operands(grid: GridSpec, pairs) -> np.ndarray:
+    """Real values of the spectra mult * hat, one per (mult, hat) pair of
+    full-lattice arrays, formed on the half lattice into one stack and
+    inverse-transformed in one ifft_real call."""
+    half = grid.half
+    stack = np.empty((len(pairs),) + grid.half_shape, dtype=np.complex128)
+    for (mult, hat), dest in zip(pairs, stack):
+        np.multiply(mult[half], hat[half], out=dest)
+    return grid.ifft_real(stack)
+
+
+def _vv_values(state: FieldState) -> list[list[np.ndarray]]:
+    """Dealiased values of every v_j v_k, kept in the state's memo; the
+    products j <= k go through one product_hat and one ifft_real call."""
+    memo = state.memo
+    if "vv" not in memo:
+        grid = state.grid
+        vvals = field_values(state.v)
+        dim = len(vvals)
+        pairs = [(j, k) for j in range(dim) for k in range(j, dim)]
+        values = grid.ifft_real(grid.product_hat(np.stack([vvals[j] * vvals[k]
+                                                            for j, k in pairs])))
+        vv = [[None] * dim for _ in range(dim)]
+        for (j, k), jk in zip(pairs, values):
+            vv[j][k] = vv[k][j] = jk
+        memo["vv"] = vv
+    return memo["vv"]
 
 
 def _dot(fs, gs) -> np.ndarray:
@@ -145,11 +204,12 @@ def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
 
     The coefficients (zeta, v) come from the state; the argument is the
     (already Bessel-weighted) field the energy pairs against, and the
-    spectra returned are of S applied to it.  Each distinct spectral
-    operand is inverse-transformed once; the b = d variant reads the
-    argument's .values, so cached values cost no transform.  The products
-    that share an outer multiplier are summed in physical space before one
-    dealiased transform (dealiasing is linear).
+    spectra returned are of S applied to it.  The distinct spectral
+    operands go through one inverse transform (the b = d variant reads the
+    argument's .values, so cached values cost none), the dealiased v_j v_k
+    come from the state's memo, and the dealiased products go through one
+    forward transform.  The products that share an outer multiplier are
+    summed in physical space first (dealiasing is linear).
     """
     grid = state.grid
     p = state.params
@@ -158,45 +218,50 @@ def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
     gamma, eps, mu = p.gamma, p.epsilon, p.mu
     gg = gamma * (1.0 - gamma)
     omc = tab.one_minus_cmu
-    zvals = state.zeta.values
-    vvals = [c.values for c in state.v]
+    zvals, *vvals = field_values((state.zeta, *state.v))
     dims = range(grid.dim)
     z_hat, v_hat = arg_z.hat, [a.hat for a in arg_v]
 
     if variant == VARIANT_BD_EQUAL:
-        z_arg = arg_z.values
-        v_arg = [a.values for a in arg_v]
-        out_z = gg * omc * z_hat - eps * _product_full(grid, _dot(vvals, v_arg))
-        out_v = tuple(
-            tab.A * v_hat[j] - eps * _product_full(grid, zvals * v_arg[j] + vvals[j] * z_arg)
-            for j in dims)
+        z_arg, *v_arg = field_values((arg_z, *arg_v))
+        prod_z, *prod_v = _products_full(
+            grid, [_dot(vvals, v_arg)] + [zvals * v_arg[j] + vvals[j] * z_arg for j in dims])
+        out_z = gg * omc * z_hat - eps * prod_z
+        out_v = tuple(tab.A * v_hat[j] - eps * prod_v[j] for j in dims)
         return out_z, out_v
 
     # both remaining variants pair v with (1 - c mu Lap) arg and need v_j v_k
-    z_omc = grid.ifft_real(omc * z_hat)
-    v_omc = [grid.ifft_real(omc * a) for a in v_hat]
-    vv = _vv_values(grid, vvals)
+    vv = _vv_values(state)
 
     if variant == VARIANT_BD_DISTINCT:
         g = tab.g
-        v_g1 = [grid.ifft_real((g - 1.0) * a) for a in v_hat]
-        out_z = (gg * (gg * omc**2 * g * z_hat)
-                 - gg * eps * g * _product_full(grid, _dot(vvals, v_omc)))
+        z_omc, *ops = _operands(grid, [(omc, z_hat)] + [(omc, a) for a in v_hat]
+                                + [(g - 1.0, a) for a in v_hat])
+        v_omc, v_g1 = ops[:grid.dim], ops[grid.dim:]
+        prod_z, *prods = _products_full(
+            grid, [_dot(vvals, v_omc)]
+            + [eps**2 * _dot(vv[j], v_g1) - gg * eps * zvals * v_omc[j] for j in dims]
+            + [vvals[j] * z_omc for j in dims])
+        out_z = gg * (gg * omc**2 * g * z_hat) - gg * eps * g * prod_z
         out_v = tuple(
-            gg * (tab.A * omc * v_hat[j])
-            + _product_full(grid, eps**2 * _dot(vv[j], v_g1) - gg * eps * zvals * v_omc[j])
-            - gg * eps * g * _product_full(grid, vvals[j] * z_omc)
+            gg * (tab.A * omc * v_hat[j]) + prods[j] - gg * eps * g * prods[grid.dim + j]
             for j in dims)
         return out_z, out_v
 
     helm_d = tab.helmholtz_d
-    v_helm = [grid.ifft_real(helm_d * a) for a in v_hat]
-    v_lap = [grid.ifft_real(grid.abs2_xi * a) for a in v_hat]  # -Lap arg_v
-    out_z = gg * (gg * omc**2 * z_hat) - gg * eps * _product_full(grid, _dot(vvals, v_omc))
+    # v_lap is -Lap arg_v
+    z_omc, *ops = _operands(grid, [(omc, z_hat)] + [(omc, a) for a in v_hat]
+                            + [(helm_d, a) for a in v_hat]
+                            + [(grid.abs2_xi, a) for a in v_hat])
+    v_omc, v_helm, v_lap = (ops[i * grid.dim:(i + 1) * grid.dim] for i in range(3))
+    prod_z, *prods = _products_full(
+        grid, [_dot(vvals, v_omc)]
+        + [zvals * v_helm[j] for j in dims]
+        + [gg * eps * vvals[j] * z_omc + p.d * eps**2 * mu * _dot(vv[j], v_lap)
+           for j in dims])
+    out_z = gg * (gg * omc**2 * z_hat) - gg * eps * prod_z
     out_v = tuple(
-        gg * omc * (tab.A * (helm_d * v_hat[j]) - eps * _product_full(grid, zvals * v_helm[j]))
-        - _product_full(grid, gg * eps * vvals[j] * z_omc
-                        + p.d * eps**2 * mu * _dot(vv[j], v_lap))
+        gg * omc * (tab.A * (helm_d * v_hat[j]) - eps * prods[j]) - prods[grid.dim + j]
         for j in dims)
     return out_z, out_v
 
@@ -211,14 +276,8 @@ def energy_Es(state: FieldState, s: float, case: CaseClass | None = None) -> flo
         case = classify_case(state.params)
     grid = state.grid
     tab = symbol_table(grid, state.params)
-    if s == 0.0:
-        # Lam^0 = 1: the state's own fields, so their cached values serve
-        arg_z, arg_v = state.zeta, state.v
-    else:
-        lam = bessel_weight(grid, s)
-        arg_z = SpectralField(grid, hat=lam * state.zeta.hat)
-        arg_v = tuple(SpectralField(grid, hat=lam * c.hat) for c in state.v)
-    s_z, s_v = symmetrizer_apply(state, arg_z, arg_v, case.variant)
+    arg_z, *arg_v = _bessel_fields(state, s)
+    s_z, s_v = symmetrizer_apply(state, arg_z, tuple(arg_v), case.variant)
 
     weight = tab.helmholtz_d if case.variant == VARIANT_B_ZERO else tab.helmholtz_b
     total = _pair(grid, weight, arg_z.hat, s_z)
@@ -248,9 +307,9 @@ def calE_s(state: FieldState, s: float, case: CaseClass | None = None) -> float:
     """Reference energy ||zeta||^2_{X^s_{mu^k}} + ||v||^2_{X^s_{mu^k'}}."""
     if case is None:
         case = classify_case(state.params)
-    mu = state.params.mu
-    out = x_norm(state.zeta, s, case.k, mu) ** 2
-    out += sum(x_norm(c, s, case.k_prime, mu) ** 2 for c in state.v)
+    z_norm, v_norms = _x_norms(state, s, case.k, case.k_prime)
+    out = z_norm**2
+    out += sum(n**2 for n in v_norms)
     return out
 
 
@@ -269,8 +328,9 @@ def hamiltonian(state: FieldState) -> float:
     tab = symbol_table(grid, p)
     gamma = p.gamma
 
-    total = (1.0 - gamma) * grid.spectral_l2_sq(state.zeta.hat, weight=tab.one_minus_cmu)
-    total += sum(grid.spectral_l2_sq(c.hat, weight=tab.A) for c in state.v) / gamma
+    z_abs2, *v_abs2 = _abs2(state)
+    total = (1.0 - gamma) * grid.abs2_l2_sq(z_abs2, tab.one_minus_cmu)
+    total += sum(grid.abs2_l2_sq(a, tab.A) for a in v_abs2) / gamma
     if p.epsilon != 0.0:
         vsq = sum(c.values**2 for c in state.v)
         vsq_d = grid.ifft_real(grid.product_hat(vsq))
@@ -290,11 +350,12 @@ def variational_gradients(state: FieldState):
     dv = [linear_v * c.hat for c in state.v]
 
     if p.epsilon != 0.0:
-        vsq = sum(c.values**2 for c in state.v)
-        dz = dz - p.epsilon / (2.0 * gamma) * _product_full(grid, vsq)
-        zvals = state.zeta.values
-        for j, comp in enumerate(state.v):
-            dv[j] = dv[j] - p.epsilon / gamma * _product_full(grid, zvals * comp.values)
+        zvals, *vvals = field_values((state.zeta, *state.v))
+        prod_vsq, *prod_zv = _products_full(
+            grid, [sum(c**2 for c in vvals)] + [zvals * c for c in vvals])
+        dz = dz - p.epsilon / (2.0 * gamma) * prod_vsq
+        for j, prod in enumerate(prod_zv):
+            dv[j] = dv[j] - p.epsilon / gamma * prod
     return dz, tuple(dv)
 
 
@@ -337,13 +398,13 @@ def hamiltonian_coercivity_form(state: FieldState) -> float:
     + 2*mu*(1 - eps*||zeta||^2)||grad v||^2 used to gauge H's positivity."""
     grid = state.grid
     p = state.params
-    zhat = state.zeta.hat
-    z_l2 = grid.spectral_l2_sq(zhat)
-    out = z_l2 + p.mu * grid.spectral_l2_sq(zhat, weight=grid.abs2_xi)
+    z_abs2, *v_abs2 = _abs2(state)
+    z_l2 = grid.abs2_l2_sq(z_abs2)
+    out = z_l2 + p.mu * grid.abs2_l2_sq(z_abs2, grid.abs2_xi)
     grad_v = 0.0
-    for c in state.v:
-        out += grid.spectral_l2_sq(c.hat)
-        grad_v += grid.spectral_l2_sq(c.hat, weight=grid.abs2_xi)
+    for a in v_abs2:
+        out += grid.abs2_l2_sq(a)
+        grad_v += grid.abs2_l2_sq(a, grid.abs2_xi)
     out += 2.0 * p.mu * (1.0 - p.epsilon * z_l2) * grad_v
     return out
 
@@ -366,6 +427,6 @@ def energy_report(state: FieldState, s: float = 0.0,
     ratio = es / cal if cal > 0.0 else math.nan
     x0 = x_norm_state(state, 0.0, 1, 1)
     noncav = noncav_margin(state)
-    small = p.epsilon * state.grid.spectral_l2_sq(state.zeta.hat)
+    small = p.epsilon * state.grid.abs2_l2_sq(_abs2(state)[0])
     return EnergyReport(t=state.t, hamiltonian=ham, E_s=es, calE_s=cal,
                         ratio=ratio, x0_norm=x0, noncav=noncav, smallness=small)

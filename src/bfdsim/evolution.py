@@ -382,18 +382,41 @@ def _require_on_band(diag: DiagState) -> None:
     the rest from Z+(-xi) = conj Z-(xi), so it evolves extend_band of
     their bands.  The movers must equal that to BAND_TOL relative in
     spectral L2: content off the band (where it is 0) or off the pairing
-    raises ParameterDomainError."""
+    raises ParameterDomainError.
+
+    The check reads the movers block by block and makes no full-lattice
+    array: the partner, mirrored where extend_band puts it (the columns
+    k_1 = -n_1/3..-1 of the kept rows, and in 2D the rows k_0 < 0 of
+    column 0), against the mover there; and |Z|^2 summed over the kept
+    rows and over the rows between them, which are all off the band.
+    """
     grid = diag.grid
-    Zp, Zm = diag.Zp_hat, diag.Zm_hat
-    bp, bm = grid.band(Zp), grid.band(Zm)
-    kept = grid.dealias_mask
+    n1, c = grid.n[-1], grid.band_shape[-1]
+    tail = slice(n1 - c + 1, None)
+    # the columns c..n1-c off the band, as (re, im) pairs of floats
+    off_cols = slice(2 * c, 2 * (n1 - c + 1))
     unpaired = off_band = total = 0.0
-    for Z, seen in ((Zp, grid.extend_band(bp, bm)), (Zm, grid.extend_band(bm, bp))):
-        miss = np.abs(np.subtract(Z, seen, out=seen))
-        miss *= miss
-        unpaired += float(np.sum(miss[kept]))
-        off_band += float(np.sum(miss[~kept]))
-        total += float(np.sum(Z.real**2 + Z.imag**2))
+    for Z, P in ((diag.Zp_hat, diag.Zm_hat), (diag.Zm_hat, diag.Zp_hat)):
+        re_im = np.ascontiguousarray(Z).view(np.float64)
+        if grid.dim == 1:
+            mirrored = ((Z[tail], P[c - 1:0:-1]),)
+            rows = ((re_im, True),)
+        else:
+            k, n0 = grid.n[0] // 3, grid.n[0]
+            mirrored = ((Z[0, tail], P[0, c - 1:0:-1]),
+                        (Z[1:k + 1, tail], P[n0 - 1:n0 - k - 1:-1, c - 1:0:-1]),
+                        (Z[n0 - k:, tail], P[k:0:-1, c - 1:0:-1]),
+                        (Z[n0 - k:, 0], P[k:0:-1, 0]))
+            rows = ((re_im[:k + 1], True), (re_im[k + 1:n0 - k], False),
+                    (re_im[n0 - k:], True))
+        for z, partner in mirrored:
+            miss = np.abs(z - np.conjugate(partner))
+            miss *= miss
+            unpaired += float(np.sum(miss))
+        for x, kept in rows:
+            sq = _sq_sum(x)
+            total += sq
+            off_band += _sq_sum(x[..., off_cols]) if kept else sq
     if unpaired + off_band > BAND_TOL**2 * total:
         raise ParameterDomainError(
             f"the movers miss Z+(-xi) = conj Z-(xi) by "
@@ -401,6 +424,13 @@ def _require_on_band(diag: DiagState) -> None:
             f"{math.sqrt(off_band / total):.3e} off the two-thirds band, relative "
             f"in spectral L2 (limit {BAND_TOL:g} for both together); build "
             f"them with diagonalize from a dealiased state (bfdsim.dealias)")
+
+
+def _sq_sum(x: np.ndarray) -> float:
+    """Sum of the squares of a real array, with no temporary array
+    (np.einsum calls no BLAS)."""
+    axes = "ij"[:x.ndim]
+    return float(np.einsum(f"{axes},{axes}->", x, x))
 
 
 def default_dt(state: FieldState) -> float:

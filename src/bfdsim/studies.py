@@ -285,8 +285,9 @@ def _equivalence_ratios(cfg: RunConfig, i: int, points, s: float) -> list[float]
     """E_s/calE_s of random state i at every (params, case) point.
 
     The draw depends on neither epsilon nor mu, so each state is drawn once
-    and scored at every point; the fields are shared, so their values are
-    transformed once too.
+    and scored at every point.  The point states come from with_params, so
+    they share the fields and the memo: the values, the |hat|^2 and the
+    dealiased v_j v_k are formed once per state.
     """
     state = make_initial_state(cfg.grid, cfg.params, profile="random_bandlimited",
                                amplitude=cfg.amplitude,
@@ -297,11 +298,9 @@ def _equivalence_ratios(cfg: RunConfig, i: int, points, s: float) -> list[float]
     mix = np.random.default_rng(cfg.seed + 1000 * i + 7)
     weight = 10.0 ** mix.uniform(-2.0, 2.0)
     v = tuple(SpectralField(state.grid, hat=weight * vj.hat) for vj in state.v)
-    ratios = []
-    for params, case in points:
-        point_state = FieldState(t=state.t, zeta=state.zeta, v=v, params=params)
-        ratios.append(equivalence_ratio(point_state, s, case)[0])
-    return ratios
+    state = FieldState(t=state.t, zeta=state.zeta, v=v, params=state.params)
+    return [equivalence_ratio(state.with_params(params), s, case)[0]
+            for params, case in points]
 
 
 def equivalence_spread_monotone(records: list[EquivalenceRecord],

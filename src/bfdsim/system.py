@@ -15,7 +15,7 @@ i S M Hermitian; three S families cover b = d, b != d with b > 0, and b = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -34,12 +34,25 @@ from .symbols import SymbolTable, multipliers, symbol_table
 
 @dataclass
 class FieldState:
-    """Surface displacement and layer-mean velocity at one instant."""
+    """Surface displacement and layer-mean velocity at one instant.
+
+    memo holds what the energy layer derives from the fields alone, not
+    from t or params: the |hat|^2 of zeta and of each v_j, the dealiased
+    values of every v_j v_k, and per s the Bessel-weighted fields Lam^s
+    zeta, Lam^s v_j with their values (see bfdsim.energy).  Each entry is
+    filled on first use and read everywhere after.  That is sound because
+    a state's fields are never reassigned and their arrays never mutated
+    in place (the SpectralField contract): other fields make another
+    FieldState, whose memo starts empty, and copy() starts one too.
+    with_params keeps the fields, so it shares the memo: the points of the
+    equivalence sweep score one state through it.
+    """
 
     t: float
     zeta: SpectralField
     v: tuple[SpectralField, ...]
     params: ModelParams
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.v, tuple):
@@ -57,6 +70,12 @@ class FieldState:
     @property
     def dim(self) -> int:
         return self.grid.dim
+
+    def with_params(self, params: ModelParams) -> "FieldState":
+        """The same instant and fields under other parameters, sharing the memo."""
+        out = FieldState(t=self.t, zeta=self.zeta, v=self.v, params=params)
+        out.memo = self.memo
+        return out
 
     def copy(self) -> "FieldState":
         return FieldState(t=self.t, zeta=self.zeta.copy(),

@@ -1,5 +1,6 @@
 """Tests for norms, symmetrizer energies, and the conserved functional."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,8 @@ from bfdsim.energy import (
 )
 from bfdsim.spectral import TWO_PI
 from bfdsim.symbols import symbol_table
+
+import symmetrizer_oracle
 
 
 def _params(**kw):
@@ -378,6 +381,78 @@ def test_symmetrizer_apply_is_the_frozen_symmetrizer(b, d):
         S = frozen_symbol_matrices(xi, zbar, vbar, p, variant=variant).S
         want[(slice(None),) + idx] = S @ args[(slice(None),) + idx]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _oracle_inputs(grid: GridSpec, p: ModelParams, seed: int):
+    """Spectra of a random state and of a Bessel-weighted argument; the
+    fields are built from them afresh for each side of a comparison."""
+    state = make_initial_state(grid, p, profile="random_bandlimited", amplitude=0.3,
+                               seed=seed, velocity="random")
+    spectra = [f.hat for f in (state.zeta, *state.v)]
+    lam = bessel_weight(grid, 1.5)
+    return spectra, [lam * h for h in spectra]
+
+
+def _fields(grid: GridSpec, spectra):
+    return [SpectralField(grid, hat=h) for h in spectra]
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("b, d", [(5.0 / 24.0, 5.0 / 24.0), (0.25, 1.0 / 6.0),
+                                  (0.0, 1.0 / 6.0)], ids=["b=d", "b!=d", "b=0"])
+def test_symmetrizer_apply_equals_the_per_field_oracle_bitwise(n, b, d):
+    """The stacked symmetrizer (one inverse transform of its operands, one
+    forward transform of its products, v_j v_k from the memo) equals the
+    one-call-per-field oracle bitwise, at 32^2 (stacked calls) and 128^2
+    (one call per field of a stack), on a fresh state and again on the
+    same state with its memo filled."""
+    grid = GridSpec.square(n, TWO_PI, dim=2)
+    p = _params(epsilon=0.2, b=b, d=d)
+    variant = classify_case(p).variant
+    spectra, args = _oracle_inputs(grid, p, n)
+    zeta, *v = _fields(grid, spectra)
+    oracle_state = FieldState(t=0.0, zeta=zeta, v=tuple(v), params=p)
+    arg_z, *arg_v = _fields(grid, args)
+    want = symmetrizer_oracle.symmetrizer_apply(oracle_state, arg_z, tuple(arg_v), variant)
+    zeta, *v = _fields(grid, spectra)
+    state = FieldState(t=0.0, zeta=zeta, v=tuple(v), params=p)
+    for _ in range(2):
+        arg_z, *arg_v = _fields(grid, args)
+        s_z, s_v = symmetrizer_apply(state, arg_z, tuple(arg_v), variant)
+        for got, w in zip((s_z, *s_v), (want[0], *want[1])):
+            assert np.array_equal(got, w)
+
+
+def test_with_params_shares_the_memo_and_other_fields_do_not():
+    """A with_params state keeps the fields and the memo, so the v_j v_k,
+    the |hat|^2 and the Bessel-weighted fields that one point forms serve
+    the next; a state with other v, a copy, or a dataclasses.replace of
+    another field starts empty."""
+    grid = GridSpec.square(16, TWO_PI, dim=2)
+    p = _params(epsilon=0.2, b=0.25, d=1.0 / 6.0)
+    state = make_initial_state(grid, p, profile="random_bandlimited", amplitude=0.3,
+                               seed=4, velocity="random")
+    point = state.with_params(p.replace(epsilon=0.1, mu=0.05))
+    assert point.memo is state.memo
+    assert point.zeta is state.zeta and point.v is state.v and point.t == state.t
+    energy_Es(point, 1.5)
+    assert set(state.memo) == {"vv", ("bessel", 1.5)}
+    calE_s(state, 1.5)
+    assert set(point.memo) == {"vv", ("bessel", 1.5), "abs2"}
+    filled = dict(state.memo)
+    vv = filled["vv"]
+    energy_report(point, s=1.5)
+    assert state.memo.keys() == filled.keys()
+    assert all(state.memo[k] is v for k, v in filled.items())
+
+    doubled = FieldState(t=state.t, zeta=state.zeta, v=tuple(2.0 * c for c in state.v),
+                         params=p)
+    others = (doubled, state.copy(), dataclasses.replace(state, t=1.0))
+    for other in others:
+        assert other.memo is not state.memo and other.memo == {}
+    energy_Es(doubled, 1.5)
+    np.testing.assert_allclose(doubled.memo["vv"][0][1], 4.0 * vv[0][1],
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_equivalence_ratio_zero_state_is_nan():

@@ -471,6 +471,73 @@ def test_step_rejects_the_diagonalize_output_of_an_undealiased_state():
             step_exponential(diag, 0.05)
 
 
+def _band_check_oracle(diag: DiagState):
+    """(unpaired, off_band, total) of the band check, read off the full
+    lattice: each mover against extend_band of the two bands."""
+    grid = diag.grid
+    Zp, Zm = diag.Zp_hat, diag.Zm_hat
+    bp, bm = grid.band(Zp), grid.band(Zm)
+    kept = grid.dealias_mask
+    unpaired = off_band = total = 0.0
+    for Z, seen in ((Zp, grid.extend_band(bp, bm)), (Zm, grid.extend_band(bm, bp))):
+        miss = np.abs(Z - seen) ** 2
+        unpaired += float(np.sum(miss[kept]))
+        off_band += float(np.sum(miss[~kept]))
+        total += float(np.sum(np.abs(Z) ** 2))
+    return unpaired, off_band, total
+
+
+def _band_check_cases(grid: GridSpec):
+    """Movers the band check must accept or reject, by name: a diagonalize
+    output, and copies of it moved off the pairing or off the band, far
+    from the limit and close to it (1e-13 and 1e-11 relative)."""
+    diag = diagonalize(_random_state(grid, _params(), 8, scale=0.5))
+    scale = math.sqrt(float(np.sum(np.abs(diag.Zp_hat) ** 2 + np.abs(diag.Zm_hat) ** 2)))
+    c, k = grid.band_shape[-1], grid.n[0] // 3
+    mirrored = (-2, -(c - 1)) if grid.dim == 2 else (-(c - 1),)
+    past_band = (k + 1, 1) if grid.dim == 2 else (c,)
+    between_rows = (grid.n[0] // 2, 0) if grid.dim == 2 else (grid.n[0] // 2,)
+    column0 = (-k, 0) if grid.dim == 2 else (0,)
+    yield "paired", diag
+    for where in (mirrored, past_band, between_rows, column0):
+        for rel in (1.0, 1e-11, 1e-13):
+            Zp = diag.Zp_hat.copy()
+            Zp[where] += rel * scale
+            yield f"{where} {rel:g}", dataclasses.replace(diag, Zp_hat=Zp)
+
+
+@pytest.mark.parametrize("n", [(64,), (16, 16), (24, 18)], ids=str)
+def test_band_check_matches_the_full_lattice_check(n):
+    """The band check reads the movers block by block.  It accepts and
+    rejects what the full-lattice reading does, and reports the same
+    defects to the printed digits."""
+    grid = GridSpec(n=n, length=(TWO_PI,) * len(n))
+    for name, diag in _band_check_cases(grid):
+        unpaired, off_band, total = _band_check_oracle(diag)
+        if unpaired + off_band <= evolution.BAND_TOL**2 * total:
+            evolution._require_on_band(diag)
+            continue
+        with pytest.raises(ParameterDomainError) as err:
+            evolution._require_on_band(diag)
+        assert (f"by {math.sqrt(unpaired / total):.3e} and carry "
+                f"{math.sqrt(off_band / total):.3e} off") in str(err.value), name
+
+
+def test_band_check_allocates_less_than_one_full_lattice_array():
+    """At 256^2 the check of a diagonalize output peaks below one
+    full-lattice complex array (1 MiB) of traced allocation."""
+    grid = GridSpec.square(256, TWO_PI, dim=2)
+    diag = diagonalize(_random_state(grid, _params(), 3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evolution._require_on_band(diag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < grid.npoints * np.dtype(np.complex128).itemsize
+
+
 def test_rotation_frozen_nonlinearly():
     """W = |D|^-1 curl v never moves: bitwise under IF-RK4, to roundoff
     under the classical RK4 oracle."""

@@ -17,7 +17,14 @@ from bfdsim import (
     variational_check,
 )
 from bfdsim.errors import GridMismatchError
-from bfdsim.spectral import TWO_PI, dealias, divergence, gradient
+from bfdsim.spectral import (
+    STACK_MAX_POINTS,
+    TWO_PI,
+    dealias,
+    divergence,
+    field_values,
+    gradient,
+)
 
 
 def _grid2(n=32, length=TWO_PI):
@@ -402,3 +409,45 @@ def test_cross_grid_arithmetic_rejected():
     h = _random_field(_grid2(16), 13)
     with pytest.raises(GridMismatchError):
         _ = f + h
+
+
+# ---------------------------------------------------------------------------
+# Stacked transforms
+# ---------------------------------------------------------------------------
+
+# both sides of STACK_MAX_POINTS (64^2), in 2D and 1D
+STACK_GRIDS = [GridSpec.square(n, TWO_PI, dim=2) for n in (16, 32, 64, 128, 256)]
+STACK_GRIDS += [GridSpec.square(n, TWO_PI, dim=1) for n in (64, 4096, 8192)]
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
+def test_stacked_transforms_equal_per_field_calls_bitwise(grid):
+    """ifft_real and product_hat of a stack (one leading axis), one call
+    at most STACK_MAX_POINTS points and one call per field above it, equal
+    per-field calls bitwise, for stacks of full and of half spectra."""
+    assert {g.npoints <= STACK_MAX_POINTS for g in STACK_GRIDS} == {True, False}
+    rng = np.random.default_rng(grid.npoints)
+    values = rng.standard_normal((3,) + grid.n)
+    hats = grid.product_hat(values)
+    assert hats.shape == (3,) + grid.half_shape
+    for field, hat in zip(values, hats):
+        assert np.array_equal(hat, grid.product_hat(field))
+    full = np.stack([grid.extend_half(h, h) for h in hats])
+    for stack in (hats, full):
+        got = grid.ifft_real(stack)
+        assert got.shape == (3,) + grid.n and got.dtype == np.float64
+        for one, hat in zip(got, stack):
+            assert np.array_equal(one, grid.ifft_real(hat))
+
+
+def test_field_values_fills_the_uncached_fields_bitwise():
+    """field_values fills the uncached fields' values in one stacked call,
+    bitwise what .values gives, and leaves cached values as they are."""
+    grid = _grid2(16)
+    cached = SpectralField.from_real(grid, np.cos(grid.x_mesh[0]))
+    fresh = [SpectralField(grid, hat=_random_field(grid, s).hat) for s in (1, 2)]
+    want = [grid.ifft_real(f.hat) for f in fresh]
+    got = field_values([cached, *fresh])
+    assert got[0] is cached.values
+    for g, w, f in zip(got[1:], want, fresh):
+        assert np.array_equal(g, w) and g is f.values

@@ -414,6 +414,76 @@ def test_equivalence_draws_each_state_once(monkeypatch):
     assert calls == {"draw": 4, "ratio": 4 * 9}
 
 
+@pytest.mark.parametrize("coeffs", [dict(b=0.25, d=1.0 / 6.0), dict(b=0.0, d=5.0 / 24.0)],
+                         ids=["case1", "case5"])
+def test_equivalence_forms_the_vv_products_once_per_state(monkeypatch, coeffs):
+    """One state scored at the 9 points of a sweep forms each v_j v_k once:
+    one rfftn input holds it and one irfftn output holds its dealiased
+    values, though the two symmetrizer variants that read v_j v_k (b != d
+    and b = 0) read them at every point.  The last point's transforms are
+    one stacked rfftn (its products) and one stacked irfftn (its
+    operands)."""
+    grid = GridSpec.square(16, TWO_PI, dim=2)
+    inputs, outputs, states = [], [], []
+    rfftn, irfftn, inner = np.fft.rfftn, np.fft.irfftn, studies.equivalence_ratio
+
+    def forward(a, *args, **kw):
+        inputs.append(np.array(a, copy=True))
+        return rfftn(a, *args, **kw)
+
+    def inverse(a, *args, **kw):
+        out = irfftn(a, *args, **kw)
+        outputs.append(out.copy())
+        return out
+
+    def probe(state, *args, **kw):
+        states.append(state)
+        return inner(state, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "rfftn", forward)
+    monkeypatch.setattr(np.fft, "irfftn", inverse)
+    monkeypatch.setattr(studies, "equivalence_ratio", probe)
+    equivalence_study(_sweep_3x3(params=_params(gamma=0.5, **coeffs), num_states=1))
+    monkeypatch.undo()
+    assert len(states) == 9
+
+    def fields(arrays):
+        return [f for a in arrays for f in a.reshape((-1,) + grid.n)]
+
+    v = [c.values for c in states[0].v]
+    for j, k in ((0, 0), (0, 1), (1, 1)):
+        product = v[j] * v[k]
+        dealiased = grid.ifft_real(grid.product_hat(product))
+        assert sum(np.array_equal(f, product) for f in fields(inputs)) == 1
+        assert sum(np.array_equal(f, dealiased) for f in fields(outputs)) == 1
+    # the draw's own transforms come first; the last point's are its two
+    assert len(inputs[-1]) > 1 and len(outputs[-1]) > 1
+
+
+@pytest.mark.parametrize("coeffs", [dict(b=0.25, d=1.0 / 6.0), dict(b=0.25, d=0.25),
+                                    dict(b=0.0, d=5.0 / 24.0), dict(b=0.0, d=0.0)],
+                         ids=["case1", "case2", "case5", "case7"])
+def test_equivalence_on_four_threads_is_the_serial_study_bitwise(monkeypatch, coeffs):
+    """Each state's memo is filled and read by its own job, so BFD_THREADS=4
+    (more threads than cores, switching often) gives the serial records
+    bitwise, in every symmetrizer variant."""
+    def bits(records):
+        return [(r.epsilon, r.mu, r.case_id, r.ratio_min.hex(), r.ratio_max.hex())
+                for r in records]
+
+    cfg = _sweep_3x3(params=_params(gamma=0.5, **coeffs), num_states=8, amplitude=0.5)
+    monkeypatch.setenv("BFD_THREADS", "1")
+    serial = equivalence_study(cfg)
+    monkeypatch.setenv("BFD_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = equivalence_study(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert bits(threaded) == bits(serial)
+
+
 # (case, epsilon, mu, ratio_min, ratio_max) of a 16^2 sweep, 5 states,
 # amplitude 0.5, seed 42, taken when each point drew its own states
 PINNED_EQUIVALENCE = [
