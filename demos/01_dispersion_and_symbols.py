@@ -26,14 +26,14 @@ def main():
     grid = GridSpec.square(256, 2.0 * np.pi, dim=1)
     tab = symbol_table(grid, params)
 
-    sigma = np.broadcast_to(np.asarray(tab.sigma), grid.n)
-    omega = np.broadcast_to(np.asarray(tab.Omega), grid.n)
+    sigma = np.broadcast_to(np.asarray(tab.sigma), grid.half_shape)
+    omega = np.broadcast_to(np.asarray(tab.Omega), grid.half_shape)
     xi = grid.abs_xi
 
     print("dispersion multipliers at gamma=%.1f, mu=%.2f, mu2=%.0f"
           % (params.gamma, params.mu, params.mu2))
     print(f"{'xi':>6} {'sigma':>12} {'A':>12} {'Omega':>12} {'Omega/xi':>12}")
-    A = np.broadcast_to(np.asarray(tab.A), grid.n)
+    A = np.broadcast_to(np.asarray(tab.A), grid.half_shape)
     for k in (0, 1, 2, 4, 8, 16, 32, 64, 127):
         speed = omega[k] / xi[k] if xi[k] > 0 else float("nan")
         print(f"{xi[k]:6.1f} {sigma[k]:12.6f} {A[k]:12.6f} "
@@ -45,7 +45,7 @@ def main():
     assert np.all(sigma >= np.maximum(1.0, s))
     print("\nsigma(0) = 1 and sigma >= max(1, sqrt(mu2)|xi|) at every mode")
 
-    lam = np.broadcast_to(np.asarray(tab.lambda_plus), grid.n)
+    lam = np.broadcast_to(np.asarray(tab.lambda_plus), grid.half_shape)
     print("max |Re lambda_plus| =", float(np.max(np.abs(lam.real))),
           "(purely imaginary spectrum)")
 

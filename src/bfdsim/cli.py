@@ -130,8 +130,8 @@ def _cmd_symbols(cfg: RunConfig) -> int:
     table = symbol_table(grid, cfg.params)
 
     def ray(arr: np.ndarray) -> np.ndarray:
-        full = np.broadcast_to(np.asarray(arr), grid.n)
-        return full[:, 0] if grid.dim == 2 else full
+        half = np.broadcast_to(np.asarray(arr), grid.half_shape)
+        return half[:, 0] if grid.dim == 2 else half
 
     xi1 = ray(grid.xi_mesh[0])
     keep = xi1 >= 0.0

@@ -7,9 +7,10 @@ weights are cached per (grid, s, k, mu) by sobolev_weight.  The
 symmetrizer energy E_s pairs the Helmholtz-weighted state against the
 symmetrizer applied to it, with every operator chain evaluated exactly as
 displayed (multipliers in spectral space, coefficient multiplications
-pointwise with two-thirds dealiasing after each product).  Every product
-here, as in the mover forcing, goes through GridSpec.product_hat on the
-rfftn half lattice; a full spectrum is rebuilt with GridSpec.extend_half.
+pointwise with two-thirds dealiasing after each product).  Every spectrum
+here lives on the rfftn half lattice, and every product, as in the mover
+forcing, goes through GridSpec.product_hat.  Sums over the lattice weigh
+its columns the Hermitian way (GridSpec.hermitian_sum).
 Each symmetrizer variant stacks its operands into one inverse transform
 and its products into one forward transform (GridSpec.ifft_real and
 product_hat take stacks).  What depends on the fields alone, the |hat|^2
@@ -46,7 +47,8 @@ from .system import FieldState, noncav_margin, rhs_hat
 REPORT_COLUMNS = ("t", "hamiltonian", "E_s", "calE_s", "ratio",
                   "x0_norm", "noncav", "smallness")
 
-# relative imaginary residue allowed in the E_s pairing before it is an error
+# relative imaginary residue allowed in the E_s pairing before it is an error;
+# on the half lattice it arises in the self-conjugate columns (see _pair)
 PAIRING_IMAG_TOL = 1e-10
 
 
@@ -72,12 +74,12 @@ def csv_header() -> str:
 
 
 def sobolev_weight(grid: GridSpec, s: float, k: int, mu: float) -> np.ndarray:
-    """Weight of the X^s_{mu^k} norm on the full lattice.
+    """Weight of the X^s_{mu^k} norm on the half lattice.
 
     (1 + |xi|^2)^s (1 + mu^k |xi|^{2k}), and (1 + |xi|^2)^s alone at k = 0,
     where mu is ignored.  Read-only and cached: _weight_cache keeps the 8
-    most recent (grid, s, k, mu), one float64 grid array of 8*npoints
-    bytes each (32 KiB at 64^2, 512 KiB at 256^2, 8 MiB at 1024^2).
+    most recent (grid, s, k, mu), one float64 half-lattice array each
+    (17 KiB at 64^2, 258 KiB at 256^2, 4 MiB at 1024^2).
     """
     return _weight_cache(grid, s, k, mu if k > 0 else 0.0)
 
@@ -145,19 +147,12 @@ def _x_norms(state: FieldState, s: float, k: int, k_prime: int):
             [math.sqrt(grid.abs2_l2_sq(a, v_weight)) for a in v_abs2])
 
 
-def _products_full(grid: GridSpec, values) -> list[np.ndarray]:
-    """Full dealiased spectra of real products, all in one product_hat call."""
-    return [grid.extend_half(hat, hat) for hat in grid.product_hat(np.stack(values))]
-
-
 def _operands(grid: GridSpec, pairs) -> np.ndarray:
-    """Real values of the spectra mult * hat, one per (mult, hat) pair of
-    full-lattice arrays, formed on the half lattice into one stack and
-    inverse-transformed in one ifft_real call."""
-    half = grid.half
+    """Real values of the spectra mult * hat, one per (mult, hat) pair,
+    formed into one stack and inverse-transformed in one ifft_real call."""
     stack = np.empty((len(pairs),) + grid.half_shape, dtype=np.complex128)
     for (mult, hat), dest in zip(pairs, stack):
-        np.multiply(mult[half], hat[half], out=dest)
+        np.multiply(mult, hat, out=dest)
     return grid.ifft_real(stack)
 
 
@@ -186,16 +181,24 @@ def _dot(fs, gs) -> np.ndarray:
 
 def _pair(grid: GridSpec, weight: np.ndarray, f_hat: np.ndarray, g_hat: np.ndarray) -> complex:
     """L2 pairing (W f | g) of two (nominally real) fields from their
-    spectra, W the real multiplier weight.
+    half-lattice spectra, W the real multiplier weight, even in xi.
 
-    It sums conj(W f_hat) g_hat in the one array that W f_hat needs
-    anyway, and conjugates the sum: numpy's vdot goes through BLAS, whose
-    thread hand-off at the default thread count costs more than the sum.
+    It forms conj(W f_hat) g_hat in the one array that W f_hat needs
+    anyway (numpy's vdot goes through BLAS, whose thread hand-off at the
+    default thread count costs more than the sum).  The real part of the
+    pairing is the Hermitian-weighted sum of its real part.  Its imaginary
+    part cancels between each mode and its mirror image, so on the half
+    lattice it can arise only in the self-conjugate columns 0 and n/2,
+    which hold both: it is the (conjugated) sum there, the residue that
+    energy_Es checks.
     """
     prod = np.multiply(weight, f_hat)
     np.conjugate(prod, out=prod)
     prod *= g_hat
-    return grid.cell_volume / grid.npoints * complex(prod.sum()).conjugate()
+    # the self-conjugate columns count once in the real part (hermitian_sum)
+    edges = complex(prod[..., ::grid.n[-1] // 2].sum())
+    total = 2.0 * float(prod.real.sum()) - edges.real
+    return grid.cell_volume / grid.npoints * complex(total, -edges.imag)
 
 
 def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
@@ -204,12 +207,13 @@ def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
 
     The coefficients (zeta, v) come from the state; the argument is the
     (already Bessel-weighted) field the energy pairs against, and the
-    spectra returned are of S applied to it.  The distinct spectral
-    operands go through one inverse transform (the b = d variant reads the
-    argument's .values, so cached values cost none), the dealiased v_j v_k
-    come from the state's memo, and the dealiased products go through one
-    forward transform.  The products that share an outer multiplier are
-    summed in physical space first (dealiasing is linear).
+    half-lattice spectra returned are of S applied to it.  The distinct
+    spectral operands go through one inverse transform (the b = d variant
+    reads the argument's .values, so cached values cost none), the
+    dealiased v_j v_k come from the state's memo, and the dealiased
+    products go through one forward transform.  The products that share an
+    outer multiplier are summed in physical space first (dealiasing is
+    linear).
     """
     grid = state.grid
     p = state.params
@@ -224,8 +228,8 @@ def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
 
     if variant == VARIANT_BD_EQUAL:
         z_arg, *v_arg = field_values((arg_z, *arg_v))
-        prod_z, *prod_v = _products_full(
-            grid, [_dot(vvals, v_arg)] + [zvals * v_arg[j] + vvals[j] * z_arg for j in dims])
+        prod_z, *prod_v = grid.product_hat(np.stack(
+            [_dot(vvals, v_arg)] + [zvals * v_arg[j] + vvals[j] * z_arg for j in dims]))
         out_z = gg * omc * z_hat - eps * prod_z
         out_v = tuple(tab.A * v_hat[j] - eps * prod_v[j] for j in dims)
         return out_z, out_v
@@ -238,10 +242,10 @@ def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
         z_omc, *ops = _operands(grid, [(omc, z_hat)] + [(omc, a) for a in v_hat]
                                 + [(g - 1.0, a) for a in v_hat])
         v_omc, v_g1 = ops[:grid.dim], ops[grid.dim:]
-        prod_z, *prods = _products_full(
-            grid, [_dot(vvals, v_omc)]
+        prod_z, *prods = grid.product_hat(np.stack(
+            [_dot(vvals, v_omc)]
             + [eps**2 * _dot(vv[j], v_g1) - gg * eps * zvals * v_omc[j] for j in dims]
-            + [vvals[j] * z_omc for j in dims])
+            + [vvals[j] * z_omc for j in dims]))
         out_z = gg * (gg * omc**2 * g * z_hat) - gg * eps * g * prod_z
         out_v = tuple(
             gg * (tab.A * omc * v_hat[j]) + prods[j] - gg * eps * g * prods[grid.dim + j]
@@ -254,11 +258,11 @@ def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
                             + [(helm_d, a) for a in v_hat]
                             + [(grid.abs2_xi, a) for a in v_hat])
     v_omc, v_helm, v_lap = (ops[i * grid.dim:(i + 1) * grid.dim] for i in range(3))
-    prod_z, *prods = _products_full(
-        grid, [_dot(vvals, v_omc)]
+    prod_z, *prods = grid.product_hat(np.stack(
+        [_dot(vvals, v_omc)]
         + [zvals * v_helm[j] for j in dims]
         + [gg * eps * vvals[j] * z_omc + p.d * eps**2 * mu * _dot(vv[j], v_lap)
-           for j in dims])
+           for j in dims]))
     out_z = gg * (gg * omc**2 * z_hat) - gg * eps * prod_z
     out_v = tuple(
         gg * omc * (tab.A * (helm_d * v_hat[j]) - eps * prods[j]) - prods[grid.dim + j]
@@ -270,7 +274,11 @@ def energy_Es(state: FieldState, s: float, case: CaseClass | None = None) -> flo
     """Symmetrizer energy (W Lam^s V | S_V Lam^s V)_2 for the state's case.
 
     W is 1 - b*mu*Lap for the b = d and b != d formulations and
-    1 - d*mu*Lap for b = 0 (identity when the coefficient vanishes).
+    1 - d*mu*Lap for b = 0 (identity when the coefficient vanishes).  The
+    pairing of real fields is real.  An imaginary residue above
+    PAIRING_IMAG_TOL relative raises ArithmeticError; on the half lattice
+    it arises only in the self-conjugate columns, from a state whose
+    spectrum is not conjugate-symmetric there.
     """
     if case is None:
         case = classify_case(state.params)
@@ -339,7 +347,7 @@ def hamiltonian(state: FieldState) -> float:
 
 
 def variational_gradients(state: FieldState):
-    """Spectra of dH/dzeta and dH/dv at the state."""
+    """Half-lattice spectra of dH/dzeta and dH/dv at the state."""
     grid = state.grid
     p = state.params
     tab = symbol_table(grid, p)
@@ -351,8 +359,8 @@ def variational_gradients(state: FieldState):
 
     if p.epsilon != 0.0:
         zvals, *vvals = field_values((state.zeta, *state.v))
-        prod_vsq, *prod_zv = _products_full(
-            grid, [sum(c**2 for c in vvals)] + [zvals * c for c in vvals])
+        prod_vsq, *prod_zv = grid.product_hat(np.stack(
+            [sum(c**2 for c in vvals)] + [zvals * c for c in vvals]))
         dz = dz - p.epsilon / (2.0 * gamma) * prod_vsq
         for j, prod in enumerate(prod_zv):
             dv[j] = dv[j] - p.epsilon / gamma * prod
@@ -373,7 +381,7 @@ def variational_check(state: FieldState) -> float:
     gz, gv = variational_gradients(state)
 
     lhs1 = tab.helmholtz_b * dz_dt
-    rhs1 = np.zeros(grid.n, dtype=np.complex128)
+    rhs1 = np.zeros(grid.half_shape, dtype=np.complex128)
     for xi, comp in zip(grid.xi_mesh, gv):
         rhs1 -= 1j * xi * comp
 

@@ -7,17 +7,17 @@ dt Z+- = -(+-) i Omega_sys Z+- + f+- with Omega_sys(xi) =
 |xi| sqrt(omega1 omega2 g) (see bfdsim.symbols; g = 1 when b = d) and
 the quadratic forcing f+- written out at the stage kernel, _stage.  The
 one scheme is an integrating-factor RK4 whose linear part is the exact
-phase, so eps = 0 evolution is exact to roundoff.  At eps != 0 its
-lattice is the two-thirds band (GridSpec.band_shape: rows |k_0| <= n_0/3
-by columns 0..n_1/3 of the rfftn half lattice), which is all a stepped
-mover holds: Z+(-xi) = conj Z-(xi) gives the other half, and every
-product is truncated by the two-thirds rule, so the stages transform,
-multiply and sum 44 % of the half lattice at 256^2.  The step drops
-content off the band, so it rejects a state that carries any (evolve
-checks its start state, step_exponential any state it did not make).
-Each stage is one call of the stage kernel, which writes into the buffers
-of its thread's workspace (kept for the last grid shape stepped) and
-allocates nothing.  The xi = 0 modes decouple, are stored separately, and
+phase, so eps = 0 evolution is exact to roundoff.  The movers live on
+the rfftn half lattice, which with Z+(-xi) = conj Z-(xi) carries all of
+them.  At eps != 0 the stepper's lattice is the two-thirds band
+(GridSpec.band_shape: rows |k_0| <= n_0/3 by columns 0..n_1/3 of the half
+lattice), which is all a stepped mover holds: every product is truncated
+by the two-thirds rule, so the stages transform, multiply and sum 44 % of
+the half lattice at 256^2.  The step drops content off the band, so it
+rejects a state that carries any (evolve checks its start state,
+step_exponential any state it did not make).  Each stage is one call of
+the stage kernel, which writes into the buffers of its thread's workspace
+(kept for the last grid shape stepped) and allocates nothing.  The xi = 0 modes decouple, are stored separately, and
 are conserved bitwise.  Classical RK4 on the primitive equations
 (rhs_hat) and the half-lattice IF-RK4 stage live on only as test oracles.
 """
@@ -92,15 +92,17 @@ class DiagState:
     (zeta_hat(0), (v_hat(0), ...)).  W_hat is None in one dimension, where
     every field is a gradient.
 
-    The spectra are full-lattice arrays.  For a real state the movers pair
-    up as Z+(-xi) = conj Z-(xi), so the rfftn half lattice (grid.half)
-    carries all of them, and undiagonalize reads only that half.  At
-    eps != 0, step_exponential reads less: the two-thirds band
-    (grid.band), the stepper's lattice.  It runs the stage kernel on it in
-    the buffers of the thread's workspace and rebuilds the rest with
-    GridSpec.extend_band into fresh arrays, which are 0 off the band.  So
-    the movers of a returned state never alias a workspace buffer; its
-    W_hat is the input's own array, carried through frozen.
+    The spectra are rfftn half-lattice arrays (grid.half_shape), half the
+    size of the whole lattice.  For a real state the movers pair up as
+    Z+(-xi) = conj Z-(xi), so the half lattice carries all of them; both
+    xi and -xi lie on it only in the self-conjugate columns 0 and n/2,
+    where the pairing is a constraint.  At eps != 0, step_exponential
+    reads less: the two-thirds band (grid.band), the stepper's lattice.
+    It runs the stage kernel on it in the buffers of the thread's
+    workspace and scatters the result into fresh zeroed half-lattice
+    arrays, with column 0 paired (GridSpec.pair_columns).  So the movers of
+    a returned state never alias a workspace buffer; its W_hat is the
+    input's own array, carried through frozen.
 
     checked marks the outputs of step_exponential at eps != 0, paired and
     on the band by construction.  step_exponential checks any other state
@@ -127,7 +129,7 @@ def diagonalize(state: FieldState) -> DiagState:
 
     zhat = state.zeta.hat
     vhats = [c.hat for c in state.v]
-    proj = np.zeros(grid.n, dtype=np.complex128)
+    proj = np.zeros(grid.half_shape, dtype=np.complex128)
     for u, vh in zip(grid.unit_xi, vhats):
         proj += u * vh
     r = tab.ratio_sqrt
@@ -153,45 +155,43 @@ def undiagonalize(diag: DiagState) -> FieldState:
 
     zeta_hat = (Z+ + Z-)/2 and v_hat = mover_velocity (Z+ - Z-) + i u-perp
     W, formed on the half lattice of diag (not the band: gates and tests
-    round-trip states with content off it) in ws.half of the thread's
-    workspace, and extended as Hermitian spectra into fresh arrays; so it
-    requires Z+(-xi) = conj Z-(xi) and no content on the Nyquist modes
-    (see require_no_nyquist).  zeta_hat's slot is the scratch of the
-    rotational part before zeta_hat lands in it.
+    round-trip states with content off it) in one fresh array, with the
+    self-conjugate columns made conjugate-symmetric (GridSpec.pair_columns,
+    from the rows k_0 > 0), so the fields are real.  They are the fields
+    of diag when there is no content on the Nyquist modes (see
+    require_no_nyquist).  zeta_hat's slot is the scratch of the rotational
+    part before zeta_hat lands in it.
     """
     grid = diag.grid
     tab = symbol_table(grid, diag.params)
-    half = grid.half
-    ws = _workspace(grid)
-    zhat, vhats = ws.half[0], ws.half[1:]
-    Zp, Zm = diag.Zp_hat[half], diag.Zm_hat[half]
+    spectra = np.empty((grid.dim + 1,) + grid.half_shape, dtype=np.complex128)
+    zhat, vhats = spectra[0], spectra[1:]
+    Zp, Zm = diag.Zp_hat, diag.Zm_hat
     np.multiply(np.subtract(Zp, Zm, out=zhat), tab.mover_velocity, out=vhats)
     if diag.W_hat is not None:
-        W = diag.W_hat[half]
         u1, u2 = grid.unit_xi
         for vh, sign, u in ((vhats[0], 1j, u2), (vhats[1], -1j, u1)):
-            vh += np.multiply(np.multiply(W, sign, out=zhat), u[half], out=zhat)
+            vh += np.multiply(np.multiply(diag.W_hat, sign, out=zhat), u, out=zhat)
     np.multiply(np.add(Zp, Zm, out=zhat), 0.5, out=zhat)
     origin = (0,) * grid.dim
     zhat[origin] = diag.zero_mode[0]
     vhats[(slice(None),) + origin] = diag.zero_mode[1]
-    zeta, *v = (SpectralField(grid, hat=grid.extend_half(f, f)) for f in ws.half)
+    for f in spectra:
+        grid.pair_columns(f, f)
+    zeta, *v = (SpectralField(grid, hat=f) for f in spectra)
     return FieldState(t=diag.t, zeta=zeta, v=tuple(v), params=diag.params)
 
 
 class _Workspace:
     """Scratch buffers of the IF-RK4 stage kernel for one grid shape.
 
-    Each thread holds one workspace (see _workspace); the stage kernel,
-    step_exponential and undiagonalize write only into its buffers, and
-    every array they return to a caller is fresh, so no output aliases a
-    buffer.  Spectra live on the two-thirds band (grid.band_shape), the
-    stepper's lattice, real arrays on the grid, and fft_work is the
-    scratch of the band transforms (GridSpec.band_work); each +- pair is
-    one stacked (2, ...) array, so one ufunc call updates both movers.
-    undiagonalize's half-lattice spectra (half) and the stage's real
-    values share one buffer, which neither needs while the other runs, so
-    the half lattice adds no resident scratch to the band workspace.
+    Each thread holds one workspace (see _workspace); the stage kernel
+    and step_exponential write only into its buffers, and every array they
+    return to a caller is fresh, so no output aliases a buffer.  Spectra
+    live on the two-thirds band (grid.band_shape), the stepper's lattice,
+    real arrays on the grid, and fft_work is the scratch of the band
+    transforms (GridSpec.band_work); each +- pair is one stacked (2, ...)
+    array, so one ufunc call updates both movers.
     """
 
     def __init__(self, grid: GridSpec):
@@ -203,12 +203,7 @@ class _Workspace:
         # zeta_hat and the v_hats of a stage, then its two product spectra;
         # spectra[:2] is also the scratch of the RK combinations
         self.spectra = band(count)
-        # (count, n..., n_last/2 + 1) complex holds count real grids: the
-        # last axis has 2 more floats than a grid row, per row
-        self.half = np.empty((count,) + grid.n[:-1] + (grid.n[-1] // 2 + 1,),
-                             dtype=np.complex128)
-        self.values = (self.half.reshape(-1).view(np.float64)[:count * grid.npoints]
-                       .reshape((count,) + grid.n))
+        self.values = np.empty((count,) + grid.n)
         self.work = (np.empty(grid.n), np.empty(grid.n))
         self.fft_work = grid.band_work()
         # stage: a stage's input movers, overwritten by its forcing (f+, f-);
@@ -317,18 +312,19 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
 
     The linear phase e^{-+ i dt Omega_sys} is applied exactly; W_hat and the
     zero mode are carried through untouched.  At eps = 0 the step is that
-    phase alone, on the full lattice.  Otherwise the four stages run the
+    phase alone, on the half lattice.  Otherwise the four stages run the
     stage kernel on the two-thirds band (grid.band_shape), the stepper's
     lattice, in the buffers of the thread's workspace, with the RK
     combinations formed in place as running sums on the stacked pair
     (Z+, Z-); the phases are cached per dt and the rotational part of
-    v_hat is formed once per step.  The result is extended with Z+(-xi) =
-    conj Z-(xi) into fresh arrays that are 0 off the band, so the step
-    reads only the band of diag: the returned state is paired bitwise and
-    carries nothing off the band.  A state the step did not make is
-    checked once, and one whose movers miss the pairing or carry content
-    off the band by more than BAND_TOL relative raises
-    ParameterDomainError, so no content is dropped silently.
+    v_hat is formed once per step.  The result is scattered into fresh
+    zeroed half-lattice arrays, and column 0's rows k_0 < 0 are set from
+    the partner by Z+(-xi) = conj Z-(xi), so the step reads only the band
+    of diag: the returned state is paired bitwise and carries nothing off
+    the band.  A state the step did not make is checked once, and one
+    whose movers miss the pairing or carry content off the band by more
+    than BAND_TOL relative raises ParameterDomainError, so no content is
+    dropped silently.
     """
     grid, p = diag.grid, diag.params
     tab = symbol_table(grid, p)
@@ -369,54 +365,52 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     acc *= h / 6
     acc += np.multiply(z0, e_f, out=tmp)
 
-    Zp1, Zm1 = acc
-    return DiagState(t=t0 + h, Zp_hat=grid.extend_band(Zp1, Zm1),
-                     Zm_hat=grid.extend_band(Zm1, Zp1), W_hat=diag.W_hat,
+    Zp1, Zm1 = movers = np.zeros((2,) + grid.half_shape, dtype=np.complex128)
+    for b, f in grid.band_blocks:
+        movers[f] = acc[b]
+    grid.pair_columns(Zp1, Zm1)
+    grid.pair_columns(Zm1, Zp1)
+    return DiagState(t=t0 + h, Zp_hat=Zp1, Zm_hat=Zm1, W_hat=diag.W_hat,
                      zero_mode=diag.zero_mode, grid=grid, params=p, checked=True)
 
 
 def _require_on_band(diag: DiagState) -> None:
     """Reject movers that the eps != 0 stage would silently change.
 
-    The stage reads only the two-thirds band of the movers and rebuilds
-    the rest from Z+(-xi) = conj Z-(xi), so it evolves extend_band of
-    their bands.  The movers must equal that to BAND_TOL relative in
-    spectral L2: content off the band (where it is 0) or off the pairing
-    raises ParameterDomainError.
+    The stage reads only the two-thirds band of the movers, scatters its
+    result into zeroed half lattices and sets column 0's rows k_0 < 0 from
+    the partner by Z+(-xi) = conj Z-(xi).  The movers must equal that to
+    BAND_TOL relative in spectral L2: content off the band (where it is
+    0) or off the pairing in column 0 raises ParameterDomainError.  The
+    pairing constrains nothing else, since off the self-conjugate columns
+    -xi is off the half lattice, and column n/2 is off the band.
 
-    The check reads the movers block by block and makes no full-lattice
-    array: the partner, mirrored where extend_band puts it (the columns
-    k_1 = -n_1/3..-1 of the kept rows, and in 2D the rows k_0 < 0 of
-    column 0), against the mover there; and |Z|^2 summed over the kept
-    rows and over the rows between them, which are all off the band.
+    The check reads the movers block by block and makes no half-lattice
+    array: column 0's rows k_0 < 0 of the band against the partner's
+    mirrored there, and |Z|^2 summed over the kept rows and over the rows
+    between them, which are all off the band.  The sums weigh the columns
+    the Hermitian way (GridSpec.hermitian_sum), so each is the spectral L2
+    of the whole lattice.
     """
     grid = diag.grid
-    n1, c = grid.n[-1], grid.band_shape[-1]
-    tail = slice(n1 - c + 1, None)
-    # the columns c..n1-c off the band, as (re, im) pairs of floats
-    off_cols = slice(2 * c, 2 * (n1 - c + 1))
+    c = grid.band_shape[-1]
     unpaired = off_band = total = 0.0
     for Z, P in ((diag.Zp_hat, diag.Zm_hat), (diag.Zm_hat, diag.Zp_hat)):
+        # (re, im) pairs of floats: column 0 is [..., :2], column n/2 [..., -2:]
         re_im = np.ascontiguousarray(Z).view(np.float64)
         if grid.dim == 1:
-            mirrored = ((Z[tail], P[c - 1:0:-1]),)
             rows = ((re_im, True),)
         else:
             k, n0 = grid.n[0] // 3, grid.n[0]
-            mirrored = ((Z[0, tail], P[0, c - 1:0:-1]),
-                        (Z[1:k + 1, tail], P[n0 - 1:n0 - k - 1:-1, c - 1:0:-1]),
-                        (Z[n0 - k:, tail], P[k:0:-1, c - 1:0:-1]),
-                        (Z[n0 - k:, 0], P[k:0:-1, 0]))
+            miss = np.abs(Z[n0 - k:, 0] - np.conjugate(P[k:0:-1, 0]))
+            unpaired += float(np.sum(miss * miss))
             rows = ((re_im[:k + 1], True), (re_im[k + 1:n0 - k], False),
                     (re_im[n0 - k:], True))
-        for z, partner in mirrored:
-            miss = np.abs(z - np.conjugate(partner))
-            miss *= miss
-            unpaired += float(np.sum(miss))
         for x, kept in rows:
-            sq = _sq_sum(x)
+            nyquist = _sq_sum(x[..., -2:])
+            sq = 2.0 * _sq_sum(x) - _sq_sum(x[..., :2]) - nyquist
             total += sq
-            off_band += _sq_sum(x[..., off_cols]) if kept else sq
+            off_band += 2.0 * _sq_sum(x[..., 2 * c:]) - nyquist if kept else sq
     if unpaired + off_band > BAND_TOL**2 * total:
         raise ParameterDomainError(
             f"the movers miss Z+(-xi) = conj Z-(xi) by "
@@ -472,15 +466,15 @@ def require_no_nyquist(state: FieldState) -> None:
     that content.  On the Nyquist modes it would also break the spectrum:
     the odd multipliers (i*xi in rhs_hat, xi/|xi| in diagonalize) see the
     wavenumber -n_j/2 without its mirror image, so one step would make
-    the spectrum non-Hermitian, and ifft_real reads only its half lattice.
+    the spectrum non-Hermitian.
     """
     grid = state.grid
-    off = ~grid.dealias_mask
     content = total = 0.0
     for hat in (state.zeta.hat, *(c.hat for c in state.v)):
         mag = hat.real**2 + hat.imag**2
-        content += float(np.sum(mag[off]))
-        total += float(np.sum(mag))
+        total += grid.hermitian_sum(mag)
+        mag[grid.dealias_mask] = 0.0
+        content += grid.hermitian_sum(mag)
     if content > BAND_TOL**2 * total:
         raise ParameterDomainError(
             f"the start state has Nyquist content or other content off the "
@@ -530,6 +524,10 @@ def evolve(state: FieldState, cfg: SchemeConfig,
         if k > 0:
             h = last_dt if k == n_steps else cfg.dt
             current = step_exponential(current, h)
+            # the previous snapshot and its memo go once the step's movers
+            # exist: freed before the step, they would sit on top of the
+            # heap, and glibc would trim them and fault them back in
+            snap = None
             current.t = t0 + k * cfg.dt if h == cfg.dt else cfg.max_t
         if k % cfg.cadence != 0 and k != n_steps:
             continue

@@ -27,12 +27,14 @@ VELOCITIES = ("right-mover", "zero", "random")
 
 
 def _halfspace_sign(grid: GridSpec) -> np.ndarray:
-    """+1/-1 on the half-lattices split by the first nonzero xi component."""
+    """+1/-1 on the half-spaces split by the first nonzero xi component,
+    over the rfftn half lattice; the Nyquist wavenumber -n/2 counts as
+    negative, as in fftfreq."""
     mesh = grid.xi_mesh
-    s = np.sign(np.broadcast_to(mesh[0], grid.n)).astype(np.float64)
+    s = np.sign(np.broadcast_to(mesh[0], grid.half_shape)).astype(np.float64)
     if grid.dim == 2:
         tie = s == 0.0
-        s = np.where(tie, np.sign(np.broadcast_to(mesh[1], grid.n)), s)
+        s = np.where(tie, np.sign(np.broadcast_to(mesh[1], grid.half_shape)), s)
     return s
 
 
@@ -71,13 +73,11 @@ def _random_filter(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     Read-only and cached per grid: about 9*npoints/2 bytes an entry (a
     bool and a float64 half lattice), 19 KiB at 64^2.
     """
-    k2 = np.zeros(grid.n)
-    k_axes = [np.rint(np.fft.fftfreq(m) * m) for m in grid.n]
-    mesh = np.meshgrid(*k_axes, indexing="ij", sparse=True)
-    for comp in mesh:
+    k2 = np.zeros(grid.half_shape)
+    for comp in np.meshgrid(*grid.k_axes, indexing="ij", sparse=True):
         k2 = k2 + comp**2
-    band = (np.sqrt(k2) <= min(grid.n) / 8.0)[grid.half].copy()
-    denom = 1.0 + grid.abs2_xi[grid.half]
+    band = np.sqrt(k2) <= min(grid.n) / 8.0
+    denom = 1.0 + grid.abs2_xi
     for a in (band, denom):
         a.flags.writeable = False
     return band, denom
@@ -85,7 +85,7 @@ def _random_filter(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _profile_random(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
     white = rng.standard_normal(grid.n)
-    hat = grid.fft(white, half=True)
+    hat = grid.fft(white)
     band, denom = _random_filter(grid)
     hat = hat * band / denom
     hat[(0,) * grid.dim] = 0.0

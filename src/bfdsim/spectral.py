@@ -1,43 +1,45 @@
 """Periodic grids, spectral fields, and Fourier calculus.
 
-Fields live on uniform grids over [0, L1) x [0, L2) (or an interval in 1D)
-with full complex spectra in numpy fft layout; every public spectrum
-(SpectralField.hat, the DiagState movers) is full.  One transform pair,
-rfftn/irfftn, serves three layouts: the rfftn half lattice (last axis
-0..n/2) carries all of a real field's spectrum.  GridSpec.fft extends it to
-the full spectrum (Hermitian bitwise), or stops there with half=True;
-ifft_real reads a full spectrum on its half lattice only.  GridSpec.half
-slices the half lattice out of a full array, and extend_half rebuilds a
-full spectrum from half ones.
+Fields live on uniform grids over [0, L1) x [0, L2) (or an interval in 1D).
+One transform pair, rfftn/irfftn, serves two layouts.  The first is the
+rfftn half lattice (last axis 0..n/2), which carries all of a real field's
+spectrum: every spectrum the package holds lives there (SpectralField.hat,
+the symbol tables, the norm weights, the DiagState movers), as do the
+wavenumber arrays xi_mesh, abs2_xi, abs_xi, unit_xi and dealias_mask.  A
+mode xi off it is the mirror image of -xi on it, so a sum over the whole
+lattice of a quantity even in xi counts the columns strictly inside
+(0, n/2) twice and the self-conjugate columns 0 and n/2 once
+(GridSpec.hermitian_sum).  Those two columns hold both xi and -xi; the
+spectrum of a real field is conjugate-symmetric there, and
+SpectralField.hat makes it so bitwise (GridSpec.pair_columns).  The last
+axis keeps fftfreq's sign of the Nyquist wavenumber, -n/2.
 
-The third layout is the two-thirds band, the part of the half lattice that
+The second layout is the two-thirds band, the part of the half lattice that
 the two-thirds rule keeps: rows |k_0| <= n_0/3 (the rows k_0 >= 0, then the
 rows k_0 < 0, as two blocks) by columns 0..n_1/3, and 0..n/3 in 1D; it is
 44 % of the half lattice at 256^2.  The IF-RK4 stepper at eps != 0 runs on
-it (see bfdsim.evolution).  GridSpec.band gathers it from a full or half
-array, and extend_band rebuilds a full spectrum from band ones.  Given a
-band spectrum (told apart by its shape, GridSpec.band_shape), fft and
-ifft_real run the 1-D passes that rfftn and irfftn are made of, with the
-axis-0 pass on the band's columns only: the forward transform computes
-every row of them and keeps the band's, and the inverse skips the
-all-zero columns past n_1/3.  On band limited input both are bitwise
-equal to rfftn (masked) and irfftn on the half lattice.
+it (see bfdsim.evolution).  GridSpec.band gathers it from a half-lattice
+array.  Given a band spectrum (told apart by its shape,
+GridSpec.band_shape), fft and ifft_real run the 1-D passes that rfftn and
+irfftn are made of, with the axis-0 pass on the band's columns only: the
+forward transform computes every row of them and keeps the band's, and
+the inverse skips the all-zero columns past n_1/3.  On band limited input
+both are bitwise equal to rfftn (masked) and irfftn on the half lattice.
 
 The mover stages and every real product run on the half lattice or the
 band: GridSpec.product_hat is the one product kernel, used by the mover
 forcing and the energy layer alike.
 
-ifft_real and product_hat (fft with half=True) also take a stack of fields
-on the half or full lattice, an array with one leading axis, and return
-one.  On a grid of at most STACK_MAX_POINTS points the stack is one
-rfftn/irfftn call with axes= the grid axes; above it they loop over the
-leading axis, one call per field into a slice of the result.  Both ways
-are bitwise equal to per-field calls.  The threshold is fixed: it is the
-size-dependent choice a planner makes (Frigo & Johnson, "The design and
-implementation of FFTW3", Proc. IEEE 2005), without timing anything at
-run time.  Per-field calls against one stacked call, best of 7 on a
-2-vCPU Intel Xeon KVM guest with numpy 2.4.6 (pocketfft), in
-microseconds:
+fft, ifft_real and product_hat also take a stack of fields on the half
+lattice, an array with one leading axis, and return one.  On a grid of at
+most STACK_MAX_POINTS points the stack is one rfftn/irfftn call with
+axes= the grid axes; above it they loop over the leading axis, one call
+per field into a slice of the result.  Both ways are bitwise equal to
+per-field calls.  The threshold is fixed: it is the size-dependent choice
+a planner makes (Frigo & Johnson, "The design and implementation of
+FFTW3", Proc. IEEE 2005), without timing anything at run time.
+Per-field calls against one stacked call, best of 7 on a 2-vCPU Intel
+Xeon KVM guest with numpy 2.4.6 (pocketfft), in microseconds:
 
     grid   fields   rfftn          irfftn
     32^2   3          60 -> 36       76 -> 36
@@ -57,7 +59,8 @@ bfdsim.evolution owns, and every other call returns a fresh array.
 The wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.
 Quadrature on the torus is the rectangle rule, which is exact for
 band-limited integrands, and Parseval takes the form
-integral |u|^2 dx = (cell/N) * sum |u_hat|^2.
+integral |u|^2 dx = (cell/N) * sum |u_hat|^2, the sum over the whole
+lattice, which is hermitian_sum over the half lattice.
 The operators on fields are gradient, divergence and dealias (the
 two-thirds truncation); every other multiplier multiplies a spectrum
 directly.
@@ -147,12 +150,14 @@ class GridSpec:
 
     @cached_property
     def xi_mesh(self) -> tuple[np.ndarray, ...]:
-        """Broadcastable wavenumber component arrays."""
-        return tuple(np.meshgrid(*self.xi, indexing="ij", sparse=True))
+        """Broadcastable wavenumber component arrays on the half lattice:
+        xi with its last axis cut to the entries 0..n/2."""
+        return tuple(np.meshgrid(*self.xi[:-1], self.xi[-1][:self.half_shape[-1]],
+                                 indexing="ij", sparse=True))
 
     @cached_property
     def abs2_xi(self) -> np.ndarray:
-        out = np.zeros(self.n)
+        out = np.zeros(self.half_shape)
         for comp in self.xi_mesh:
             out = out + comp**2
         return out
@@ -165,24 +170,21 @@ class GridSpec:
     def unit_xi(self) -> tuple[np.ndarray, ...]:
         """xi/|xi| componentwise, zero at the origin."""
         safe = np.where(self.abs_xi == 0.0, 1.0, self.abs_xi)
-        return tuple(np.broadcast_to(comp, self.n) / safe for comp in self.xi_mesh)
+        return tuple(np.broadcast_to(comp, self.half_shape) / safe for comp in self.xi_mesh)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule: keep integer modes with |k_j| <= floor(n_j/3)."""
-        mask = np.ones(self.n, dtype=bool)
-        grids = np.meshgrid(
-            *[np.rint(np.fft.fftfreq(m) * m).astype(int) for m in self.n],
-            indexing="ij", sparse=True,
-        )
-        for m, k in zip(self.n, grids):
+        mask = np.ones(self.half_shape, dtype=bool)
+        for m, k in zip(self.n, np.meshgrid(*self.k_axes, indexing="ij", sparse=True)):
             mask &= np.abs(k) <= m // 3
         return mask
 
     @cached_property
-    def half(self) -> tuple[slice, ...]:
-        """Index of the rfftn half lattice (last axis 0..n/2) in a full array."""
-        return (slice(None),) * (self.dim - 1) + (slice(0, self.n[-1] // 2 + 1),)
+    def k_axes(self) -> tuple[np.ndarray, ...]:
+        """Per-axis integer wavenumbers of the half lattice, in fft order."""
+        k = [np.rint(np.fft.fftfreq(m) * m) for m in self.n]
+        return (*k[:-1], k[-1][:self.half_shape[-1]])
 
     @cached_property
     def half_shape(self) -> tuple[int, ...]:
@@ -198,7 +200,7 @@ class GridSpec:
     @cached_property
     def band_blocks(self) -> tuple[tuple[tuple, tuple], ...]:
         """(band index, lattice index) pairs: band[b] holds lattice[f] for a
-        full or half lattice array, leading (stacking) axes included.  One
+        half-lattice array, leading (stacking) axes included.  One
         block in 1D; in 2D the rows k_0 = 0..n_0/3, then k_0 = -n_0/3..-1."""
         cols = slice(0, self.band_shape[-1])
         if self.dim == 1:
@@ -219,8 +221,8 @@ class GridSpec:
         return rows[:, None], self.xi[1][None, :cols]
 
     def band(self, arr: np.ndarray, out=None) -> np.ndarray:
-        """The two-thirds band of a full or half lattice array, into out if
-        given; leading axes are kept."""
+        """The two-thirds band of a half-lattice array, into out if given;
+        leading axes are kept."""
         if out is None:
             out = np.empty(arr.shape[:arr.ndim - self.dim] + self.band_shape, dtype=arr.dtype)
         for b, f in self.band_blocks:
@@ -233,23 +235,21 @@ class GridSpec:
         zero half-lattice array and an (n_0, n_1//3 + 1) array whose rows
         between the band's two blocks are zero, for the inverse passes.
         The transforms keep those zeros."""
-        half_shape = self.n[:-1] + (self.n[-1] // 2 + 1,)
-        forward = np.empty(half_shape, dtype=np.complex128)
+        forward = np.empty(self.half_shape, dtype=np.complex128)
         if self.dim == 1:
             return (forward,)
-        return (forward, np.zeros(half_shape, dtype=np.complex128),
+        return (forward, np.zeros(self.half_shape, dtype=np.complex128),
                 np.zeros((self.n[0], self.band_shape[-1]), dtype=np.complex128))
 
     # transforms -----------------------------------------------------------
 
-    def fft(self, values: np.ndarray, half: bool = False, out=None, work=None) -> np.ndarray:
-        """Full spectrum of real values, or its half lattice when half is set.
+    def fft(self, values: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Half-lattice spectrum of real values (rfftn), or of each of a
+        stack of them (one leading axis), transformed as the module
+        docstring says.
 
-        The full spectrum is the half one extended, so it is Hermitian
-        bitwise.  With half set, values may be a stack of fields (one
-        leading axis), transformed as the module docstring says.  out, if
-        given, is a band_shape array that receives the band instead, with
-        the scratch work (band_work, fresh if not given): rfft along the
+        out, if given, is a band_shape array that receives the band instead,
+        with the scratch work (band_work, fresh if not given): rfft along the
         last axis, then fft along axis 0 of the band's columns only, of
         which the band keeps the rows of its two blocks.  That is rfftn's
         own sequence of passes, so the band is bitwise the band of rfftn's
@@ -257,8 +257,7 @@ class GridSpec:
         if out is None:
             if values.ndim > self.dim:
                 return self._stacked(np.fft.rfftn, values, self.half_shape, np.complex128)
-            hat = np.fft.rfftn(values)
-            return hat if half else self.extend_half(hat, hat)
+            return np.fft.rfftn(values)
         work = self.band_work() if work is None else work
         hat = np.fft.rfft(values, axis=-1, out=work[0])[..., :out.shape[-1]]
         if self.dim == 2:
@@ -266,26 +265,24 @@ class GridSpec:
         return self.band(hat, out=out)
 
     def ifft(self, hat: np.ndarray) -> np.ndarray:
-        """Complex values of a full spectrum; only perfbench/spans.py uses it."""
+        """Complex values of a spectrum in numpy's fftn layout; no package
+        code calls it, perfbench/spans.py wraps it."""
         return np.fft.ifftn(hat)
 
     def ifft_real(self, hat: np.ndarray, out=None, work=None) -> np.ndarray:
-        """Real values of a full spectrum, of a half one (last axis n/2+1),
-        of a stack of either (one leading axis, transformed as the module
-        docstring says), or of a band one (band_shape).
+        """Real values of a half-lattice spectrum, of a stack of them (one
+        leading axis, transformed as the module docstring says), or of a
+        band one (band_shape).
 
-        A full spectrum is read on its half lattice only (no package caller
-        passes a non-Hermitian one).  A band spectrum takes irfftn's
-        passes, into out if given, with the scratch work (band_work, fresh
-        if not given): in 2D, ifft along axis 0 of the band's columns (the
-        zero rows between its blocks filled in), then irfft along the last
-        axis of a half lattice that is zero past them; in 1D, irfft pads
-        the band with zeros itself.  On band limited spectra this is
-        bitwise irfftn of the half lattice."""
-        # the last axis tells the layouts apart: n, n/2 + 1 or n/3 + 1
+        A band spectrum takes irfftn's passes, into out if given, with the
+        scratch work (band_work, fresh if not given): in 2D, ifft along
+        axis 0 of the band's columns (the zero rows between its blocks
+        filled in), then irfft along the last axis of a half lattice that
+        is zero past them; in 1D, irfft pads the band with zeros itself.
+        On band limited spectra this is bitwise irfftn of the half
+        lattice."""
+        # the last axis tells the layouts apart: n/2 + 1 or n/3 + 1
         if hat.shape[-1] != self.band_shape[-1]:
-            if hat.shape[-1] == self.n[-1]:
-                hat = hat[..., :self.n[-1] // 2 + 1]
             if hat.ndim == self.dim:
                 return np.fft.irfftn(hat, s=self.n, axes=tuple(range(self.dim)))
             return self._stacked(np.fft.irfftn, hat, self.n, np.float64, s=self.n)
@@ -312,61 +309,27 @@ class GridSpec:
 
     def product_hat(self, values: np.ndarray, out=None, work=None) -> np.ndarray:
         """Half-lattice spectrum of a real product, or of each of a stack
-        of them, truncated by the two-thirds rule; extend_half(h, h) gives
-        the full spectrum.
+        of them, truncated by the two-thirds rule.
 
         out, if given, is a band_shape array that receives the band (the
         modes the rule keeps) instead, with the scratch work of fft."""
-        hat = self.fft(values, half=True, out=out, work=work)
+        hat = self.fft(values, out=out, work=work)
         if out is None:
-            hat *= self.dealias_mask[self.half]
+            hat *= self.dealias_mask
         return hat
 
-    def extend_half(self, hat_p: np.ndarray, hat_m: np.ndarray) -> np.ndarray:
-        """Full spectrum F from half-lattice spectra with F(-xi) = conj hat_m(xi).
+    def pair_columns(self, dest: np.ndarray, src: np.ndarray) -> None:
+        """Set dest(-xi) = conj src(xi) in place on the self-conjugate
+        columns 0 and n/2 of a 2-D half lattice, for the rows k_0 =
+        -n_0/2+1..-1 (in 1D those columns are the single modes 0 and n/2,
+        and nothing is set).
 
-        F equals hat_p on the last-axis modes 0..n/2, except in the two
-        self-conjugate columns 0 and n/2 of a 2-D grid, where the rows
-        k_1 < 0 come from hat_m like every other mode off the half lattice.
-        Pass hat_m = hat_p for a Hermitian spectrum, or the partner mover
-        for Z+- (Z+(-xi) = conj Z-(xi)).
-        """
-        m = self.n[-1] // 2
-        full = np.empty(self.n, dtype=np.complex128)
-        full[..., :m + 1] = hat_p
-        # -xi reverses the last axis, and in 2-D the rows k_1 != 0; basic
-        # slices and out= keep this cheap on the small grids of the studies
-        tail = full[..., m + 1:]
-        if self.dim == 1:
-            np.conjugate(hat_m[m - 1:0:-1], out=tail)
-        else:
-            k = self.n[0] // 2
-            np.conjugate(hat_m[:1, m - 1:0:-1], out=tail[:1])
-            np.conjugate(hat_m[:0:-1, m - 1:0:-1], out=tail[1:])
-            np.conjugate(hat_m[k - 1:0:-1, ::m], out=full[k + 1:, ::m])
-        return full
-
-    def extend_band(self, hat_p: np.ndarray, hat_m: np.ndarray) -> np.ndarray:
-        """Full spectrum F from band spectra with F(-xi) = conj hat_m(xi):
-        extend_half of the half lattices that hold hat_p and hat_m on the
-        band and 0 off it, so F is 0 off the band and its mirror image."""
-        full = np.zeros(self.n, dtype=np.complex128)
-        for b, f in self.band_blocks:
-            full[f] = hat_p[b]
-        c = self.band_shape[-1]
-        # -xi maps the columns 1..c-1 to the last c-1 columns, and in 2-D
-        # row k_0 to row -k_0: band rows 0..k hold k_0 = 0..k, rows
-        # k+1..2k hold k_0 = -k..-1
-        tail = full[..., self.n[-1] - c + 1:]
-        if self.dim == 1:
-            np.conjugate(hat_m[c - 1:0:-1], out=tail)
-        else:
-            k, n0 = self.n[0] // 3, self.n[0]
-            np.conjugate(hat_m[0, c - 1:0:-1], out=tail[0])
-            np.conjugate(hat_m[2 * k:k:-1, c - 1:0:-1], out=tail[1:k + 1])
-            np.conjugate(hat_m[k:0:-1, c - 1:0:-1], out=tail[n0 - k:])
-            np.conjugate(hat_m[k:0:-1, 0], out=full[n0 - k:, 0])
-        return full
+        With src = dest the columns become conjugate-symmetric bitwise, as
+        a real field's spectrum is; with the partner mover as src, Z+(-xi)
+        = conj Z-(xi) holds bitwise there."""
+        if self.dim == 2:
+            k, m = self.n[0] // 2, self.n[1] // 2
+            np.conjugate(src[k - 1:0:-1, ::m], out=dest[k + 1:, ::m])
 
     # quadrature -----------------------------------------------------------
 
@@ -375,9 +338,11 @@ class GridSpec:
         return self.cell_volume * float(np.sum(values))
 
     def spectral_l2_sq(self, hat: np.ndarray, weight=None) -> float:
-        """integral over the torus of |u|^2, evaluated from the spectrum.
+        """integral over the torus of |u|^2, evaluated from the half-lattice
+        spectrum of a real u.
 
-        weight, if given, multiplies |u_hat|^2 mode by mode.
+        weight, if given, multiplies |u_hat|^2 mode by mode; it must be even
+        in xi, as every norm weight is.
         """
         return self.abs2_l2_sq(hat.real**2 + hat.imag**2, weight)
 
@@ -385,25 +350,41 @@ class GridSpec:
         """spectral_l2_sq of a spectrum given as its |u_hat|^2 array."""
         if weight is not None:
             abs2 = abs2 * weight
-        return self.cell_volume / self.npoints * float(np.sum(abs2))
+        return self.cell_volume / self.npoints * self.hermitian_sum(abs2)
+
+    def hermitian_sum(self, arr: np.ndarray) -> float:
+        """Sum over the whole lattice of a real quantity even in xi, from
+        its half lattice arr: 2*sum(arr) - sum(columns 0 and n/2).  Every
+        column strictly inside (0, n/2) stands for itself and its mirror
+        image, and the self-conjugate columns for themselves."""
+        return float(2.0 * arr.sum() - arr[..., ::self.n[-1] // 2].sum())
 
     def is_hermitian(self, hat: np.ndarray, tol: float = 1e-12) -> bool:
-        """True when the spectrum is conjugate-symmetric (real field)."""
-        refl = hat
-        for ax in range(hat.ndim):
-            refl = np.roll(np.flip(refl, axis=ax), 1, axis=ax)
+        """True when the half-lattice spectrum is that of a real field: its
+        self-conjugate columns 0 and n/2 are conjugate-symmetric (in 1D,
+        the modes 0 and n/2 are real).  Every other mode's mirror image
+        lies off the half lattice."""
         scale = np.max(np.abs(hat))
         if scale == 0.0:
             return True
-        return bool(np.max(np.abs(hat - np.conj(refl))) <= tol * scale)
+        worst = 0.0
+        for col in (hat[..., 0], hat[..., -1]):
+            refl = col
+            for ax in range(col.ndim):
+                refl = np.roll(np.flip(refl, axis=ax), 1, axis=ax)
+            worst = max(worst, float(np.max(np.abs(col - np.conj(refl)))))
+        return worst <= tol * scale
 
 
 class SpectralField:
     """Scalar field carrying real values and spectrum in lockstep.
 
-    One representation is authoritative at a time; the other is computed on
-    demand and cached.  Arrays returned by .values / .hat are owned by the
-    field and must not be mutated in place.
+    The spectrum is the rfftn half lattice (grid.half_shape).  One
+    representation is authoritative at a time; the other is computed on
+    demand and cached: a spectrum computed from values has its
+    self-conjugate columns made conjugate-symmetric bitwise
+    (GridSpec.pair_columns).  Arrays returned by .values / .hat are owned
+    by the field and must not be mutated in place.
     """
 
     __slots__ = ("grid", "_real", "_hat")
@@ -418,8 +399,9 @@ class SpectralField:
                 raise GridMismatchError(f"values shape {real.shape} != grid {grid.n}")
         if hat is not None:
             hat = np.asarray(hat, dtype=np.complex128)
-            if hat.shape != grid.n:
-                raise GridMismatchError(f"spectrum shape {hat.shape} != grid {grid.n}")
+            if hat.shape != grid.half_shape:
+                raise GridMismatchError(f"spectrum shape {hat.shape} != half lattice "
+                                        f"{grid.half_shape} of grid {grid.n}")
         self._real = real
         self._hat = hat
 
@@ -444,7 +426,9 @@ class SpectralField:
     @property
     def hat(self) -> np.ndarray:
         if self._hat is None:
-            self._hat = self.grid.fft(self._real)
+            hat = self.grid.fft(self._real)
+            self.grid.pair_columns(hat, hat)
+            self._hat = hat
         return self._hat
 
     def copy(self) -> "SpectralField":
@@ -474,7 +458,7 @@ def field_values(fields) -> list[np.ndarray]:
     todo = [f for f in fields if f._real is None]
     if len(todo) > 1:
         grid = todo[0].grid
-        stack = np.stack([f._hat[grid.half] for f in todo])
+        stack = np.stack([f._hat for f in todo])
         for f, values in zip(todo, grid.ifft_real(stack)):
             f._real = values
     return [f.values for f in fields]
@@ -503,7 +487,7 @@ def divergence(vec: tuple[SpectralField, ...]) -> SpectralField:
     grid = _check_same_grid(*vec)
     if len(vec) != grid.dim:
         raise GridMismatchError(f"need {grid.dim} components, got {len(vec)}")
-    out = np.zeros(grid.n, dtype=np.complex128)
+    out = np.zeros(grid.half_shape, dtype=np.complex128)
     for xi, comp in zip(grid.xi_mesh, vec):
         out = out + 1j * xi * comp.hat
     return SpectralField(grid, hat=out)

@@ -74,9 +74,9 @@ def multipliers(abs2, params: ModelParams) -> dict[str, np.ndarray]:
 class SymbolTable:
     """Multiplier arrays over one grid for one parameter set.
 
-    The full-lattice arrays are the linear symbols of multipliers.  The
-    rest fold the per-mode constants of the IF-RK4 stage into one
-    multiplier each:
+    Every array lives on the rfftn half lattice (grid.half_shape) but two.
+    The linear symbols are those of multipliers; the rest fold the
+    per-mode constants of the IF-RK4 stage into one multiplier each:
 
         forcing_div = (eps/gamma) / (1 + b*mu*|xi|^2),
         forcing_vsq = (eps/(2*gamma)) * i|xi| / (1 + d*mu*|xi|^2),
@@ -86,9 +86,9 @@ class SymbolTable:
     as mover_velocity[j]*(Z+ - Z-), and its forcing is forcing_div times
     div(zeta v)_hat, plus or minus r*forcing_vsq times (|v|^2)_hat.  The
     two forcing multipliers live on the two-thirds band (grid.band_shape),
-    the stage's lattice; mover_velocity lives on the rfftn half lattice
-    grid.half, since undiagonalize reads it there too, and the stage reads
-    its band blocks (grid.band_blocks).
+    the stage's lattice; mover_velocity lives on the half lattice, since
+    undiagonalize reads it there too, and the stage reads its band blocks
+    (grid.band_blocks).
     sigma, omega1 and omega2 are read by no stage, so they are derived on
     access rather than stored.
     """
@@ -134,11 +134,10 @@ class SymbolTable:
 def symbol_table(grid: GridSpec, params: ModelParams) -> SymbolTable:
     """Build (or fetch the cached) symbol table for a grid/parameter pair."""
     sym = multipliers(grid.abs2_xi, params)
-    half, band = grid.half, grid.band
+    band = grid.band
     eps, gamma = params.epsilon, params.gamma
     return SymbolTable(
         grid=grid, params=params, **sym,
         forcing_div=eps / gamma / band(sym["helmholtz_b"]),
         forcing_vsq=eps / (2.0 * gamma) * 1j * band(grid.abs_xi) / band(sym["helmholtz_d"]),
-        mover_velocity=np.stack([0.5 * u[half] / sym["impedance"][half]
-                                 for u in grid.unit_xi]))
+        mover_velocity=np.stack([0.5 * u / sym["impedance"] for u in grid.unit_xi]))

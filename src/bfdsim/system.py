@@ -100,8 +100,7 @@ def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None,
     zr and vr are zeta and the velocity components in physical space.  Each
     product goes through GridSpec.product_hat, the one product kernel, so
     it is truncated by the two-thirds rule and returned on the half lattice
-    grid.half (last axis 0..n/2); grid.extend_half(s, s) gives the full
-    spectrum.
+    (last axis 0..n/2).
 
     out, if given, is a pair of band_shape arrays that receive the two
     spectra's two-thirds band instead (the IF-RK4 stage's lattice), with
@@ -112,7 +111,7 @@ def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None,
     """
     if out is None:
         div_zv = vsq_hat = prod = square = None
-        xis = tuple(xi[grid.half] for xi in grid.xi_mesh)
+        xis = grid.xi_mesh
     else:
         (div_zv, vsq_hat), (prod, square) = out, work
         xis = grid.band_xi
@@ -135,15 +134,15 @@ def rhs_hat(zhat: np.ndarray, vhats: tuple[np.ndarray, ...], grid: GridSpec,
             params: ModelParams, table: SymbolTable | None = None):
     """Tendency spectra (dt zeta_hat, dt v_hat) of the primitive system.
 
-    The quadratic terms come from quadratic_products, extended from its
-    half lattice to the full one.  At eps = 0 no product is formed at all,
-    so the map is exactly linear.
+    The spectra are on the half lattice, as are the quadratic terms of
+    quadratic_products.  At eps = 0 no product is formed at all, so the map
+    is exactly linear.
     """
     if table is None:
         table = symbol_table(grid, params)
     gamma, eps = params.gamma, params.epsilon
 
-    num_z = np.zeros(grid.n, dtype=np.complex128)
+    num_z = np.zeros(grid.half_shape, dtype=np.complex128)
     for xi, vh in zip(grid.xi_mesh, vhats):
         num_z += 1j * xi * (table.A * vh)
     num_v = (1.0 - gamma) * table.one_minus_cmu * zhat
@@ -152,8 +151,8 @@ def rhs_hat(zhat: np.ndarray, vhats: tuple[np.ndarray, ...], grid: GridSpec,
         zr = grid.ifft_real(zhat)
         vr = [grid.ifft_real(vh) for vh in vhats]
         div_zv, vsq_hat = quadratic_products(zr, vr, grid)
-        num_z = num_z - eps * grid.extend_half(div_zv, div_zv)
-        num_v = num_v - eps / (2.0 * gamma) * grid.extend_half(vsq_hat, vsq_hat)
+        num_z = num_z - eps * div_zv
+        num_v = num_v - eps / (2.0 * gamma) * vsq_hat
     dz = -num_z / (gamma * table.helmholtz_b)
     dv = tuple(-(1j * xi * num_v) / table.helmholtz_d for xi in grid.xi_mesh)
     return dz, dv

@@ -15,12 +15,6 @@ from bfdsim.params import VARIANT_BD_DISTINCT, VARIANT_BD_EQUAL, check_variant
 from bfdsim.symbols import symbol_table
 
 
-def _product_full(grid, values):
-    """Full dealiased spectrum of a real product."""
-    hat = grid.product_hat(values)
-    return grid.extend_half(hat, hat)
-
-
 def _vv_values(grid, vvals):
     """Dealiased values of every v_j v_k, each symmetric pair formed once."""
     dim = len(vvals)
@@ -53,9 +47,9 @@ def symmetrizer_apply(state, arg_z, arg_v, variant):
     if variant == VARIANT_BD_EQUAL:
         z_arg = arg_z.values
         v_arg = [a.values for a in arg_v]
-        out_z = gg * omc * z_hat - eps * _product_full(grid, _dot(vvals, v_arg))
+        out_z = gg * omc * z_hat - eps * grid.product_hat(_dot(vvals, v_arg))
         out_v = tuple(
-            tab.A * v_hat[j] - eps * _product_full(grid, zvals * v_arg[j] + vvals[j] * z_arg)
+            tab.A * v_hat[j] - eps * grid.product_hat(zvals * v_arg[j] + vvals[j] * z_arg)
             for j in dims)
         return out_z, out_v
 
@@ -67,22 +61,22 @@ def symmetrizer_apply(state, arg_z, arg_v, variant):
         g = tab.g
         v_g1 = [grid.ifft_real((g - 1.0) * a) for a in v_hat]
         out_z = (gg * (gg * omc**2 * g * z_hat)
-                 - gg * eps * g * _product_full(grid, _dot(vvals, v_omc)))
+                 - gg * eps * g * grid.product_hat(_dot(vvals, v_omc)))
         out_v = tuple(
             gg * (tab.A * omc * v_hat[j])
-            + _product_full(grid, eps**2 * _dot(vv[j], v_g1) - gg * eps * zvals * v_omc[j])
-            - gg * eps * g * _product_full(grid, vvals[j] * z_omc)
+            + grid.product_hat(eps**2 * _dot(vv[j], v_g1) - gg * eps * zvals * v_omc[j])
+            - gg * eps * g * grid.product_hat(vvals[j] * z_omc)
             for j in dims)
         return out_z, out_v
 
     helm_d = tab.helmholtz_d
     v_helm = [grid.ifft_real(helm_d * a) for a in v_hat]
     v_lap = [grid.ifft_real(grid.abs2_xi * a) for a in v_hat]  # -Lap arg_v
-    out_z = gg * (gg * omc**2 * z_hat) - gg * eps * _product_full(grid, _dot(vvals, v_omc))
+    out_z = gg * (gg * omc**2 * z_hat) - gg * eps * grid.product_hat(_dot(vvals, v_omc))
     out_v = tuple(
-        gg * omc * (tab.A * (helm_d * v_hat[j]) - eps * _product_full(grid, zvals * v_helm[j]))
-        - _product_full(grid, gg * eps * vvals[j] * z_omc
-                        + p.d * eps**2 * mu * _dot(vv[j], v_lap))
+        gg * omc * (tab.A * (helm_d * v_hat[j]) - eps * grid.product_hat(zvals * v_helm[j]))
+        - grid.product_hat(gg * eps * vvals[j] * z_omc
+                           + p.d * eps**2 * mu * _dot(vv[j], v_lap))
         for j in dims)
     return out_z, out_v
 

@@ -78,7 +78,7 @@ def test_01_symbol_correctness():
     grid = GridSpec.square(512, TWO_PI, dim=1)
     p = _params(mu2=1.0)
     tab = symbol_table(grid, p)
-    sigma = np.broadcast_to(np.asarray(tab.sigma), grid.n)
+    sigma = np.broadcast_to(np.asarray(tab.sigma), grid.half_shape)
     s = math.sqrt(p.mu2) * grid.abs_xi
 
     sigma0 = float(sigma[grid.abs_xi == 0.0][0])
@@ -165,9 +165,10 @@ def test_04_linear_exactness_and_dispersion():
     grid1 = GridSpec.square(64, TWO_PI, dim=1)
     tab1 = symbol_table(grid1, p)
     k = 3
-    Zp = np.zeros(grid1.n, dtype=complex)
-    Zp[k] = Zp[-k] = 1.0
-    single = DiagState(t=0.0, Zp_hat=Zp, Zm_hat=np.zeros_like(Zp), W_hat=None,
+    Zp = np.zeros(grid1.half_shape, dtype=complex)
+    Zm = np.zeros(grid1.half_shape, dtype=complex)
+    Zp[k] = Zm[k] = 1.0
+    single = DiagState(t=0.0, Zp_hat=Zp, Zm_hat=Zm, W_hat=None,
                        zero_mode=(0.0, (0.0,)), grid=grid1, params=p)
     t1, dt = 2.0, 0.125
     for _ in range(int(round(t1 / dt))):

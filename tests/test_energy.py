@@ -36,9 +36,10 @@ from bfdsim.energy import (
     x_norm_state,
 )
 from bfdsim.spectral import TWO_PI
-from bfdsim.symbols import symbol_table
+from bfdsim.symbols import multipliers, symbol_table
 
 import symmetrizer_oracle
+from half_lattice_oracle import extend_half, full_abs2_xi, full_dealias_mask
 
 
 def _params(**kw):
@@ -303,10 +304,33 @@ def test_energy_diagonal_oracle_b_zero():
     assert energy_Es(state, 1.0) == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("b, d", [(5.0 / 24.0, 5.0 / 24.0), (0.25, 1.0 / 6.0),
+                                  (0.0, 1.0 / 6.0)], ids=["b=d", "b!=d", "b=0"])
+def test_energy_Es_rejects_a_pairing_with_an_imaginary_residue(b, d):
+    """On the half lattice the E_s pairing can leave an imaginary residue
+    only in the self-conjugate columns, which hold both xi and -xi.  A
+    state whose column 0 breaks conjugate symmetry there raises
+    ArithmeticError; the same change inside (0, n/2) is still a real
+    field, and its energy is real."""
+    g = GridSpec.square(16, TWO_PI, dim=2)
+    p = _params(epsilon=0.3, b=b, d=d)
+    state = _random_state(g, p, 12, scale=0.3)
+    scale = float(np.max(np.abs(state.zeta.hat)))
+
+    def with_zeta_mode(where):
+        hat = state.zeta.hat.copy()
+        hat[where] += 0.5j * scale
+        return FieldState(t=0.0, zeta=SpectralField(g, hat=hat), v=state.v, params=p)
+
+    assert np.isfinite(energy_Es(with_zeta_mode((2, 3)), 1.0))
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        energy_Es(with_zeta_mode((2, 0)), 1.0)
+
+
 def _circulant_2d(grid, w_vals):
     """Dense spectral matrix of pointwise multiplication by w."""
     n1, n2 = grid.n
-    what = grid.fft(w_vals)
+    what = np.fft.fftn(w_vals)
     N = grid.npoints
     C = np.zeros((N, N), dtype=complex)
     for k1 in range(n1):
@@ -320,24 +344,26 @@ def _circulant_2d(grid, w_vals):
 
 def test_energy_dense_matrix_oracle():
     """Nonlinear energy, b = d = 0 case, on an 8x8 grid: the symmetrizer
-    applied through dense circulant matrices agrees with the fft path."""
+    applied through dense circulant matrices on the full lattice agrees
+    with the fft path."""
     g = GridSpec.square(8, TWO_PI, dim=2)
     p = _params(gamma=0.6, epsilon=0.4, mu=0.3, mu2=0.3, a=0.0,
                 b=0.0, c=-1.0 / 12.0, d=0.0)
     state = _random_state(g, p, 21, scale=0.4)
     s = 0.5
 
-    tab = symbol_table(g, p)
-    lam = bessel_weight(g, s)
-    D = np.diag(g.dealias_mask.ravel().astype(float))
-    OMC = np.diag(tab.one_minus_cmu.ravel())
-    A = np.diag(tab.A.ravel())
+    k2 = full_abs2_xi(g)
+    sym = multipliers(k2, p)
+    lam = (1.0 + k2) ** (s / 2.0)
+    D = np.diag(full_dealias_mask(g).ravel().astype(float))
+    OMC = np.diag(sym["one_minus_cmu"].ravel())
+    A = np.diag(sym["A"].ravel())
     Cz = _circulant_2d(g, state.zeta.values)
     Cv = [_circulant_2d(g, c.values) for c in state.v]
     gg = p.gamma * (1 - p.gamma)
 
-    arg_z = (lam * state.zeta.hat).ravel()
-    arg_v = [(lam * c.hat).ravel() for c in state.v]
+    arg_z = (lam * extend_half(g, state.zeta.hat, state.zeta.hat)).ravel()
+    arg_v = [(lam * extend_half(g, c.hat, c.hat)).ravel() for c in state.v]
 
     out_z = gg * OMC @ arg_z
     for j in range(2):
@@ -376,7 +402,7 @@ def test_symmetrizer_apply_is_the_frozen_symmetrizer(b, d):
     s_z, s_v = symmetrizer_apply(state, fields[0], tuple(fields[1:]), variant)
     got = np.stack((s_z, *s_v))
     want = np.empty_like(got)
-    for idx in np.ndindex(g.n):
+    for idx in np.ndindex(g.half_shape):
         xi = tuple(float(g.xi[axis][i]) for axis, i in enumerate(idx))
         S = frozen_symbol_matrices(xi, zbar, vbar, p, variant=variant).S
         want[(slice(None),) + idx] = S @ args[(slice(None),) + idx]

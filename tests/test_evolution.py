@@ -4,6 +4,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ def test_undiagonalize_equal_movers():
     hat = f.hat.copy()
     hat[0, 0] = 0.0
     diag = DiagState(t=0.0, Zp_hat=hat.copy(), Zm_hat=hat.copy(),
-                     W_hat=np.zeros(grid.n, dtype=complex),
+                     W_hat=np.zeros(grid.half_shape, dtype=complex),
                      zero_mode=(0.0, (0.0, 0.0)), grid=grid, params=p)
     state = undiagonalize(diag)
     np.testing.assert_allclose(state.zeta.hat, hat, atol=1e-13)
@@ -193,7 +194,7 @@ def test_undiagonalize_rotation_only():
     # no content on the Nyquist lines, like every state evolve accepts
     W[grid.n[0] // 2, :] = 0.0
     W[:, grid.n[1] // 2] = 0.0
-    zero = np.zeros(grid.n, dtype=complex)
+    zero = np.zeros(grid.half_shape, dtype=complex)
     diag = DiagState(t=0.0, Zp_hat=zero.copy(), Zm_hat=zero.copy(), W_hat=W,
                      zero_mode=(0.0, (0.0, 0.0)), grid=grid, params=p)
     state = undiagonalize(diag)
@@ -204,7 +205,7 @@ def test_undiagonalize_rotation_only():
 
 def test_undiagonalize_zero_mode_only():
     grid = GridSpec.square(16, TWO_PI, dim=2)
-    zero = np.zeros(grid.n, dtype=complex)
+    zero = np.zeros(grid.half_shape, dtype=complex)
     diag = DiagState(t=0.0, Zp_hat=zero.copy(), Zm_hat=zero.copy(),
                      W_hat=zero.copy(),
                      zero_mode=(complex(grid.npoints), (0.0, 0.0)),
@@ -293,10 +294,10 @@ def test_linear_dispersion_phase_velocity():
     p = _params(epsilon=0.0)
     tab = symbol_table(grid, p)
     k = 3
-    Zp = np.zeros(grid.n, dtype=complex)
+    Zp = np.zeros(grid.half_shape, dtype=complex)
     Zp[k] = 1.0
-    Zp[-k] = 1.0
-    diag = DiagState(t=0.0, Zp_hat=Zp, Zm_hat=np.zeros_like(Zp), W_hat=None,
+    Zm = Zp.copy()
+    diag = DiagState(t=0.0, Zp_hat=Zp, Zm_hat=Zm, W_hat=None,
                      zero_mode=(0.0, (0.0,)), grid=grid, params=p)
     t_end, dt = 2.0, 0.125
     for _ in range(int(round(t_end / dt))):
@@ -308,14 +309,14 @@ def test_linear_dispersion_phase_velocity():
 
 
 def test_step_rejects_unpaired_movers():
-    """At eps != 0 the step reads only the half lattice, so gate 04's single
-    forward mode, which has no partner in Z-, raises instead of silently
-    stepping a different state."""
-    grid = GridSpec.square(64, TWO_PI, dim=1)
-    Zp = np.zeros(grid.n, dtype=complex)
-    Zp[3] = Zp[-3] = 1.0
-    single = DiagState(t=0.0, Zp_hat=Zp, Zm_hat=np.zeros_like(Zp), W_hat=None,
-                       zero_mode=(0.0, (0.0,)), grid=grid,
+    """At eps != 0 the step sets column 0's rows k_0 < 0 from the partner,
+    so a single forward mode there, Z+(-3, 0) = 1 with no Z-(3, 0) to pair
+    it, raises instead of silently stepping a different state."""
+    grid = GridSpec.square(16, TWO_PI, dim=2)
+    Zp = np.zeros(grid.half_shape, dtype=complex)
+    Zp[-3, 0] = 1.0
+    single = DiagState(t=0.0, Zp_hat=Zp, Zm_hat=np.zeros_like(Zp),
+                       W_hat=np.zeros_like(Zp), zero_mode=(0.0, (0.0, 0.0)), grid=grid,
                        params=_params(epsilon=1e-9))
     with pytest.raises(ParameterDomainError, match=r"Z\+\(-xi\) = conj Z-\(xi\)"):
         step_exponential(single, 0.125)
@@ -473,13 +474,20 @@ def test_step_rejects_the_diagonalize_output_of_an_undealiased_state():
 
 def _band_check_oracle(diag: DiagState):
     """(unpaired, off_band, total) of the band check, read off the full
-    lattice: each mover against extend_band of the two bands."""
+    lattice: each mover, as the whole lattice it stands for, against the
+    extension of the two bands padded with zeros to half lattices."""
     grid = diag.grid
     Zp, Zm = diag.Zp_hat, diag.Zm_hat
-    bp, bm = grid.band(Zp), grid.band(Zm)
-    kept = grid.dealias_mask
+    padded = np.zeros((2,) + grid.half_shape, dtype=complex)
+    for b, f in grid.band_blocks:
+        padded[f] = np.stack([grid.band(Zp), grid.band(Zm)])[b]
+    hp, hm = padded
+    kept = half_lattice_oracle.full_dealias_mask(grid)
     unpaired = off_band = total = 0.0
-    for Z, seen in ((Zp, grid.extend_band(bp, bm)), (Zm, grid.extend_band(bm, bp))):
+    for Z, seen in ((half_lattice_oracle.whole(grid, Zp, Zm),
+                     half_lattice_oracle.extend_half(grid, hp, hm)),
+                    (half_lattice_oracle.whole(grid, Zm, Zp),
+                     half_lattice_oracle.extend_half(grid, hm, hp))):
         miss = np.abs(Z - seen) ** 2
         unpaired += float(np.sum(miss[kept]))
         off_band += float(np.sum(miss[~kept]))
@@ -489,17 +497,18 @@ def _band_check_oracle(diag: DiagState):
 
 def _band_check_cases(grid: GridSpec):
     """Movers the band check must accept or reject, by name: a diagonalize
-    output, and copies of it moved off the pairing or off the band, far
+    output, and copies of it moved off the pairing or off the band (in the
+    Nyquist column n/2 too, which the Hermitian weights count once), far
     from the limit and close to it (1e-13 and 1e-11 relative)."""
     diag = diagonalize(_random_state(grid, _params(), 8, scale=0.5))
     scale = math.sqrt(float(np.sum(np.abs(diag.Zp_hat) ** 2 + np.abs(diag.Zm_hat) ** 2)))
     c, k = grid.band_shape[-1], grid.n[0] // 3
-    mirrored = (-2, -(c - 1)) if grid.dim == 2 else (-(c - 1),)
+    nyquist_column = (-2, -1) if grid.dim == 2 else (-1,)
     past_band = (k + 1, 1) if grid.dim == 2 else (c,)
     between_rows = (grid.n[0] // 2, 0) if grid.dim == 2 else (grid.n[0] // 2,)
     column0 = (-k, 0) if grid.dim == 2 else (0,)
     yield "paired", diag
-    for where in (mirrored, past_band, between_rows, column0):
+    for where in (nyquist_column, past_band, between_rows, column0):
         for rel in (1.0, 1e-11, 1e-13):
             Zp = diag.Zp_hat.copy()
             Zp[where] += rel * scale
@@ -595,9 +604,9 @@ def test_default_dt_classical_stable_for_distinct_coefficients(b, d):
 
 def test_second_step_allocates_little_beyond_its_output():
     """With the stage buffers in place, a repeated 128^2 step allocates its
-    two output spectra and the transforms' transients: a traced peak of at
-    most 4 full-lattice complex arrays.  Fresh per-stage temporaries would
-    peak near 12."""
+    two half-lattice output spectra and the transforms' transients: a
+    traced peak of at most 3 half-lattice complex arrays (2.04 measured).
+    Fresh per-stage temporaries would peak near 24."""
     grid = GridSpec.square(128, TWO_PI, dim=2)
     p = _params(epsilon=0.1)
     diag = step_exponential(diagonalize(_random_state(grid, p, 21)), 0.05)
@@ -608,7 +617,7 @@ def test_second_step_allocates_little_beyond_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base <= 4 * grid.npoints * np.dtype(np.complex128).itemsize
+    assert peak - base <= 3 * math.prod(grid.half_shape) * np.dtype(np.complex128).itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +647,30 @@ def test_evolve_monitor_cadence():
            monitors=(lambda s: times.append(round(s.t, 10)),))
     # initial, every third step, and the final step
     assert times == [0.0, 0.3, 0.6, 0.9, 1.0]
+
+
+def test_evolve_holds_no_snapshot_past_one_step(monkeypatch):
+    """A snapshot the monitors let go of is released once the next step's
+    movers exist: between cadence points, every later step starts without
+    it.  The final snapshot is still returned."""
+    real_step = evolution.step_exponential
+    alive_at_steps = []
+    last = {}
+
+    def step(diag, dt):
+        alive_at_steps.append(last["snap"]() is not None)
+        return real_step(diag, dt)
+
+    def monitor(snap):
+        last["snap"] = weakref.ref(snap)
+
+    monkeypatch.setattr(evolution, "step_exponential", step)
+    grid = GridSpec.square(16, TWO_PI, dim=2)
+    summary = evolve(_random_state(grid, _params(), 17),
+                     SchemeConfig(dt=0.1, max_t=0.7, cadence=3), monitors=(monitor,))
+    # snapshots at steps 0, 3, 6 and 7: each is alive at the next step only
+    assert alive_at_steps == [True, False, False, True, False, False, True]
+    assert last["snap"]() is summary.final_state and summary.steps == 7
 
 
 def test_evolve_stop_when_threshold():
@@ -692,7 +725,7 @@ def test_evolve_blow_up_on_a_nonfinite_step(monkeypatch):
         out = real_step(diag, dt)
         steps.append(out.t)
         if len(steps) == 3:
-            nan = np.full(out.grid.n, np.nan, dtype=complex)
+            nan = np.full(out.grid.half_shape, np.nan, dtype=complex)
             out = dataclasses.replace(out, Zp_hat=nan, Zm_hat=nan.copy())
         return out
 

@@ -38,14 +38,21 @@ from bfdsim import (
     write_snapshot,
 )
 from bfdsim import evolution
-from bfdsim.energy import hamiltonian, symmetrizer_apply, variational_gradients
+from bfdsim.energy import (
+    _pair,
+    hamiltonian,
+    sobolev_weight,
+    symmetrizer_apply,
+    variational_gradients,
+)
 from bfdsim.evolution import step_exponential
 from bfdsim.initial_data import PROFILES, VELOCITIES
 from bfdsim.spectral import TWO_PI, dealias
-from bfdsim.symbols import symbol_table
+from bfdsim.symbols import multipliers, symbol_table
 
 import half_lattice_oracle
 import rk4_oracle
+from half_lattice_oracle import extend_half, full_abs2_xi, full_dealias_mask, full_xi_mesh
 
 B, C, D = 5.0 / 24.0, -1.0 / 12.0, 1.0 / 6.0
 
@@ -151,6 +158,43 @@ def test_linear_step_is_the_exact_phase(case, seed, dt):
         assert np.max(np.abs(out.Zm_hat - np.conj(phase) * diag.Zm_hat)) <= 1e-12 * scale
 
 
+# Hermitian-weighted sums against the full lattice ---------------------------
+
+SUM_GRIDS = (GridSpec.square(64, TWO_PI, dim=1), GridSpec.square(16, TWO_PI, dim=2),
+             GridSpec(n=(12, 8), length=(TWO_PI, 3.0)))
+
+
+@PROPERTY
+@given(seed=seeds, s=st.floats(min_value=0.0, max_value=3.0),
+       k=st.integers(min_value=0, max_value=2))
+def test_half_lattice_sums_equal_the_full_lattice_sums(seed, s, k):
+    """spectral_l2_sq, abs2_l2_sq and the E_s pairing _pair weigh the half
+    lattice's columns the Hermitian way (0 and n/2 once, the rest twice).
+    On undealiased real fields, which carry content on columns 0 and n/2,
+    they equal the sums over the full lattice that extend_half rebuilds to
+    1e-14 relative, and the pairing's imaginary residue is roundoff."""
+    for grid in SUM_GRIDS:
+        rng = np.random.default_rng(seed)
+        f, other = (SpectralField.from_real(grid, rng.standard_normal(grid.n)).hat
+                    for _ in range(2))
+        g = f + 0.5 * other
+        full_f, full_g = _full(grid, f), _full(grid, g)
+        assert np.all(f[..., 0] != 0.0) and np.all(f[..., -1] != 0.0)
+        weight = sobolev_weight(grid, s, k, 0.1)
+        k2 = full_abs2_xi(grid)
+        full_weight = (1.0 + k2) ** s * ((1.0 + 0.1**k * k2**k) if k > 0 else 1.0)
+        norm = grid.cell_volume / grid.npoints
+        for w, fw in ((None, None), (weight, full_weight)):
+            want = half_lattice_oracle.full_l2_sq(grid, full_f, fw)
+            assert abs(grid.spectral_l2_sq(f, w) - want) <= 1e-14 * want
+            abs2 = f.real**2 + f.imag**2
+            assert abs(grid.abs2_l2_sq(abs2, w) - want) <= 1e-14 * want
+        want = norm * complex(np.sum(full_weight * full_f * np.conj(full_g)))
+        got = _pair(grid, weight, f, g)
+        assert abs(got.real - want.real) <= 1e-14 * abs(want)
+        assert abs(got.imag) <= 1e-14 * abs(want) and abs(want.imag) <= 1e-14 * abs(want)
+
+
 # mover stages against full-lattice oracles ----------------------------------
 
 positive_epsilons = st.floats(min_value=0.01, max_value=0.3)
@@ -163,19 +207,25 @@ def _reflect(hat: np.ndarray) -> np.ndarray:
     return hat
 
 
+def _full(grid, hat: np.ndarray) -> np.ndarray:
+    """The full-lattice spectrum of a real field, from its half lattice."""
+    return extend_half(grid, hat, hat)
+
+
 def _forcing_oracle(state: FieldState):
     """f+- of the stage kernel's docstring (bfdsim.evolution._stage) on the
     full lattice: fftn/ifftn, the full two-thirds mask, and the Helmholtz
-    factors and the impedance written out here (A from the symbol table)."""
+    factors and the impedance written out here (A from multipliers)."""
     grid, p = state.grid, state.params
-    tab = symbol_table(grid, p)
-    mu, k2 = p.mu, grid.abs2_xi
+    mu, k2 = p.mu, full_abs2_xi(grid)
+    A = multipliers(k2, p)["A"]
     helm_b, helm_d = 1.0 + p.b * mu * k2, 1.0 + p.d * mu * k2
-    r = np.sqrt(tab.A * helm_d / (p.gamma * (1.0 - p.gamma) * (1.0 - p.c * mu * k2) * helm_b))
-    zeta = np.fft.ifftn(state.zeta.hat).real
-    v = [np.fft.ifftn(c.hat).real for c in state.v]
-    mask = grid.dealias_mask
-    div_zv = sum(1j * xi * np.fft.fftn(zeta * vj) * mask for xi, vj in zip(grid.xi_mesh, v))
+    r = np.sqrt(A * helm_d / (p.gamma * (1.0 - p.gamma) * (1.0 - p.c * mu * k2) * helm_b))
+    zeta = np.fft.ifftn(_full(grid, state.zeta.hat)).real
+    v = [np.fft.ifftn(_full(grid, c.hat)).real for c in state.v]
+    mask = full_dealias_mask(grid)
+    div_zv = sum(1j * xi * np.fft.fftn(zeta * vj) * mask
+                 for xi, vj in zip(full_xi_mesh(grid), v))
     vsq = np.fft.fftn(sum(vj * vj for vj in v)) * mask
     common = p.epsilon / p.gamma * div_zv / helm_b
     split = p.epsilon / (2.0 * p.gamma) * r * 1j * np.sqrt(k2) * vsq / helm_d
@@ -197,15 +247,17 @@ def _energy_oracle(state: FieldState, arg_z, arg_v):
     """symmetrizer_apply(state, arg_z, arg_v), hamiltonian(state) and
     variational_gradients(state) on the full lattice: fftn/ifftn, the full
     two-thirds mask, and every formula written out here (A, g and 1 - c mu
-    |xi|^2 from the symbol table)."""
+    |xi|^2 from multipliers).  arg_z and arg_v are full-lattice spectra."""
     grid, p = state.grid, state.params
-    tab = symbol_table(grid, p)
+    k2 = full_abs2_xi(grid)
+    sym = multipliers(k2, p)
     gamma, eps, mu = p.gamma, p.epsilon, p.mu
-    gg, omc, A, g = gamma * (1.0 - gamma), tab.one_minus_cmu, tab.A, tab.g
-    helm_d = 1.0 + p.d * mu * grid.abs2_xi
-    mask = grid.dealias_mask
-    z = np.fft.ifftn(state.zeta.hat).real
-    v = [np.fft.ifftn(c.hat).real for c in state.v]
+    gg, omc, A, g = gamma * (1.0 - gamma), sym["one_minus_cmu"], sym["A"], sym["g"]
+    helm_d = 1.0 + p.d * mu * k2
+    mask = full_dealias_mask(grid)
+    zhat, *vhats = (_full(grid, f.hat) for f in (state.zeta, *state.v))
+    z = np.fft.ifftn(zhat).real
+    v = [np.fft.ifftn(vh).real for vh in vhats]
     dims = range(grid.dim)
 
     def mult(coeff, hat):
@@ -231,17 +283,18 @@ def _energy_oracle(state: FieldState, arg_z, arg_v):
                  - gg * eps * sum(mult(v[j], omc * arg_v[j]) for j in dims))
         out_v = [gg * omc * (A * helm_d * arg_v[j] - eps * mult(z, helm_d * arg_v[j]))
                  - gg * eps * mult(v[j], omc * arg_z)
-                 - p.d * eps**2 * mu * sum(mult(vv(j, k), grid.abs2_xi * arg_v[k])
+                 - p.d * eps**2 * mu * sum(mult(vv(j, k), k2 * arg_v[k])
                                            for k in dims)
                  for j in dims]
 
     vsq = sum(vj * vj for vj in v)
-    ham = 0.5 * ((1.0 - gamma) * grid.spectral_l2_sq(state.zeta.hat, weight=omc)
-                 + sum(grid.spectral_l2_sq(c.hat, weight=A) for c in state.v) / gamma
+    l2_sq = half_lattice_oracle.full_l2_sq
+    ham = 0.5 * ((1.0 - gamma) * l2_sq(grid, zhat, weight=omc)
+                 + sum(l2_sq(grid, vh, weight=A) for vh in vhats) / gamma
                  - eps / gamma * grid.integral(z * np.fft.ifftn(np.fft.fftn(vsq) * mask).real))
-    dz = (1.0 - gamma) * omc * state.zeta.hat - eps / (2.0 * gamma) * np.fft.fftn(vsq) * mask
-    dv = [A / gamma * c.hat - eps / gamma * np.fft.fftn(z * vj) * mask
-          for c, vj in zip(state.v, v)]
+    dz = (1.0 - gamma) * omc * zhat - eps / (2.0 * gamma) * np.fft.fftn(vsq) * mask
+    dv = [A / gamma * vh - eps / gamma * np.fft.fftn(z * vj) * mask
+          for vh, vj in zip(vhats, v)]
     return (out_z, *out_v), ham, (dz, *dv)
 
 
@@ -249,21 +302,24 @@ def _energy_oracle(state: FieldState, arg_z, arg_v):
 @PROPERTY
 @given(seed=seeds, epsilon=positive_epsilons)
 def test_energy_products_match_a_full_lattice_oracle(case, seed, epsilon):
-    """The energy layer forms its products on the half lattice
-    (GridSpec.product_hat); every output agrees with the full-lattice
-    oracle to 1e-13 relative, in all three symmetrizer variants."""
+    """The energy layer forms its products and sums on the half lattice
+    (GridSpec.product_hat, GridSpec.hermitian_sum); every output agrees
+    with the full-lattice oracle to 1e-13 relative, in all three
+    symmetrizer variants."""
     for grid in GRIDS:
         state = _state(grid, _params(case, epsilon), seed)
         lam = 1.0 + grid.abs2_xi
         arg_z = lam * state.zeta.hat
         arg_v = tuple(lam * c.hat for c in state.v)
-        want_s, want_h, want_g = _energy_oracle(state, arg_z, arg_v)
+        want_s, want_h, want_g = _energy_oracle(
+            state, _full(grid, arg_z), tuple(_full(grid, a) for a in arg_v))
         s_z, s_v = symmetrizer_apply(state, SpectralField(grid, hat=arg_z),
                                      tuple(SpectralField(grid, hat=a) for a in arg_v),
                                      classify_case(state.params).variant)
         g_z, g_v = variational_gradients(state)
         for got, want in zip((s_z, *s_v, g_z, *g_v), want_s + want_g):
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            half = want[..., :grid.half_shape[-1]]
+            assert np.max(np.abs(got - half)) <= 1e-13 * np.max(np.abs(want))
         assert abs(hamiltonian(state) - want_h) <= 1e-13 * abs(want_h)
 
 
@@ -272,13 +328,17 @@ def test_energy_products_match_a_full_lattice_oracle(case, seed, epsilon):
 @given(seed=seeds, epsilon=positive_epsilons, fraction=fractions)
 def test_step_pairs_the_movers_bitwise(case, seed, epsilon, fraction):
     """One step returns Z+(-xi) = conj Z-(xi) exactly, W_hat and the zero
-    mode untouched."""
+    mode untouched.  The movers are checked on the whole lattice they
+    stand for (half_lattice_oracle.whole), where only the self-conjugate
+    columns can break the pairing."""
     for grid in GRIDS:
         state = _state(grid, _params(case, epsilon), seed)
         om_max = float(np.max(symbol_table(grid, state.params).Omega))
         diag = diagonalize(state)
         out = step_exponential(diag, fraction * min(0.2, 2.8 / om_max))
-        assert np.array_equal(_reflect(out.Zp_hat), np.conj(out.Zm_hat))
+        whole_p = half_lattice_oracle.whole(grid, out.Zp_hat, out.Zm_hat)
+        whole_m = half_lattice_oracle.whole(grid, out.Zm_hat, out.Zp_hat)
+        assert np.array_equal(_reflect(whole_p), np.conj(whole_m))
         assert out.zero_mode == diag.zero_mode
         if grid.dim == 1:
             assert out.W_hat is None

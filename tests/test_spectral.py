@@ -9,14 +9,19 @@ from bfdsim import (
     ParameterDomainError,
     SchemeConfig,
     SpectralField,
+    diagonalize,
     energy_report,
     equivalence_ratio,
     evolve,
     make_initial_state,
     noncavitation_margin,
+    symbol_table,
+    undiagonalize,
     variational_check,
 )
+from bfdsim.energy import sobolev_weight
 from bfdsim.errors import GridMismatchError
+from bfdsim.evolution import step_exponential
 from bfdsim.spectral import (
     STACK_MAX_POINTS,
     TWO_PI,
@@ -25,6 +30,8 @@ from bfdsim.spectral import (
     field_values,
     gradient,
 )
+
+from half_lattice_oracle import extend_half
 
 
 def _grid2(n=32, length=TWO_PI):
@@ -109,23 +116,28 @@ HALF_GRIDS = [GridSpec(n=(16,), length=(TWO_PI,)), GridSpec(n=(64,), length=(3.0
 
 @pytest.mark.parametrize("g", HALF_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
 def test_half_lattice_transforms_match_the_full_ones(g):
-    """Both layouts agree with numpy's complex fftn/ifftn: fft(x) is the
-    full spectrum and fft(x, half=True) its half lattice, and ifft_real
-    inverts either one.  fft(x) is Hermitian bitwise."""
+    """The half lattice agrees with numpy's complex fftn/ifftn: fft(x) and
+    SpectralField.hat are its last-axis modes 0..n/2, and ifft_real
+    inverts either one.  The field's spectrum, extended to the full
+    lattice by the test oracle, is Hermitian bitwise: its self-conjugate
+    columns are paired bitwise."""
     x = np.random.default_rng(sum(g.n)).standard_normal(g.n)
     want = np.fft.fftn(x)
-    full = g.fft(x)
-    half = g.fft(x, half=True)
+    half = g.fft(x)
+    field = SpectralField.from_real(g, x).hat
     scale = np.max(np.abs(want))
-    assert half.shape == want[g.half].shape
-    assert np.max(np.abs(full - want)) <= 1e-13 * scale
-    assert np.max(np.abs(half - want[g.half])) <= 1e-13 * scale
+    cols = g.half_shape[-1]
+    for hat in (half, field):
+        assert hat.shape == g.half_shape == want[..., :cols].shape
+        assert np.max(np.abs(hat - want[..., :cols])) <= 1e-13 * scale
+    full = extend_half(g, field, field)
+    assert np.array_equal(full[..., :cols], field)
     refl = full
     for ax in range(g.dim):
         refl = np.roll(np.flip(refl, axis=ax), 1, axis=ax)
     assert np.array_equal(refl, np.conj(full))
     back = np.fft.ifftn(want).real
-    for hat in (full, half):
+    for hat in (half, field):
         np.testing.assert_allclose(g.ifft_real(hat), back, rtol=0, atol=1e-13)
 
 
@@ -157,21 +169,22 @@ def test_the_package_runs_on_one_transform_pair(monkeypatch):
 
 @pytest.mark.parametrize("g", HALF_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
 def test_extend_half_pairs_two_spectra_bitwise(g):
-    """P = extend_half(hp, hm) and M = extend_half(hm, hp) satisfy
-    P(-xi) = conj M(xi) exactly wherever -xi != xi, and P keeps hp on
-    the half lattice outside the self-conjugate columns' rows k_1 < 0."""
+    """The full-lattice oracle of the tests (half_lattice_oracle): P =
+    extend_half(hp, hm) and M = extend_half(hm, hp) satisfy P(-xi) =
+    conj M(xi) exactly wherever -xi != xi, and P keeps hp on the half
+    lattice outside the self-conjugate columns' rows k_0 < 0."""
     rng = np.random.default_rng(7)
-    shape = g.fft(np.zeros(g.n), half=True).shape
+    shape = g.fft(np.zeros(g.n)).shape
     hp, hm = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
               for _ in range(2))
-    P, M = g.extend_half(hp, hm), g.extend_half(hm, hp)
+    P, M = extend_half(g, hp, hm), extend_half(g, hm, hp)
     refl, self_conj = P, np.ones(g.n, dtype=bool)
     for ax, m in enumerate(g.n):
         refl = np.roll(np.flip(refl, axis=ax), 1, axis=ax)
         k = np.arange(m).reshape([-1 if a == ax else 1 for a in range(g.dim)])
         self_conj = self_conj & (k % (m // 2) == 0)
     assert np.array_equal(refl[~self_conj], np.conj(M)[~self_conj])
-    kept = P[g.half] == hp
+    kept = P[..., :g.half_shape[-1]] == hp
     if g.dim == 2:
         kept[g.n[0] // 2 + 1:, ::g.n[1] // 2] = True
     assert kept.all()
@@ -184,7 +197,7 @@ BAND_GRIDS = [GridSpec(n=(64,), length=(TWO_PI,)), GridSpec(n=(256,), length=(3.
 def _band_limited_half(g, seed):
     """Half-lattice spectrum of a random real field, zero off the band."""
     x = np.random.default_rng(seed).standard_normal(g.n)
-    return np.fft.rfftn(x) * g.dealias_mask[g.half]
+    return np.fft.rfftn(x) * g.dealias_mask
 
 
 @pytest.mark.parametrize("g", BAND_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
@@ -205,33 +218,10 @@ def test_band_transforms_are_numpys_bitwise(g):
         assert np.array_equal(out, want)
 
         x = np.random.default_rng(seed + 10).standard_normal(g.n)
-        masked = np.fft.rfftn(x) * g.dealias_mask[g.half]
+        masked = np.fft.rfftn(x) * g.dealias_mask
         got = g.fft(x, out=np.empty(g.band_shape, dtype=complex), work=work)
         assert np.array_equal(got, g.band(masked))
         assert np.array_equal(g.product_hat(x, out=np.empty_like(got)), got)
-
-
-@pytest.mark.parametrize("g", BAND_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
-def test_extend_band_is_extend_half_of_the_padded_band(g):
-    """extend_band(bp, bm) is extend_half of the half lattices that hold bp
-    and bm on the band and 0 off it, it is 0 wherever the two-thirds rule
-    drops a mode, and band() reads bp back from it."""
-    rng = np.random.default_rng(3)
-    bp, bm = (rng.standard_normal(g.band_shape) + 1j * rng.standard_normal(g.band_shape)
-              for _ in range(2))
-    shape = g.fft(np.zeros(g.n), half=True).shape
-    hp, hm = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    for b, f in g.band_blocks:
-        hp[f], hm[f] = bp[b], bm[b]
-    got = g.extend_band(bp, bm)
-    assert np.array_equal(got, g.extend_half(hp, hm))
-    assert np.all(got[~g.dealias_mask] == 0.0)
-    # band() reads extend_band back, but for column 0's rows k_0 < 0, which
-    # come from bm as in extend_half
-    kept = g.band(got) == bp
-    if g.dim == 2:
-        kept[g.n[0] // 3 + 1:, 0] = True
-    assert kept.all()
 
 
 def test_integral_of_constant():
@@ -250,13 +240,21 @@ def test_spectral_l2_weighted():
 
 
 def test_is_hermitian_detects_asymmetry():
-    g = GridSpec.square(8, TWO_PI, dim=1)
-    u = np.cos(g.x_mesh[0])
-    hat = g.fft(u)
-    assert g.is_hermitian(hat)
-    hat = hat.astype(complex)
-    hat[1] += 1.0j * 0.5  # breaks conjugate symmetry
-    assert not g.is_hermitian(hat)
+    """On the half lattice only the self-conjugate columns 0 and n/2 hold
+    both xi and -xi: an imaginary mean in 1D, or a column-0 mode without
+    its conjugate at -xi in 2D, breaks conjugate symmetry; content inside
+    (0, n/2) does not."""
+    for g, where, mirror in ((GridSpec.square(8, TWO_PI, dim=1), (0,), None),
+                             (GridSpec.square(8, TWO_PI, dim=2), (1, 0), (-1, 0))):
+        hat = SpectralField.from_real(g, np.cos(g.x_mesh[0])).hat.copy()
+        assert g.is_hermitian(hat)
+        hat[(1,) * g.dim] += 1.0j * 0.5  # inside (0, n/2): still a real field
+        assert g.is_hermitian(hat)
+        hat[where] += 1.0j * 0.5  # breaks conjugate symmetry
+        assert not g.is_hermitian(hat)
+        if mirror is not None:
+            hat[mirror] -= 1.0j * 0.5  # its conjugate at -xi mends it
+            assert g.is_hermitian(hat)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,7 @@ def test_is_hermitian_detects_asymmetry():
 def test_dealias_mask_two_thirds_cutoff():
     g = GridSpec.square(16, TWO_PI, dim=1)
     mask = g.dealias_mask
-    k = np.fft.fftfreq(16, d=1.0 / 16).astype(int)
+    k = np.fft.fftfreq(16, d=1.0 / 16).astype(int)[:g.half_shape[-1]]
     kept = sorted(abs(int(kk)) for kk in k[mask])
     dropped = sorted(set(abs(int(kk)) for kk in k[~mask]))
     assert max(kept) == 5          # |k| <= 16/3
@@ -295,24 +293,22 @@ def test_dealiased_product_matches_fine_grid():
 
     def bandlimited(seed):
         rng = np.random.default_rng(seed)
-        hat = np.zeros(32, dtype=complex)
+        hat = np.zeros(17, dtype=complex)
         for k in range(1, 6):
-            c = rng.standard_normal() + 1j * rng.standard_normal()
-            hat[k] = c
-            hat[-k] = np.conj(c)
+            hat[k] = rng.standard_normal() + 1j * rng.standard_normal()
         return SpectralField.from_spectral(g, hat)
 
     for seed in range(5):
         u = bandlimited(10 + seed)
         w = bandlimited(20 + seed)
-        # pad both to the fine grid, multiply exactly, restrict
-        pad_u = np.zeros(64, dtype=complex)
-        pad_w = np.zeros(64, dtype=complex)
-        pad_u[:16], pad_u[-16:] = u.hat[:16] * 2, u.hat[-16:] * 2
-        pad_w[:16], pad_w[-16:] = w.hat[:16] * 2, w.hat[-16:] * 2
+        # pad both to the fine grid's half lattice, multiply exactly, restrict
+        pad_u = np.zeros(33, dtype=complex)
+        pad_w = np.zeros(33, dtype=complex)
+        pad_u[:16] = u.hat[:16] * 2
+        pad_w[:16] = w.hat[:16] * 2
         exact = fine.fft(fine.ifft_real(pad_u) * fine.ifft_real(pad_w))
-        restrict = np.zeros(32, dtype=complex)
-        restrict[:16], restrict[-16:] = exact[:16] / 2, exact[-16:] / 2
+        restrict = np.zeros(17, dtype=complex)
+        restrict[:16] = exact[:16] / 2
         restrict = restrict * g.dealias_mask
 
         got = g.fft(u.values * w.values) * g.dealias_mask
@@ -383,6 +379,39 @@ def test_field_shape_mismatch():
         SpectralField(g, real=np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_spectrum_lives_on_the_half_lattice(dim):
+    """Field spectra, fft, the movers and W_hat of diagonalize, of both
+    steps and of undiagonalize, every per-mode symbol-table array and the
+    norm weights have the rfftn half lattice's shape; the IF-RK4 forcing
+    multipliers have the band's.  A full-lattice spectrum is refused."""
+    g = GridSpec.square(12, TWO_PI, dim=dim)
+    half = g.half_shape
+    p = ModelParams(gamma=0.7, epsilon=0.2, mu=0.1, mu2=0.2,
+                    a=0.0, b=0.25, c=-0.1, d=1.0 / 6.0)
+    state = make_initial_state(g, p, profile="random_bandlimited", seed=3,
+                               velocity="random")
+    assert g.fft(state.zeta.values).shape == half
+    assert all(f.hat.shape == half for f in (state.zeta, *state.v))
+    diag = diagonalize(state)
+    for d in (diag, step_exponential(diag, 0.01),
+              step_exponential(diagonalize(state.with_params(p.replace(epsilon=0.0))), 0.01)):
+        assert d.Zp_hat.shape == d.Zm_hat.shape == half
+        assert (d.W_hat is None) if dim == 1 else (d.W_hat.shape == half)
+    assert all(f.hat.shape == half for f in (undiagonalize(diag).zeta, *undiagonalize(diag).v))
+    tab = symbol_table(g, p)
+    for name in ("A", "g", "Omega", "impedance", "helmholtz_b", "helmholtz_d",
+                 "one_minus_cmu", "sigma", "omega1", "omega2", "ratio_sqrt", "lambda_plus"):
+        assert getattr(tab, name).shape == half, name
+    assert tab.mover_velocity.shape == (dim,) + half
+    assert tab.forcing_div.shape == tab.forcing_vsq.shape == g.band_shape
+    for arr in (g.abs2_xi, g.abs_xi, g.dealias_mask, sobolev_weight(g, 1.5, 1, 0.1),
+                *g.unit_xi):
+        assert arr.shape == half
+    with pytest.raises(GridMismatchError):
+        SpectralField(g, hat=np.zeros(g.n, dtype=complex))
+
+
 def test_field_lazy_sync():
     g = _grid2(8)
     rng = np.random.default_rng(9)
@@ -422,22 +451,22 @@ STACK_GRIDS += [GridSpec.square(n, TWO_PI, dim=1) for n in (64, 4096, 8192)]
 
 @pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
 def test_stacked_transforms_equal_per_field_calls_bitwise(grid):
-    """ifft_real and product_hat of a stack (one leading axis), one call
-    at most STACK_MAX_POINTS points and one call per field above it, equal
-    per-field calls bitwise, for stacks of full and of half spectra."""
+    """fft, ifft_real and product_hat of a stack (one leading axis), one
+    call at most STACK_MAX_POINTS points and one call per field above it,
+    equal per-field calls bitwise."""
     assert {g.npoints <= STACK_MAX_POINTS for g in STACK_GRIDS} == {True, False}
     rng = np.random.default_rng(grid.npoints)
     values = rng.standard_normal((3,) + grid.n)
     hats = grid.product_hat(values)
     assert hats.shape == (3,) + grid.half_shape
-    for field, hat in zip(values, hats):
+    spectra = grid.fft(values)
+    for field, hat, spectrum in zip(values, hats, spectra):
         assert np.array_equal(hat, grid.product_hat(field))
-    full = np.stack([grid.extend_half(h, h) for h in hats])
-    for stack in (hats, full):
-        got = grid.ifft_real(stack)
-        assert got.shape == (3,) + grid.n and got.dtype == np.float64
-        for one, hat in zip(got, stack):
-            assert np.array_equal(one, grid.ifft_real(hat))
+        assert np.array_equal(spectrum, grid.fft(field))
+    got = grid.ifft_real(hats)
+    assert got.shape == (3,) + grid.n and got.dtype == np.float64
+    for one, hat in zip(got, hats):
+        assert np.array_equal(one, grid.ifft_real(hat))
 
 
 def test_field_values_fills_the_uncached_fields_bitwise():
