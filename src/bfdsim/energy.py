@@ -11,13 +11,20 @@ pointwise with two-thirds dealiasing after each product).  Every spectrum
 here lives on the rfftn half lattice, and every product, as in the mover
 forcing, goes through GridSpec.product_hat.  Sums over the lattice weigh
 its columns the Hermitian way (GridSpec.hermitian_sum).
-Each symmetrizer variant stacks its operands into one inverse transform
-and its products into one forward transform (GridSpec.ifft_real and
+Each symmetrizer entry is a polynomial of degree <= 2 in eps whose
+coefficients do not read it, so the symmetrizer is applied split by
+powers of eps, S = S0 + eps*S1 + eps^2*S2 (S2 = 0 for b = d), and E_s =
+c0 + eps*c1 + eps^2*c2 with c_i the pairing against S_i.  Each variant
+stacks its operands into one inverse transform and its products, one field
+per power of eps, into one forward transform (GridSpec.ifft_real and
 product_hat take stacks).  What depends on the fields alone, the |hat|^2
 of every field, the dealiased v_j v_k and the Bessel-weighted fields
 Lam^s zeta, Lam^s v, is formed once per state and kept in its memo
 (FieldState), so the norms, the Hamiltonian and the smallness term of one
-report row, or the points of one equivalence state, share it.
+report row, or the points of one equivalence state, share it.  The c_i
+are kept there too, per s, variant and the parameters other than eps: the
+points of an equivalence sweep that share mu run the symmetrizer once,
+and the rest is scalar arithmetic.
 The noncav column of energy_report is min(1 - eps*zeta) alone
 (system.noncav_margin); the steepness proxy eps*W^{1,inf} is formed only
 by system.noncavitation_margin.
@@ -156,17 +163,29 @@ def _operands(grid: GridSpec, pairs) -> np.ndarray:
     return grid.ifft_real(stack)
 
 
+def _products(grid: GridSpec, terms) -> np.ndarray:
+    """Dealiased half-lattice spectra of real products, one per entry of
+    terms, a list of (f, g) pairs whose products it sums: formed in place
+    in one stack and forward-transformed in one product_hat call."""
+    stack = np.empty((len(terms),) + grid.n)
+    for pairs, dest in zip(terms, stack):
+        (f, g), *rest = pairs
+        np.multiply(f, g, out=dest)
+        for f, g in rest:
+            dest += f * g
+    return grid.product_hat(stack)
+
+
 def _vv_values(state: FieldState) -> list[list[np.ndarray]]:
     """Dealiased values of every v_j v_k, kept in the state's memo; the
-    products j <= k go through one product_hat and one ifft_real call."""
+    products j <= k go through one _products and one ifft_real call."""
     memo = state.memo
     if "vv" not in memo:
         grid = state.grid
         vvals = field_values(state.v)
         dim = len(vvals)
         pairs = [(j, k) for j in range(dim) for k in range(j, dim)]
-        values = grid.ifft_real(grid.product_hat(np.stack([vvals[j] * vvals[k]
-                                                            for j, k in pairs])))
+        values = grid.ifft_real(_products(grid, [[(vvals[j], vvals[k])] for j, k in pairs]))
         vv = [[None] * dim for _ in range(dim)]
         for (j, k), jk in zip(pairs, values):
             vv[j][k] = vv[k][j] = jk
@@ -174,124 +193,163 @@ def _vv_values(state: FieldState) -> list[list[np.ndarray]]:
     return memo["vv"]
 
 
-def _dot(fs, gs) -> np.ndarray:
-    """sum_j f_j g_j of real grid arrays."""
-    return sum(f * g for f, g in zip(fs, gs))
+def _pair(grid: GridSpec, weight: np.ndarray, f_hats, *g_hats: np.ndarray):
+    """L2 pairings (W f | g) of a (nominally real) field f with each g,
+    from their half-lattice spectra, W the real multiplier weight, even in
+    xi; returned as a tuple, one complex per g.
 
-
-def _pair(grid: GridSpec, weight: np.ndarray, f_hat: np.ndarray, g_hat: np.ndarray) -> complex:
-    """L2 pairing (W f | g) of two (nominally real) fields from their
-    half-lattice spectra, W the real multiplier weight, even in xi.
-
-    It forms conj(W f_hat) g_hat in the one array that W f_hat needs
-    anyway (numpy's vdot goes through BLAS, whose thread hand-off at the
-    default thread count costs more than the sum).  The real part of the
-    pairing is the Hermitian-weighted sum of its real part.  Its imaginary
-    part cancels between each mode and its mirror image, so on the half
-    lattice it can arise only in the self-conjugate columns 0 and n/2,
-    which hold both: it is the (conjugated) sum there, the residue that
-    energy_Es checks.
+    f_hats are the component spectra of f (one for a scalar field), each
+    g_hat stacks as many (one leading axis), and a pairing sums over the
+    components.  conj(W f) is formed once, into one array, and each g_hat
+    is overwritten by its product with it.  numpy's vdot is not used: it
+    goes through BLAS, whose thread hand-off at the default thread count
+    costs more than the sum.  The real part of a pairing is the
+    Hermitian-weighted sum of its real part.  Its imaginary part cancels
+    between each mode and its mirror image, so on the half lattice it can
+    arise only in the self-conjugate columns 0 and n/2, which hold both:
+    it is the (conjugated) sum there, the residue that energy_Es checks.
     """
-    prod = np.multiply(weight, f_hat)
-    np.conjugate(prod, out=prod)
-    prod *= g_hat
-    # the self-conjugate columns count once in the real part (hermitian_sum)
-    edges = complex(prod[..., ::grid.n[-1] // 2].sum())
-    total = 2.0 * float(prod.real.sum()) - edges.real
-    return grid.cell_volume / grid.npoints * complex(total, -edges.imag)
+    conj_wf = np.empty((len(f_hats),) + grid.half_shape, dtype=np.complex128)
+    for f_hat, dest in zip(f_hats, conj_wf):
+        np.multiply(weight, f_hat, out=dest)
+    np.conjugate(conj_wf, out=conj_wf)
+    scale = grid.cell_volume / grid.npoints
+    out = []
+    for g_hat in g_hats:
+        prod = np.multiply(g_hat, conj_wf, out=g_hat)
+        # the self-conjugate columns count once in the real part (hermitian_sum)
+        edges = complex(prod[..., ::grid.n[-1] // 2].sum())
+        total = 2.0 * float(prod.real.sum()) - edges.real
+        out.append(scale * complex(total, -edges.imag))
+    return tuple(out)
 
 
-def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
-                      arg_v: tuple[SpectralField, ...], variant: str):
-    """Apply the case's symmetrizer to the argument fields (arg_z, arg_v).
+def _symmetrizer_parts(state: FieldState, arg_z: SpectralField,
+                       arg_v: tuple[SpectralField, ...], variant: str) -> list[np.ndarray]:
+    """The case's symmetrizer split by powers of eps, applied to the
+    argument fields (arg_z, arg_v).
+
+    Every entry of the symmetrizer is a polynomial of degree <= 2 in eps
+    whose coefficients are free of it (frozen_symbol_matrices), so S =
+    S0 + eps*S1 + eps^2*S2, with S2 = 0 for b = d.  Returned is [S0, S1]
+    for b = d and [S0, S1, S2] otherwise, the half-lattice spectra of each
+    applied to the argument as one (dim + 1,) + half_shape array: the
+    zeta component, then the v_j.  No operation here reads eps.
 
     The coefficients (zeta, v) come from the state; the argument is the
-    (already Bessel-weighted) field the energy pairs against, and the
-    half-lattice spectra returned are of S applied to it.  The distinct
-    spectral operands go through one inverse transform (the b = d variant
-    reads the argument's .values, so cached values cost none), the
+    (already Bessel-weighted) field the energy pairs against.  The
+    distinct spectral operands go through one inverse transform (the b = d
+    variant reads the argument's .values, so cached values cost none), the
     dealiased v_j v_k come from the state's memo, and the dealiased
-    products go through one forward transform.  The products that share an
-    outer multiplier are summed in physical space first (dealiasing is
-    linear).
+    products go through one forward transform.  Each product carries one
+    power of eps; the products of one power that share an outer
+    multiplier are summed in physical space first (dealiasing is linear).
     """
     grid = state.grid
     p = state.params
     check_variant(p, variant)
     tab = symbol_table(grid, p)
-    gamma, eps, mu = p.gamma, p.epsilon, p.mu
-    gg = gamma * (1.0 - gamma)
+    gg = p.gamma * (1.0 - p.gamma)
     omc = tab.one_minus_cmu
     zvals, *vvals = field_values((state.zeta, *state.v))
-    dims = range(grid.dim)
+    dim = grid.dim
+    dims = range(dim)
     z_hat, v_hat = arg_z.hat, [a.hat for a in arg_v]
 
     if variant == VARIANT_BD_EQUAL:
         z_arg, *v_arg = field_values((arg_z, *arg_v))
-        prod_z, *prod_v = grid.product_hat(np.stack(
-            [_dot(vvals, v_arg)] + [zvals * v_arg[j] + vvals[j] * z_arg for j in dims]))
-        out_z = gg * omc * z_hat - eps * prod_z
-        out_v = tuple(tab.A * v_hat[j] - eps * prod_v[j] for j in dims)
-        return out_z, out_v
+        s1 = _products(grid, [list(zip(vvals, v_arg))]
+                       + [[(zvals, v_arg[j]), (vvals[j], z_arg)] for j in dims])
+        np.negative(s1, out=s1)
+        s0 = np.empty_like(s1)
+        np.multiply(gg * omc, z_hat, out=s0[0])
+        for j in dims:
+            np.multiply(tab.A, v_hat[j], out=s0[1 + j])
+        return [s0, s1]
 
-    # both remaining variants pair v with (1 - c mu Lap) arg and need v_j v_k
+    # both remaining variants pair v with (1 - c mu Lap) arg and need v_j v_k;
+    # S0 is a multiplier on each component (m0_z, m0_v), S1 and S2 are sums
+    # of products weighted by m_z, m_zx, m_vz and m_vy
     vv = _vv_values(state)
-
     if variant == VARIANT_BD_DISTINCT:
         g = tab.g
         z_omc, *ops = _operands(grid, [(omc, z_hat)] + [(omc, a) for a in v_hat]
                                 + [(g - 1.0, a) for a in v_hat])
-        v_omc, v_g1 = ops[:grid.dim], ops[grid.dim:]
-        prod_z, *prods = grid.product_hat(np.stack(
-            [_dot(vvals, v_omc)]
-            + [eps**2 * _dot(vv[j], v_g1) - gg * eps * zvals * v_omc[j] for j in dims]
-            + [vvals[j] * z_omc for j in dims]))
-        out_z = gg * (gg * omc**2 * g * z_hat) - gg * eps * g * prod_z
-        out_v = tuple(
-            gg * (tab.A * omc * v_hat[j]) + prods[j] - gg * eps * g * prods[grid.dim + j]
-            for j in dims)
-        return out_z, out_v
+        # v_x is (1 - c mu Lap) arg_v, v_y is (g - 1) arg_v
+        v_x, v_y = ops[:dim], ops[dim:]
+        m0_z, m0_v = gg * (gg * omc**2 * g), gg * (tab.A * omc)
+        m_z, m_zx, m_vz, m_vy = -gg * g, -gg, -gg * g, 1.0
+    else:
+        helm_d = tab.helmholtz_d
+        z_omc, *ops = _operands(grid, [(omc, z_hat)] + [(omc, a) for a in v_hat]
+                                + [(helm_d, a) for a in v_hat]
+                                + [(grid.abs2_xi, a) for a in v_hat])
+        # v_x is (1 - d mu Lap) arg_v, v_y is -Lap arg_v
+        v_x, v_y = ops[dim:2 * dim], ops[2 * dim:]
+        m0_z, m0_v = gg * (gg * omc**2), gg * omc * (tab.A * helm_d)
+        m_z, m_zx, m_vz, m_vy = -gg, -gg * omc, -gg, -(p.d * p.mu)
+    v_omc = ops[:dim]
+    prod_z, *prods = _products(grid, [list(zip(vvals, v_omc))]
+                               + [[(zvals, v_x[j])] for j in dims]
+                               + [[(vvals[j], z_omc)] for j in dims]
+                               + [list(zip(vv[j], v_y)) for j in dims])
+    prod_zx, prod_vz, prod_vy = (prods[i * dim:(i + 1) * dim] for i in range(3))
+    s0, s1, s2 = (np.empty((dim + 1,) + grid.half_shape, dtype=np.complex128)
+                  for _ in range(3))
+    np.multiply(m0_z, z_hat, out=s0[0])
+    np.multiply(m_z, prod_z, out=s1[0])
+    s2[0] = 0.0
+    for j in dims:
+        np.multiply(m0_v, v_hat[j], out=s0[1 + j])
+        s1[1 + j] = m_zx * prod_zx[j] + m_vz * prod_vz[j]
+        np.multiply(m_vy, prod_vy[j], out=s2[1 + j])
+    return [s0, s1, s2]
 
-    helm_d = tab.helmholtz_d
-    # v_lap is -Lap arg_v
-    z_omc, *ops = _operands(grid, [(omc, z_hat)] + [(omc, a) for a in v_hat]
-                            + [(helm_d, a) for a in v_hat]
-                            + [(grid.abs2_xi, a) for a in v_hat])
-    v_omc, v_helm, v_lap = (ops[i * grid.dim:(i + 1) * grid.dim] for i in range(3))
-    prod_z, *prods = grid.product_hat(np.stack(
-        [_dot(vvals, v_omc)]
-        + [zvals * v_helm[j] for j in dims]
-        + [gg * eps * vvals[j] * z_omc + p.d * eps**2 * mu * _dot(vv[j], v_lap)
-           for j in dims]))
-    out_z = gg * (gg * omc**2 * z_hat) - gg * eps * prod_z
-    out_v = tuple(
-        gg * omc * (tab.A * (helm_d * v_hat[j]) - eps * prods[j]) - prods[grid.dim + j]
-        for j in dims)
-    return out_z, out_v
+
+def symmetrizer_apply(state: FieldState, arg_z: SpectralField,
+                      arg_v: tuple[SpectralField, ...], variant: str):
+    """Apply the case's symmetrizer to the argument fields (arg_z, arg_v):
+    the half-lattice spectra S0 + eps*S1 + eps^2*S2 of _symmetrizer_parts,
+    as (zeta component, (v_j components))."""
+    eps = state.params.epsilon
+    s0, s1, *s2 = _symmetrizer_parts(state, arg_z, arg_v, variant)
+    out = s0 + eps * s1
+    if s2:
+        out += eps**2 * s2[0]
+    return out[0], tuple(out[1:])
 
 
 def energy_Es(state: FieldState, s: float, case: CaseClass | None = None) -> float:
     """Symmetrizer energy (W Lam^s V | S_V Lam^s V)_2 for the state's case.
 
     W is 1 - b*mu*Lap for the b = d and b != d formulations and
-    1 - d*mu*Lap for b = 0 (identity when the coefficient vanishes).  The
-    pairing of real fields is real.  An imaginary residue above
-    PAIRING_IMAG_TOL relative raises ArithmeticError; on the half lattice
-    it arises only in the self-conjugate columns, from a state whose
-    spectrum is not conjugate-symmetric there.
+    1 - d*mu*Lap for b = 0 (identity when the coefficient vanishes).  With
+    S = S0 + eps*S1 + eps^2*S2 (_symmetrizer_parts) the energy is c0 +
+    eps*c1 + eps^2*c2, c_i the pairing against S_i, all formed from one
+    conj(W Lam^s V).  Nothing in the c_i reads eps, so they are kept in the
+    state's memo under ("es", s, variant, the parameters with eps set to
+    0): the points of one equivalence state that differ only in eps share
+    them.  The pairing of real fields is real.  An imaginary residue of
+    the total above PAIRING_IMAG_TOL relative raises ArithmeticError; on
+    the half lattice it arises only in the self-conjugate columns, from a
+    state whose spectrum is not conjugate-symmetric there.
     """
     if case is None:
         case = classify_case(state.params)
-    grid = state.grid
-    tab = symbol_table(grid, state.params)
-    arg_z, *arg_v = _bessel_fields(state, s)
-    s_z, s_v = symmetrizer_apply(state, arg_z, tuple(arg_v), case.variant)
+    p = state.params
+    key = ("es", s, case.variant, p.replace(epsilon=0.0))
+    coeffs = state.memo.get(key)
+    if coeffs is None:
+        tab = symbol_table(state.grid, p)
+        weight = tab.helmholtz_d if case.variant == VARIANT_B_ZERO else tab.helmholtz_b
+        arg_z, *arg_v = _bessel_fields(state, s)
+        parts = _symmetrizer_parts(state, arg_z, tuple(arg_v), case.variant)
+        args = (arg_z.hat, *(a.hat for a in arg_v))
+        coeffs = state.memo[key] = _pair(state.grid, weight, args, *parts)
 
-    weight = tab.helmholtz_d if case.variant == VARIANT_B_ZERO else tab.helmholtz_b
-    total = _pair(grid, weight, arg_z.hat, s_z)
-    for j in range(grid.dim):
-        total += _pair(grid, weight, arg_v[j].hat, s_v[j])
-
+    total = coeffs[0] + p.epsilon * coeffs[1]
+    if len(coeffs) > 2:
+        total += p.epsilon**2 * coeffs[2]
     if abs(total.imag) > PAIRING_IMAG_TOL * max(1.0, abs(total)):
         raise ArithmeticError(
             f"energy pairing has imaginary residue {total.imag:.3e} "
@@ -340,9 +398,10 @@ def hamiltonian(state: FieldState) -> float:
     total = (1.0 - gamma) * grid.abs2_l2_sq(z_abs2, tab.one_minus_cmu)
     total += sum(grid.abs2_l2_sq(a, tab.A) for a in v_abs2) / gamma
     if p.epsilon != 0.0:
-        vsq = sum(c.values**2 for c in state.v)
+        zvals, *vvals = field_values((state.zeta, *state.v))
+        vsq = sum(c**2 for c in vvals)
         vsq_d = grid.ifft_real(grid.product_hat(vsq))
-        total -= p.epsilon / gamma * grid.integral(state.zeta.values * vsq_d)
+        total -= p.epsilon / gamma * grid.integral(zvals * vsq_d)
     return 0.5 * total
 
 

@@ -453,10 +453,12 @@ class SpectralField:
 
 
 def field_values(fields) -> list[np.ndarray]:
-    """The .values of fields on one grid.  Those not cached yet are
-    inverse-transformed in one stacked ifft_real call, and cached."""
+    """The .values of fields on one grid.  On a grid of at most
+    STACK_MAX_POINTS points those not cached yet are inverse-transformed in
+    one stacked ifft_real call, and cached; on a larger one each field's
+    .values transforms it, with no stack to copy the spectra into."""
     todo = [f for f in fields if f._real is None]
-    if len(todo) > 1:
+    if len(todo) > 1 and todo[0].grid.npoints <= STACK_MAX_POINTS:
         grid = todo[0].grid
         stack = np.stack([f._hat for f in todo])
         for f, values in zip(todo, grid.ifft_real(stack)):

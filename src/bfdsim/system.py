@@ -36,16 +36,19 @@ from .symbols import SymbolTable, multipliers, symbol_table
 class FieldState:
     """Surface displacement and layer-mean velocity at one instant.
 
-    memo holds what the energy layer derives from the fields alone, not
-    from t or params: the |hat|^2 of zeta and of each v_j, the dealiased
-    values of every v_j v_k, and per s the Bessel-weighted fields Lam^s
-    zeta, Lam^s v_j with their values (see bfdsim.energy).  Each entry is
-    filled on first use and read everywhere after.  That is sound because
-    a state's fields are never reassigned and their arrays never mutated
-    in place (the SpectralField contract): other fields make another
-    FieldState, whose memo starts empty, and copy() starts one too.
-    with_params keeps the fields, so it shares the memo: the points of the
-    equivalence sweep score one state through it.
+    memo holds what the energy layer derives from the fields, not from t:
+    the |hat|^2 of zeta and of each v_j, the dealiased values of every
+    v_j v_k, and per s the Bessel-weighted fields Lam^s zeta, Lam^s v_j
+    with their values, all free of params; and the eps-free pairings
+    (c0, c1[, c2]) of E_s = c0 + eps*c1 + eps^2*c2, under the key ("es",
+    s, variant, params with epsilon = 0), since they depend on every
+    parameter but eps (see bfdsim.energy).  Each entry is filled on first
+    use and read everywhere after.  That is sound because a state's fields
+    are never reassigned and their arrays never mutated in place (the
+    SpectralField contract): other fields make another FieldState, whose
+    memo starts empty, and copy() starts one too.  with_params keeps the
+    fields, so it shares the memo: the points of the equivalence sweep
+    score one state through it, running the symmetrizer once per mu.
     """
 
     t: float

@@ -7,7 +7,14 @@ Run it against two source trees and compare the outputs byte for byte:
     cmp a.txt b.txt
 
 Each line is a label and float.hex values, so equal files mean bitwise
-equal results.  It covers the equivalence study of the eight coefficient
+equal results.  When they are not,
+
+    python tests/energy_outputs.py --compare a.txt b.txt
+
+prints the largest relative change of each family's values between the
+two files: the equivalence ratio_min and ratio_max, each energy_report
+column and the coercivity form, and whether the gradients' SHA-256 lines
+are equal.  It covers the equivalence study of the eight coefficient
 cases at 16^2 and 32^2 (s = 2, (eps, mu) in {1e-2, 1e-3, 1e-4}^2), and
 energy_report at s = 0, 1.5 and 2, hamiltonian_coercivity_form and a
 SHA-256 of the variational_gradients spectra, for random states of every
@@ -17,6 +24,7 @@ public API, so any version of bfdsim since RunConfig runs it.
 
 import hashlib
 import math
+import sys
 
 from bfdsim import (
     GridSpec,
@@ -81,6 +89,51 @@ def report_lines():
             yield f"gradients {label} {digest.hexdigest()}"
 
 
+# family -> names of the float.hex values that end each of its lines
+FAMILIES = {"equivalence": ("ratio_min", "ratio_max"),
+            "report": ("hamiltonian", "E_s", "calE_s", "ratio", "x0_norm", "noncav",
+                       "smallness"),
+            "coercivity": ("coercivity",)}
+
+
+def _values(path: str) -> dict:
+    """label -> values of every line of an output file; a gradients line's
+    value is its digest."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            family = line.split(" ", 1)[0]
+            width = len(FAMILIES.get(family, ("digest",)))
+            label, *vals = line.rstrip("\n").rsplit(" ", width)
+            out[label] = vals if family == "gradients" else [float.fromhex(v) for v in vals]
+    return out
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(path_a: str, path_b: str) -> list[str]:
+    a, b = _values(path_a), _values(path_b)
+    if a.keys() != b.keys():
+        raise SystemExit(f"the files label different lines: {sorted(a.keys() ^ b.keys())[:5]}")
+    lines = []
+    for family, names in FAMILIES.items():
+        labels = [k for k in a if k.startswith(family + " ")]
+        for i, name in enumerate(names):
+            worst = max((_rel(a[k][i], b[k][i]) for k in labels), default=0.0)
+            lines.append(f"{family} {name} max_rel_change {worst:.3g} over {len(labels)} lines")
+    labels = [k for k in a if k.startswith("gradients ")]
+    equal = sum(a[k] == b[k] for k in labels)
+    lines.append(f"gradients sha_equal {equal} of {len(labels)} lines")
+    return lines
+
+
 if __name__ == "__main__":
-    for line in (*equivalence_lines(), *report_lines()):
-        print(line)
+    if sys.argv[1:2] == ["--compare"]:
+        print("\n".join(compare(*sys.argv[2:4])))
+    else:
+        for line in (*equivalence_lines(), *report_lines()):
+            print(line)

@@ -39,6 +39,7 @@ from bfdsim.spectral import TWO_PI
 from bfdsim.symbols import multipliers, symbol_table
 
 import symmetrizer_oracle
+from energy_outputs import CASES, LEVELS
 from half_lattice_oracle import extend_half, full_abs2_xi, full_dealias_mask
 
 
@@ -451,9 +452,9 @@ def test_symmetrizer_apply_equals_the_per_field_oracle_bitwise(n, b, d):
 
 def test_with_params_shares_the_memo_and_other_fields_do_not():
     """A with_params state keeps the fields and the memo, so the v_j v_k,
-    the |hat|^2 and the Bessel-weighted fields that one point forms serve
-    the next; a state with other v, a copy, or a dataclasses.replace of
-    another field starts empty."""
+    the |hat|^2, the Bessel-weighted fields and the eps-free pairings of
+    E_s that one point forms serve the next; a state with other v, a copy,
+    or a dataclasses.replace of another field starts empty."""
     grid = GridSpec.square(16, TWO_PI, dim=2)
     p = _params(epsilon=0.2, b=0.25, d=1.0 / 6.0)
     state = make_initial_state(grid, p, profile="random_bandlimited", amplitude=0.3,
@@ -462,9 +463,10 @@ def test_with_params_shares_the_memo_and_other_fields_do_not():
     assert point.memo is state.memo
     assert point.zeta is state.zeta and point.v is state.v and point.t == state.t
     energy_Es(point, 1.5)
-    assert set(state.memo) == {"vv", ("bessel", 1.5)}
+    es_key = ("es", 1.5, "b!=d", p.replace(epsilon=0.0, mu=0.05))
+    assert set(state.memo) == {"vv", ("bessel", 1.5), es_key}
     calE_s(state, 1.5)
-    assert set(point.memo) == {"vv", ("bessel", 1.5), "abs2"}
+    assert set(point.memo) == {"vv", ("bessel", 1.5), es_key, "abs2"}
     filled = dict(state.memo)
     vv = filled["vv"]
     energy_report(point, s=1.5)
@@ -479,6 +481,95 @@ def test_with_params_shares_the_memo_and_other_fields_do_not():
     energy_Es(doubled, 1.5)
     np.testing.assert_allclose(doubled.memo["vv"][0][1], 4.0 * vv[0][1],
                                rtol=1e-12, atol=1e-14)
+
+
+def _fresh_copy(state: FieldState, params: ModelParams) -> FieldState:
+    """The state's fields rebuilt from their spectra, under params, with a
+    memo of its own."""
+    zeta, *v = (SpectralField(state.grid, hat=f.hat.copy()) for f in (state.zeta, *state.v))
+    return FieldState(t=state.t, zeta=zeta, v=tuple(v), params=params)
+
+
+def _es_keys(state: FieldState) -> list:
+    return [k for k in state.memo if isinstance(k, tuple) and k[0] == "es"]
+
+
+@pytest.mark.parametrize("dim", [2, 1], ids=["16sq", "64line"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_memo_scores_every_sweep_point_as_a_fresh_state(dim, case):
+    """E_s = c0 + eps*c1 + eps^2*c2 with c_i free of eps, kept in the memo
+    once per mu: at every point of a 3x3 (eps, mu) sweep of one
+    with_params-shared state, E_s equals energy_Es of a fresh state (its
+    own fields and memo) to 1e-13 relative, for every coefficient case."""
+    grid = GridSpec.square(16 if dim == 2 else 64, TWO_PI, dim=dim)
+    b, c, d = CASES[case]
+    p = _params(gamma=0.7, epsilon=0.2, mu=0.1, mu2=0.2, b=b, c=c, d=d)
+    state = make_initial_state(grid, p, profile="random_bandlimited", amplitude=0.3,
+                               seed=60 + case, velocity="random")
+    for eps in (0.2, *LEVELS[:2]):
+        for mu in (0.1, *LEVELS[:2]):
+            q = p.replace(epsilon=eps, mu=mu)
+            kind = classify_case(q)
+            assert kind.case_id == case
+            shared = energy_Es(state.with_params(q), 1.5, kind)
+            fresh = energy_Es(_fresh_copy(state, q), 1.5, kind)
+            assert shared == pytest.approx(fresh, rel=1e-13, abs=0.0), (eps, mu)
+    assert len(_es_keys(state)) == 3
+
+
+@pytest.mark.parametrize("b, d, want", [
+    (0.25, 1.0 / 6.0, {"ifft_real": 4, "fft": 7}),
+    (5.0 / 24.0, 5.0 / 24.0, {"ifft_real": 1, "fft": 6}),
+], ids=["b!=d", "b=d"])
+def test_a_sweep_runs_the_symmetrizer_once_per_mu(monkeypatch, b, d, want):
+    """A 9-point, 3-mu sweep of one 16^2 state runs the symmetrizer chain 3
+    times.  Besides the 3 spectra of the state's own fields, b != d forms
+    the v_j v_k once (1 fft, 1 ifft_real) and per mu 1 inverse transform
+    of its operands and 1 forward transform of its products; b = d reads
+    the Bessel-weighted argument's values once (1 ifft_real) and per mu
+    forms 1 forward transform.  Scored at every point, they were 10 and 13
+    calls for b != d and 1 and 12 for b = d."""
+    grid = GridSpec.square(16, TWO_PI, dim=2)
+    p = _params(epsilon=0.2, b=b, d=d)
+    state = make_initial_state(grid, p, profile="random_bandlimited", amplitude=0.3,
+                               seed=9, velocity="random")
+    points = [p.replace(epsilon=e, mu=m) for e in LEVELS for m in LEVELS]
+    counts = dict.fromkeys(want, 0)
+
+    def counting(name):
+        inner = getattr(GridSpec, name)
+
+        def call(self, *args, **kw):
+            counts[name] += 1
+            return inner(self, *args, **kw)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(GridSpec, name, counting(name))
+    for q in points:
+        energy_Es(state.with_params(q), 2.0)
+    assert counts == want
+    assert len(_es_keys(state)) == 3
+
+
+def test_the_memo_recomputes_for_another_gamma_mu2_or_variant():
+    """The memo key of E_s holds every parameter but eps, and the variant:
+    a state sharing the memo that differs from its entry only in gamma, in
+    mu2 or in the forced variant scores as a fresh state does, not as the
+    entry."""
+    grid = GridSpec.square(16, TWO_PI, dim=2)
+    p = _params(epsilon=0.2, b=5.0 / 24.0, d=5.0 / 24.0)
+    state = make_initial_state(grid, p, profile="random_bandlimited", amplitude=0.3,
+                               seed=11, velocity="random")
+    base = energy_Es(state, 1.5)
+    others = [(p.replace(gamma=0.6), None), (p.replace(mu2=0.3), None),
+              (p, classify_case(p, case_override=1))]
+    assert others[2][1].variant != classify_case(p).variant
+    for q, case in others:
+        got = energy_Es(state.with_params(q), 1.5, case)
+        assert got == energy_Es(_fresh_copy(state, q), 1.5, case)
+        assert abs(got - base) > 1e-6 * abs(base)
+    assert len(_es_keys(state)) == 4
 
 
 def test_equivalence_ratio_zero_state_is_nan():

@@ -190,7 +190,7 @@ def test_half_lattice_sums_equal_the_full_lattice_sums(seed, s, k):
             abs2 = f.real**2 + f.imag**2
             assert abs(grid.abs2_l2_sq(abs2, w) - want) <= 1e-14 * want
         want = norm * complex(np.sum(full_weight * full_f * np.conj(full_g)))
-        got = _pair(grid, weight, f, g)
+        got, = _pair(grid, weight, (f,), g[None])
         assert abs(got.real - want.real) <= 1e-14 * abs(want)
         assert abs(got.imag) <= 1e-14 * abs(want) and abs(want.imag) <= 1e-14 * abs(want)
 

@@ -480,3 +480,26 @@ def test_field_values_fills_the_uncached_fields_bitwise():
     assert got[0] is cached.values
     for g, w, f in zip(got[1:], want, fresh):
         assert np.array_equal(g, w) and g is f.values
+
+
+@pytest.mark.parametrize("n, calls", [(64, 1), (128, 3)])
+def test_field_values_stacks_only_up_to_the_threshold(monkeypatch, n, calls):
+    """Up to STACK_MAX_POINTS the uncached fields take one stacked
+    ifft_real call; above it each field's .values transforms it, with no
+    stack built, and both are bitwise .values."""
+    grid = _grid2(n)
+    fresh = [SpectralField(grid, hat=_random_field(grid, s).hat) for s in (1, 2, 3)]
+    want = [grid.ifft_real(f.hat) for f in fresh]
+    shapes = []
+    inner = GridSpec.ifft_real
+
+    def counting(self, hat, *args, **kw):
+        shapes.append(hat.shape)
+        return inner(self, hat, *args, **kw)
+
+    monkeypatch.setattr(GridSpec, "ifft_real", counting)
+    got = field_values(fresh)
+    assert len(shapes) == calls
+    assert all(len(shape) == (3 if calls == 1 else 2) for shape in shapes)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
