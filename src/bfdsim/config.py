@@ -1,11 +1,22 @@
 """Run configuration: INI files with a fixed key registry.
 
 A run is described by a sectioned key-value file (configparser syntax)
-plus optional ``section.key=value`` overrides.  Every key lives in the
-registry below; unknown sections or keys are rejected by name, the two
-coefficient families (a,b,c,d vs alpha1,beta,alpha2) are mutually
-exclusive, and all resolved values (defaults included) are echoed into
-the output manifest so a run can be reproduced from its artifacts alone.
+plus optional ``section.key=value`` overrides.  CONFIG_KEYS holds one
+Key row per key, the one place that key is written.  A row holds:
+
+- its name, the default as ``--help`` prints it, and its help text;
+- the raw text an unset key parses from (None leaves it None);
+- its parser, which names the key in its errors;
+- the RunConfig field it fills (a path such as ``params.gamma``);
+- its range check, a predicate plus the requirement it states.
+
+parse_config is one loop over the rows followed by the rules that span
+keys: the two coefficient families (a,b,c,d vs alpha1,beta,alpha2) are
+mutually exclusive, mu2 ties to mu, grid.length broadcasts and grid.dim
+must match, and case_override must name a case.  RunConfig runs the range
+checks over the same rows, and echo() writes every resolved value
+(defaults included) into the output manifest, so a run can be reproduced
+from its artifacts alone.  Unknown sections or keys are rejected by name.
 """
 
 from __future__ import annotations
@@ -15,8 +26,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .errors import ConfigError
@@ -51,68 +63,169 @@ plt.savefig(here / {png!r}, dpi=150)
 
 
 class Key(NamedTuple):
+    """One config key, the one place it is written.
+
+    default is the text --help prints; raw is the text an unset key parses
+    from (None leaves the value None); parse(raw, "section.name") gives
+    the value; field is the RunConfig attribute path it fills and the
+    manifest echoes (None: the key echoes None); check, if any, is
+    (predicate, requirement) and runs in RunConfig on the value, or on
+    each entry of a tuple value.
+    """
+
     name: str
     default: str
     help: str
+    raw: str | None
+    parse: Callable[[str, str], Any]
+    field: str | None
+    check: tuple[Callable[[Any], bool], str] | None = None
+
+
+def _value(key: Key, cfg: RunConfig):
+    """The value key holds in cfg; None for a key that fills no field."""
+    return None if key.field is None else attrgetter(key.field)(cfg)
+
+
+def _float(raw: str, where: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where} must be a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {raw!r}")
+    return value
+
+
+def _int(raw: str, where: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where} must be an integer, got {raw!r}") from exc
+
+
+def _bool(raw: str, where: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError as exc:
+        raise ConfigError(f"{where} must be a boolean, got {raw!r}") from exc
+
+
+def _text(raw: str, where: str) -> str:
+    return raw
+
+
+def _list(conv):
+    def parse(raw: str, where: str) -> tuple:
+        items = [piece.strip() for piece in raw.split(",") if piece.strip()]
+        if not items:
+            raise ConfigError(f"{where} must be a nonempty comma-separated list")
+        return tuple(conv(piece, where) for piece in items)
+    return parse
+
+
+_floats, _ints = _list(_float), _list(_int)
+
+
+def _above(bound, text=None):
+    return (lambda value: value > bound), text or f"must be > {bound}"
+
+
+def _at_least(bound):
+    return (lambda value: value >= bound), f"must be >= {bound}"
+
+
+def _one_of(names):
+    return (lambda value: value in names), f"must be one of {', '.join(names)}"
 
 
 CONFIG_KEYS: dict[str, tuple[Key, ...]] = {
     "model": (
-        Key("gamma", "0.9", "density ratio, in (0, 1)"),
-        Key("epsilon", "0.1", "amplitude parameter, >= 0"),
-        Key("mu", "0.1", "shallowness parameter, > 0"),
-        Key("mu2", "(= mu)", "second-layer shallowness parameter, > 0"),
-        Key("a", "0", "dispersion coefficient a, <= 0"),
-        Key("b", "5/24", "dispersion coefficient b, >= 0"),
-        Key("c", "-1/12", "dispersion coefficient c, <= 0"),
-        Key("d", "5/24", "dispersion coefficient d, >= 0"),
-        Key("alpha1", "(unset)", "alternative family: b = alpha1/3, >= 0"),
-        Key("beta", "(unset)", "alternative family: c + d = beta, >= 0"),
-        Key("alpha2", "(unset)", "alternative family: c = beta*alpha2, <= 1"),
-        Key("case_override", "(unset)", "force the energy machinery of case 1..8"),
+        Key("gamma", "0.9", "density ratio, in (0, 1)", "0.9", _float, "params.gamma"),
+        Key("epsilon", "0.1", "amplitude parameter, >= 0", "0.1", _float, "params.epsilon"),
+        Key("mu", "0.1", "shallowness parameter, > 0", "0.1", _float, "params.mu"),
+        Key("mu2", "(= mu)", "second-layer shallowness parameter, > 0",
+            None, _float, "params.mu2"),
+        Key("a", "0", "dispersion coefficient a, <= 0", "0", _float, "params.a"),
+        Key("b", "5/24", "dispersion coefficient b, >= 0",
+            str(5.0 / 24.0), _float, "params.b"),
+        Key("c", "-1/12", "dispersion coefficient c, <= 0",
+            str(-1.0 / 12.0), _float, "params.c"),
+        Key("d", "5/24", "dispersion coefficient d, >= 0",
+            str(5.0 / 24.0), _float, "params.d"),
+        # the alpha family resolves into a..d, so the manifest echoes it unset
+        Key("alpha1", "(unset)", "alternative family: b = alpha1/3, >= 0",
+            None, _float, None),
+        Key("beta", "(unset)", "alternative family: c + d = beta, >= 0",
+            None, _float, None),
+        Key("alpha2", "(unset)", "alternative family: c = beta*alpha2, <= 1",
+            None, _float, None),
+        Key("case_override", "(unset)", "force the energy machinery of case 1..8",
+            None, _int, "case_override"),
     ),
     "grid": (
-        Key("n", "256", "comma-separated axis sizes (1 or 2, even, >= 4)"),
-        Key("length", "6.283185307179586", "comma-separated axis lengths"),
-        Key("dim", "(= len(n))", "dimension, 1 or 2; must match n"),
+        Key("n", "256", "comma-separated axis sizes (1 or 2, even, >= 4)",
+            "256", _ints, "grid.n"),
+        Key("length", "6.283185307179586", "comma-separated axis lengths",
+            repr(TWO_PI), _floats, "grid.length"),
+        Key("dim", "(= len(n))", "dimension, 1 or 2; must match n", None, _int, "grid.dim"),
     ),
     "scheme": (
-        Key("dt", "(auto)", "time step; empty = advective CFL guess"),
-        Key("max_t", "10", "final time"),
-        Key("cadence", "10", "steps between diagnostic rows"),
+        Key("dt", "(auto)", "time step; empty = advective CFL guess",
+            None, _float, "dt", _above(0)),
+        Key("max_t", "10", "final time", "10", _float, "max_t"),
+        Key("cadence", "10", "steps between diagnostic rows",
+            "10", _int, "cadence", _at_least(1)),
     ),
     "initial": (
-        Key("profile", "gaussian", "surface profile: " + " | ".join(PROFILES)),
-        Key("amplitude", "0.1", "max |zeta| of the initial surface"),
-        Key("seed", "1234", "random seed for the random profiles"),
-        Key("width", "(auto)", "gaussian width; empty = min(length)/16"),
-        Key("mode_k", "1 per axis", "integer mode numbers for profile=mode"),
-        Key("velocity", "right-mover", "velocity recipe: " + " | ".join(VELOCITIES)),
-        Key("snapshot", "(unset)", "BFDv1 file to start from; its grid must match [grid]"),
+        Key("profile", "gaussian", "surface profile: " + " | ".join(PROFILES),
+            "gaussian", _text, "profile", _one_of(PROFILES)),
+        Key("amplitude", "0.1", "max |zeta| of the initial surface",
+            "0.1", _float, "amplitude", _at_least(0)),
+        Key("seed", "1234", "random seed for the random profiles",
+            "1234", _int, "seed", _at_least(0)),
+        Key("width", "(auto)", "gaussian width; empty = min(length)/16",
+            None, _float, "width", _above(0)),
+        Key("mode_k", "1 per axis", "integer mode numbers for profile=mode",
+            None, _ints, "mode_k"),
+        Key("velocity", "right-mover", "velocity recipe: " + " | ".join(VELOCITIES),
+            "right-mover", _text, "velocity", _one_of(VELOCITIES)),
+        Key("snapshot", "(unset)", "BFDv1 file to start from; its grid must match [grid]",
+            None, _text, "snapshot"),
     ),
     "output": (
-        Key("dir", "out", "output directory"),
+        Key("dir", "out", "output directory", "out", _text, "out_dir"),
         Key("snapshot_every", "0",
-            "snapshots per diagnostic point in simulate (0 = endpoints only)"),
-        Key("plot_script", "false", "also emit a matplotlib script per CSV"),
+            "snapshots per diagnostic point in simulate (0 = endpoints only)",
+            "0", _int, "snapshot_every", _at_least(0)),
+        Key("plot_script", "false", "also emit a matplotlib script per CSV",
+            "false", _bool, "plot_script"),
     ),
     "study": (
-        Key("epsilons", "0.1,0.05,0.025", "epsilon sweep, descending"),
+        Key("epsilons", "0.1,0.05,0.025", "epsilon sweep, descending",
+            "0.1,0.05,0.025", _floats, "epsilons"),
         Key("mus", "(tied)", "mu sweep; empty ties mu = epsilon; lifespan pairs "
-            "it with epsilons (same length), equivalence sweeps their product"),
-        Key("growth_factor", "2", "lifespan threshold multiplier, > 1"),
-        Key("s", "(auto)", "Sobolev index of the monitored norm; empty = 4 in 2D, 3 in 1D"),
-        Key("dts", "0.1,0.05,0.025,0.0125", "dt sweep for the conservation study"),
-        Key("num_states", "100", "random states per equivalence point, >= 1"),
-        Key("smallness_target", "0.25", "initial eps*||zeta||^2_{L2} after scaling"),
+            "it with epsilons (same length), equivalence sweeps their product",
+            None, _floats, "mus"),
+        Key("growth_factor", "2", "lifespan threshold multiplier, > 1",
+            "2", _float, "growth_factor", _above(1)),
+        Key("s", "(auto)", "Sobolev index of the monitored norm; empty = 4 in 2D, 3 in 1D",
+            None, _float, "s", _at_least(0)),
+        Key("dts", "0.1,0.05,0.025,0.0125", "dt sweep for the conservation study",
+            "0.1,0.05,0.025,0.0125", _floats, "dts", _above(0, "entries must be > 0")),
+        Key("num_states", "100", "random states per equivalence point, >= 1",
+            "100", _int, "num_states", _at_least(1)),
+        Key("smallness_target", "0.25", "initial eps*||zeta||^2_{L2} after scaling",
+            "0.25", _float, "smallness_target", _above(0, "must be a positive number")),
     ),
 }
 
 _ABCD_KEYS = ("a", "b", "c", "d")
 _ALPHA_KEYS = ("alpha1", "beta", "alpha2")
 
-_BOOL_STATES = {"1": True, "yes": True, "true": True, "on": True,
-                "0": False, "no": False, "false": False, "off": False}
+
+# (section, Key) for every key, in registry order
+_ROWS = tuple((section, key) for section, keys in CONFIG_KEYS.items() for key in keys)
 
 
 def config_help() -> str:
@@ -125,47 +238,17 @@ def config_help() -> str:
     return "\n".join(lines)
 
 
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where} must be a number, got {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {raw!r}")
-    return value
-
-
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where} must be an integer, got {raw!r}") from exc
-
-
-def _parse_bool(raw: str, where: str) -> bool:
-    try:
-        return _BOOL_STATES[raw.strip().lower()]
-    except KeyError as exc:
-        raise ConfigError(f"{where} must be a boolean, got {raw!r}") from exc
-
-
-def _parse_list(raw: str, where: str, conv) -> tuple:
-    items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if not items:
-        raise ConfigError(f"{where} must be a nonempty comma-separated list")
-    return tuple(conv(piece, where) for piece in items)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved settings for one run: a CLI command or a study call.
 
     parse_config builds one from the key registry; library callers build
     one by keyword, where every field but params and grid has a default.
-    Either way the range checks of [scheme], [initial], [output] and
-    [study] run here and raise ConfigError naming the key.  kind is the
-    command name and names the manifest.  scheme is not a config key: it
-    names the one integrator, and SchemeConfig admits only "exponential".
+    Either way the range checks of the registry rows (and the length of
+    mode_k, which reads the grid) run here and raise ConfigError naming
+    the key.  kind is the command name and names the manifest.  scheme is
+    not a config key: it names the one integrator, and SchemeConfig
+    admits only "exponential".
     """
 
     params: ModelParams
@@ -195,37 +278,17 @@ class RunConfig:
     case_override: int | None = None
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0.0:
-            raise ConfigError(f"scheme.dt must be > 0, got {self.dt}")
-        if self.cadence < 1:
-            raise ConfigError(f"scheme.cadence must be >= 1, got {self.cadence}")
-        if self.profile not in PROFILES:
-            raise ConfigError(f"initial.profile must be one of {', '.join(PROFILES)}, "
-                              f"got {self.profile!r}")
-        if self.amplitude < 0.0:
-            raise ConfigError(f"initial.amplitude must be >= 0, got {self.amplitude}")
-        if self.width is not None and not self.width > 0.0:
-            raise ConfigError(f"initial.width must be > 0, got {self.width}")
+        for section, key in _ROWS:
+            if key.check is None:
+                continue
+            holds, requirement = key.check
+            value = _value(key, self)
+            for item in value if isinstance(value, tuple) else (value,):
+                if item is not None and not holds(item):
+                    raise ConfigError(f"{section}.{key.name} {requirement}, got {item!r}")
         if self.mode_k is not None and len(self.mode_k) != self.grid.dim:
             raise ConfigError(f"initial.mode_k needs {self.grid.dim} entries, "
                               f"got {len(self.mode_k)}")
-        if self.velocity not in VELOCITIES:
-            raise ConfigError(f"initial.velocity must be one of {', '.join(VELOCITIES)}, "
-                              f"got {self.velocity!r}")
-        if self.snapshot_every < 0:
-            raise ConfigError(f"output.snapshot_every must be >= 0, got {self.snapshot_every}")
-        if not self.growth_factor > 1.0:
-            raise ConfigError(f"study.growth_factor must be > 1, got {self.growth_factor}")
-        if self.s is not None and self.s < 0.0:
-            raise ConfigError(f"study.s must be >= 0, got {self.s}")
-        for h in self.dts:
-            if not h > 0.0:
-                raise ConfigError(f"study.dts entries must be > 0, got {h}")
-        if self.num_states < 1:
-            raise ConfigError(f"study.num_states must be >= 1, got {self.num_states}")
-        if not self.smallness_target > 0.0:
-            raise ConfigError(f"study.smallness_target must be a positive number, "
-                              f"got {self.smallness_target}")
 
     @property
     def case(self) -> CaseClass:
@@ -280,27 +343,11 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Every key of the registry with its resolved value (for manifests)."""
-        p = self.params
-        return {
-            "model": {"gamma": p.gamma, "epsilon": p.epsilon, "mu": p.mu,
-                      "mu2": p.mu2, "a": p.a, "b": p.b, "c": p.c, "d": p.d,
-                      "alpha1": None, "beta": None, "alpha2": None,
-                      "case_override": self.case_override},
-            "grid": {"n": list(self.grid.n), "length": list(self.grid.length),
-                     "dim": self.grid.dim},
-            "scheme": {"dt": self.dt, "max_t": self.max_t, "cadence": self.cadence},
-            "initial": {"profile": self.profile, "amplitude": self.amplitude,
-                        "seed": self.seed, "width": self.width,
-                        "mode_k": None if self.mode_k is None else list(self.mode_k),
-                        "velocity": self.velocity, "snapshot": self.snapshot},
-            "output": {"dir": self.out_dir, "snapshot_every": self.snapshot_every,
-                       "plot_script": self.plot_script},
-            "study": {"epsilons": list(self.epsilons),
-                      "mus": None if self.mus is None else list(self.mus),
-                      "growth_factor": self.growth_factor, "s": self.s,
-                      "dts": list(self.dts), "num_states": self.num_states,
-                      "smallness_target": self.smallness_target},
-        }
+        doc = {section: {} for section in CONFIG_KEYS}
+        for section, key in _ROWS:
+            value = _value(key, self)
+            doc[section][key.name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     def output_path(self, name: str) -> Path | None:
         """out_dir/name, creating out_dir; None when out_dir is None."""
@@ -363,79 +410,22 @@ def _check_registry(cp: configparser.ConfigParser):
 
 def _apply_overrides(cp: configparser.ConfigParser, overrides):
     for item in overrides:
-        if "=" not in item:
+        target, equals, value = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not (equals and dot):
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
-        target, value = item.split("=", 1)
-        if "." not in target:
-            raise ConfigError(f"override must look like section.key=value, got {item!r}")
-        section, key = target.split(".", 1)
         section, key = section.strip(), key.strip()
         if not cp.has_section(section):
             cp.add_section(section)
         cp[section][key] = value.strip()
 
 
-def _build_params(get) -> tuple[ModelParams, int | None]:
-    gamma = _parse_float(get("model", "gamma", "0.9"), "model.gamma")
-    epsilon = _parse_float(get("model", "epsilon", "0.1"), "model.epsilon")
-    mu = _parse_float(get("model", "mu", "0.1"), "model.mu")
-    mu2_raw = get("model", "mu2", None)
-    mu2 = mu if mu2_raw is None else _parse_float(mu2_raw, "model.mu2")
-
-    abcd_given = [k for k in _ABCD_KEYS if get("model", k, None) is not None]
-    alpha_given = [k for k in _ALPHA_KEYS if get("model", k, None) is not None]
-    if abcd_given and alpha_given:
-        raise ConfigError(
-            "model coefficients are exclusive: supply a,b,c,d or "
-            f"alpha1,beta,alpha2 (got {', '.join(abcd_given + alpha_given)})"
-        )
-    if alpha_given:
-        if len(alpha_given) != len(_ALPHA_KEYS):
-            missing = sorted(set(_ALPHA_KEYS) - set(alpha_given))
-            raise ConfigError(f"alpha family needs all of alpha1, beta, alpha2 "
-                              f"(missing {', '.join(missing)})")
-        params = params_from_alphas(
-            gamma, epsilon, mu, mu2,
-            _parse_float(get("model", "alpha1", None), "model.alpha1"),
-            _parse_float(get("model", "beta", None), "model.beta"),
-            _parse_float(get("model", "alpha2", None), "model.alpha2"),
-        )
-    else:
-        a = _parse_float(get("model", "a", "0"), "model.a")
-        b = _parse_float(get("model", "b", str(5.0 / 24.0)), "model.b")
-        c = _parse_float(get("model", "c", str(-1.0 / 12.0)), "model.c")
-        d = _parse_float(get("model", "d", str(5.0 / 24.0)), "model.d")
-        params = ModelParams(gamma=gamma, epsilon=epsilon, mu=mu, mu2=mu2,
-                             a=a, b=b, c=c, d=d)
-
-    override_raw = get("model", "case_override", None)
-    override = None if override_raw is None else _parse_int(override_raw,
-                                                            "model.case_override")
-    return params, override
-
-
-def _build_grid(get) -> GridSpec:
-    n = _parse_list(get("grid", "n", "256"), "grid.n", _parse_int)
-    length = _parse_list(get("grid", "length", repr(TWO_PI)), "grid.length",
-                         _parse_float)
-    if len(length) == 1 and len(n) == 2:
-        length = length * 2
-    if len(length) != len(n):
-        raise ConfigError(f"grid.length has {len(length)} entries for "
-                          f"{len(n)} axis sizes")
-    dim_raw = get("grid", "dim", None)
-    if dim_raw is not None:
-        dim = _parse_int(dim_raw, "grid.dim")
-        if dim != len(n):
-            raise ConfigError(f"grid.dim = {dim} does not match n with "
-                              f"{len(n)} entries")
-    return GridSpec(n=n, length=length)
-
-
 def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     """Read, override, validate, and resolve a configuration.
 
-    Raises ConfigError for unknown keys, malformed values, or violated
+    Every key parses from its text, or from its row's raw default when it
+    is unset or empty; then the rules that span keys run.  Raises
+    ConfigError for unknown keys, malformed values, or violated
     exclusivity, and RunConfig raises it for out-of-range values;
     parameter-domain violations (including the well-posedness signs)
     surface from the model layer with their bounds.
@@ -447,60 +437,46 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     _apply_overrides(cp, overrides)
     _check_registry(cp)
 
-    def get(section: str, key: str, default):
-        if cp.has_option(section, key):
-            raw = cp.get(section, key).strip()
-            if raw != "":
-                return raw
-        return default
+    values, given = {}, set()
+    for section, key in _ROWS:
+        raw = cp.get(section, key.name, fallback="").strip()
+        if raw:
+            given.add(key.name)
+        else:
+            raw = key.raw
+        values[key.name] = None if raw is None else key.parse(raw, f"{section}.{key.name}")
 
-    params, case_override = _build_params(get)
-    classify_case(params, case_override)  # reject a bad case up front
-    grid = _build_grid(get)
+    abcd_given = [k for k in _ABCD_KEYS if k in given]
+    alpha_given = [k for k in _ALPHA_KEYS if k in given]
+    if abcd_given and alpha_given:
+        raise ConfigError(
+            "model coefficients are exclusive: supply a,b,c,d or "
+            f"alpha1,beta,alpha2 (got {', '.join(abcd_given + alpha_given)})"
+        )
+    if values["mu2"] is None:
+        values["mu2"] = values["mu"]
+    shared = [values[k] for k in ("gamma", "epsilon", "mu", "mu2")]
+    if alpha_given:
+        if len(alpha_given) != len(_ALPHA_KEYS):
+            missing = sorted(set(_ALPHA_KEYS) - set(alpha_given))
+            raise ConfigError(f"alpha family needs all of alpha1, beta, alpha2 "
+                              f"(missing {', '.join(missing)})")
+        params = params_from_alphas(*shared, *(values[k] for k in _ALPHA_KEYS))
+    else:
+        params = ModelParams(*shared, *(values[k] for k in _ABCD_KEYS))
+    classify_case(params, values["case_override"])  # reject a bad case up front
 
-    dt_raw = get("scheme", "dt", None)
-    dt = None if dt_raw is None else _parse_float(dt_raw, "scheme.dt")
-    max_t = _parse_float(get("scheme", "max_t", "10"), "scheme.max_t")
-    cadence = _parse_int(get("scheme", "cadence", "10"), "scheme.cadence")
+    n, length = values["n"], values["length"]
+    if len(length) == 1 and len(n) == 2:
+        length = length * 2
+    if len(length) != len(n):
+        raise ConfigError(f"grid.length has {len(length)} entries for "
+                          f"{len(n)} axis sizes")
+    if values["dim"] is not None and values["dim"] != len(n):
+        raise ConfigError(f"grid.dim = {values['dim']} does not match n with "
+                          f"{len(n)} entries")
 
-    profile = get("initial", "profile", "gaussian")
-    amplitude = _parse_float(get("initial", "amplitude", "0.1"), "initial.amplitude")
-    seed = _parse_int(get("initial", "seed", "1234"), "initial.seed")
-    width_raw = get("initial", "width", None)
-    width = None if width_raw is None else _parse_float(width_raw, "initial.width")
-    mode_raw = get("initial", "mode_k", None)
-    mode_k = None if mode_raw is None else _parse_list(mode_raw, "initial.mode_k",
-                                                       _parse_int)
-    velocity = get("initial", "velocity", "right-mover")
-    snapshot = get("initial", "snapshot", None)
-
-    out_dir = get("output", "dir", "out")
-    snapshot_every = _parse_int(get("output", "snapshot_every", "0"),
-                                "output.snapshot_every")
-    plot_script = _parse_bool(get("output", "plot_script", "false"),
-                              "output.plot_script")
-
-    epsilons = _parse_list(get("study", "epsilons", "0.1,0.05,0.025"),
-                           "study.epsilons", _parse_float)
-    mus_raw = get("study", "mus", None)
-    mus = None if mus_raw is None else _parse_list(mus_raw, "study.mus", _parse_float)
-    growth_factor = _parse_float(get("study", "growth_factor", "2"),
-                                 "study.growth_factor")
-    s_raw = get("study", "s", None)
-    s = None if s_raw is None else _parse_float(s_raw, "study.s")
-    dts = _parse_list(get("study", "dts", "0.1,0.05,0.025,0.0125"),
-                      "study.dts", _parse_float)
-    num_states = _parse_int(get("study", "num_states", "100"), "study.num_states")
-    smallness_target = _parse_float(get("study", "smallness_target", "0.25"),
-                                    "study.smallness_target")
-
-    return RunConfig(
-        params=params, grid=grid,
-        dt=dt, max_t=max_t, cadence=cadence,
-        profile=profile, amplitude=amplitude, seed=seed, width=width,
-        mode_k=mode_k, velocity=velocity, snapshot=snapshot,
-        out_dir=out_dir, snapshot_every=snapshot_every, plot_script=plot_script,
-        epsilons=epsilons, mus=mus, growth_factor=growth_factor, s=s, dts=dts,
-        num_states=num_states, smallness_target=smallness_target,
-        case_override=case_override,
-    )
+    # the [model] and [grid] rows fill params and grid, built above
+    fields = {key.field: values[key.name] for _, key in _ROWS
+              if key.field is not None and "." not in key.field}
+    return RunConfig(params=params, grid=GridSpec(n=n, length=length), **fields)

@@ -442,19 +442,22 @@ def default_dt(state: FieldState) -> float:
     return 0.9 * min(grid.dx) / (p.epsilon * vmax / p.gamma + 1.0)
 
 
-def _step_plan(span: float, dt: float) -> tuple[int, float]:
-    """Step count and last step length that land on t0 + span.
+def _step_plan(t0: float, max_t: float, dt: float) -> tuple[int, float]:
+    """Step count and last step length that land on max_t from t0.
 
-    When span/dt is an integer up to roundoff, every step is dt and the
-    count is that integer; otherwise a short last step lands on the end.
+    When (max_t - t0)/dt is an integer up to roundoff, every step is dt
+    and the count is that integer, 0 for max_t = t0; otherwise a short
+    last step lands on the end.  An end before the start raises
+    ParameterDomainError.
     """
+    span = max_t - t0
     ratio = span / dt
     whole = round(ratio)
-    if abs(ratio - whole) <= 1e-9 * max(1.0, abs(ratio)):
-        return max(0, whole), dt
+    if abs(ratio - whole) <= 1e-9 * max(1.0, abs(ratio)) and whole >= 0:
+        return whole, dt
+    if ratio < 0:
+        raise ParameterDomainError(f"max_t = {max_t} is before the start time t = {t0}")
     full = math.floor(ratio)
-    if full < 0:
-        return 0, dt
     return full + 1, span - full * dt
 
 
@@ -497,11 +500,13 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     steps.
 
     When cfg.dt does not divide the interval, a short last step lands the
-    run on cfg.max_t exactly.  A state with content off the two-thirds
-    band (the Nyquist modes included) above BAND_TOL relative in
-    spectral L2 raises ParameterDomainError (see require_no_nyquist); a
-    non-finite one raises BlowUpSignal at its own time, before any
-    transform of it.
+    run on cfg.max_t exactly.  A cfg.max_t before state.t raises
+    ParameterDomainError; cfg.max_t == state.t, up to the roundoff of a
+    resumed run's clock, is a run of 0 steps.  A state with content off
+    the two-thirds band (the Nyquist modes included) above BAND_TOL
+    relative in spectral L2 raises ParameterDomainError (see
+    require_no_nyquist); a non-finite one raises BlowUpSignal at its own
+    time, before any transform of it.
 
     The run steps the diagonal variables; monitors receive the primitive
     state, reconstructed for them by undiagonalize.  Raises BlowUpSignal
@@ -513,13 +518,13 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     uneventful run returns an empty log.
     """
     t0 = state.t
+    n_steps, last_dt = _step_plan(t0, cfg.max_t, cfg.dt)
     events: list[dict] = []
     if not state.is_finite():
         events.append({"event": "blow-up", "t": t0, "norm": float("inf")})
         raise BlowUpSignal(t0, float("inf"), 0, events)
     require_no_nyquist(state)
     current = diagonalize(state)
-    n_steps, last_dt = _step_plan(cfg.max_t - t0, cfg.dt)
     for k in range(n_steps + 1):
         if k > 0:
             h = last_dt if k == n_steps else cfg.dt

@@ -175,6 +175,27 @@ def test_lifespan_resume_rejects_a_different_grid(tmp_path, capsys):
     _resume_on_a_different_grid(tmp_path, capsys, "lifespan")
 
 
+def test_resume_with_an_end_time_before_the_snapshot_exits_two(tmp_path, capsys):
+    """max_t is absolute: a lifespan resumed at t = 2 with max_t = 1 is an
+    error, not a sweep of horizons before its own start."""
+    first = tmp_path / "first"
+    rc = run("simulate", *sets(first, "grid.n=16", "scheme.dt=0.1", "scheme.max_t=2"))
+    assert rc == 0
+    capsys.readouterr()
+    second = tmp_path / "second"
+    rc = run("lifespan", *sets(second, "grid.n=16", "scheme.max_t=1",
+                               f"initial.snapshot={first / 'final.bfd'}"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "before the start time" in err
+    assert not (second / "lifespan.csv").exists()
+    assert not (second / "lifespan_manifest.json").exists()
+    rc = run("simulate", *sets(tmp_path / "third", "grid.n=16", "scheme.max_t=-1"))
+    assert rc == 2
+    assert "max_t = -1.0 is before the start time t = 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "third" / "final.bfd").exists()
+
+
 STUDY_RUNS = {
     "lifespan": ["scheme.dt=0.1", "study.epsilons=0.1,0.05"],
     "conserve": ["study.dts=0.1,0.05"],

@@ -225,6 +225,7 @@ def test_model_domain_violations_surface_from_model_layer():
         ("initial.velocity=spin", "initial.velocity must be one of"),
         ("initial.mode_k=1,2", "initial.mode_k needs 1 entries, got 2"),
         ("initial.seed=1.5", "initial.seed must be an integer"),
+        ("initial.seed=-5", "initial.seed must be >= 0, got -5"),
         ("model.gamma=abc", "model.gamma must be a number"),
         ("output.snapshot_every=-1", "output.snapshot_every must be >= 0"),
         ("study.epsilons=,", "must be a nonempty comma-separated list"),
@@ -252,8 +253,11 @@ def test_value_validation(override, message):
         ("num_states", 0, "study.num_states must be >= 1, got 0"),
         # ValueError: math domain error in the smallness check
         ("smallness_target", -1.0, "study.smallness_target must be a positive number"),
+        # ValueError from numpy's default_rng in the random profiles and the
+        # equivalence study
+        ("seed", -5, "initial.seed must be >= 0, got -5"),
     ],
-    ids=["growth_factor", "num_states", "smallness_target"],
+    ids=["growth_factor", "num_states", "smallness_target", "seed"],
 )
 def test_run_config_built_in_python_runs_the_cli_checks(field, value, message):
     params = ModelParams(gamma=0.9, epsilon=0.1, mu=0.1, mu2=0.1,
@@ -308,6 +312,16 @@ def test_echo_default_values():
                              "growth_factor": 2.0, "s": None,
                              "dts": [0.1, 0.05, 0.025, 0.0125],
                              "num_states": 100, "smallness_target": 0.25}
+
+
+def test_library_defaults_match_the_cli_defaults_but_four():
+    """RunConfig's own defaults are the CLI's except the four the README
+    names: max_t, epsilons, dts and out_dir."""
+    cli = cfg_from()
+    library = RunConfig(params=cli.params, grid=cli.grid)
+    differ = {f.name for f in dataclasses.fields(RunConfig)
+              if getattr(library, f.name) != getattr(cli, f.name)}
+    assert differ == {"max_t", "epsilons", "dts", "out_dir"}
 
 
 def test_config_help_lists_every_key():

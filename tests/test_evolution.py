@@ -758,6 +758,26 @@ def test_evolve_starts_from_state_time():
     assert summary.final_state.t == pytest.approx(2.0)
 
 
+def test_evolve_rejects_an_end_time_before_the_start():
+    """max_t is absolute: one before the state's own time is an error naming
+    both times, not a silent run of 0 steps.  max_t == t is such a run, also
+    when t is off by the roundoff of a clock that summed its steps."""
+    grid = GridSpec.square(16, TWO_PI, dim=1)
+    state = _random_state(grid, _params(), 18)
+    state = FieldState(t=2.0, zeta=state.zeta, v=state.v, params=state.params)
+    seen = []
+    for max_t in (1.0, -1.0, 1.9):
+        with pytest.raises(ParameterDomainError, match="before the start") as err:
+            evolve(state, SchemeConfig(dt=0.25, max_t=max_t), monitors=(seen.append,))
+        assert f"max_t = {max_t} is before the start time t = 2.0" in str(err.value)
+    assert seen == []
+    for max_t in (2.0, math.nextafter(2.0, 0.0)):
+        summary = evolve(state, SchemeConfig(dt=0.25, max_t=max_t),
+                         monitors=(seen.append,))
+        assert (summary.steps, summary.terminated_by) == (0, "max_t")
+    assert [snap.t for snap in seen] == [2.0, 2.0]
+
+
 # the one value SchemeConfig's scheme keyword admits, passed explicitly
 @pytest.mark.parametrize("scheme", ["exponential"])
 def test_evolve_lands_on_max_t_with_a_short_last_step(scheme):

@@ -490,8 +490,29 @@ def _ini(echo: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the defaults, and every key set by hand: the alpha family (which echoes
+# as a..d), a 2-D grid.n with one grid.length, and grid.dim, none of which
+# the strategy draws
+EVERY_KEY = [
+    "model.gamma=0.5", "model.epsilon=0.2", "model.mu=0.3", "model.mu2=0.4",
+    "model.alpha1=0.75", "model.beta=0.25", "model.alpha2=-1.0",
+    "model.case_override=1",
+    "grid.n=32,16", "grid.length=7.5", "grid.dim=2",
+    "scheme.dt=0.01", "scheme.max_t=2.5", "scheme.cadence=3",
+    "initial.profile=mode", "initial.amplitude=0.7", "initial.seed=99",
+    "initial.width=0.3", "initial.mode_k=2,-1", "initial.velocity=zero",
+    "initial.snapshot=start.bfd",
+    "output.dir=myout", "output.snapshot_every=2", "output.plot_script=yes",
+    "study.epsilons=0.2,0.1", "study.mus=0.3,0.15", "study.growth_factor=3",
+    "study.s=2.5", "study.dts=0.4,0.2", "study.num_states=7",
+    "study.smallness_target=0.125",
+]
+
+
 @ROUND_TRIP
 @given(sets=overrides())
+@example(sets=[])
+@example(sets=EVERY_KEY)
 def test_config_echo_reparses_to_the_same_config(sets):
     cfg = parse_config(None, sets)
     with tempfile.TemporaryDirectory() as tmp:
