@@ -8,10 +8,13 @@ Configuration comes from an INI file and/or repeatable
 
 Exit codes: 0 success, 2 configuration error, 3 unsupported coefficient
 case, 4 I/O error or malformed snapshot, 5 internal failure.  Failures
-print one line ``error: <slug>: <detail>`` to stderr.  A blow-up during
-simulate is a result, not a failure: it is recorded in the event log and
-exits 0.  Every command writes through its RunConfig (write_csv,
-write_manifest), which also gives the start state of a run.
+print one line ``error: <slug>: <detail>`` to stderr.  A blow-up is a
+result, not a failure, in every command that evolves a state (simulate,
+lifespan, conserve, smallness): each runs through studies.run, records the
+blow-up in its artifacts and exits 0.  Every command writes through its
+RunConfig (write_csv, write_manifest), which also gives the start state of
+a run.  simulate writes initial.bfd after its run, so a start that evolve
+rejects (exit 2) leaves no file behind.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ import numpy as np
 from .config import RunConfig, config_help, parse_config
 from .energy import csv_header, energy_report
 from .errors import ConfigError, ParameterDomainError, SnapshotFormatError, UnsupportedCaseError
-from .evolution import BlowUpSignal, evolve, require_no_nyquist
 from .snapshots import write_snapshot
 from .studies import (
     conservation_study,
     equivalence_study,
     fmt,
     lifespan_study,
+    run,
     smallness_check,
 )
 from .symbols import symbol_table
@@ -63,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     state = cfg.initial_state()
-    scheme = cfg.scheme_config(state)
     case = cfg.case
     rows: list[str] = []
 
@@ -73,20 +75,17 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         if cfg.snapshot_every > 0 and i > 0 and i % cfg.snapshot_every == 0:
             write_snapshot(cfg.output_path(f"snap_{i:06d}.bfd"), snap)
 
-    require_no_nyquist(state)
+    summary = run(cfg, state, monitors=(monitor,))
     write_snapshot(cfg.output_path("initial.bfd"), state)
-    try:
-        summary = evolve(state, scheme, monitors=(monitor,))
+    if summary.final_state is not None:
         write_snapshot(cfg.output_path("final.bfd"), summary.final_state)
-        events, steps, terminated_by = summary.events, summary.steps, summary.terminated_by
-    except BlowUpSignal as sig:
-        events, steps, terminated_by = sig.events, sig.steps, "blow-up"
-
     cfg.write_csv("report.csv", csv_header(), rows,
                   plot=("t", ("hamiltonian", "x0_norm", "noncav", "smallness")))
-    cfg.write_csv("events.jsonl", None, [json.dumps(e, sort_keys=True) for e in events])
-    cfg.write_manifest({"dt": scheme.dt, "steps": steps, "terminated_by": terminated_by})
-    print(f"simulate: {steps} steps, terminated by {terminated_by}; "
+    cfg.write_csv("events.jsonl", None,
+                  [json.dumps(e, sort_keys=True) for e in summary.events])
+    cfg.write_manifest({"dt": summary.dt, "steps": summary.steps,
+                        "terminated_by": summary.terminated_by})
+    print(f"simulate: {summary.steps} steps, terminated by {summary.terminated_by}; "
           f"wrote {Path(cfg.out_dir)}")
     return 0
 

@@ -34,7 +34,7 @@ from . import __version__
 from .errors import ConfigError
 from .initial_data import PROFILES, VELOCITIES, make_initial_state
 from .params import CaseClass, ModelParams, classify_case, params_from_alphas
-from .evolution import SCHEME_EXPONENTIAL, SchemeConfig, default_dt
+from .evolution import SCHEME_EXPONENTIAL
 from .snapshots import load_state
 from .spectral import TWO_PI, GridSpec
 from .system import FieldState
@@ -331,16 +331,6 @@ class RunConfig:
             field.hat  # fills the cached spectrum
         return state.t, state.zeta, state.v
 
-    def scheme_config(self, state: FieldState, dt: float | None = None) -> SchemeConfig:
-        """The [scheme] settings for a run from state.
-
-        The step is dt if given, else self.dt, else default_dt(state).
-        """
-        if dt is None:
-            dt = self.dt if self.dt is not None else default_dt(state)
-        return SchemeConfig(dt=dt, max_t=self.max_t, scheme=self.scheme,
-                            cadence=self.cadence)
-
     def echo(self) -> dict:
         """Every key of the registry with its resolved value (for manifests)."""
         doc = {section: {} for section in CONFIG_KEYS}
@@ -396,11 +386,14 @@ class RunConfig:
 StudyConfig = RunConfig
 
 
+def _require_section(section: str):
+    if section not in CONFIG_KEYS:
+        raise ConfigError(f"unknown section [{section}] (known: {', '.join(CONFIG_KEYS)})")
+
+
 def _check_registry(cp: configparser.ConfigParser):
     for section in cp.sections():
-        if section not in CONFIG_KEYS:
-            known = ", ".join(CONFIG_KEYS)
-            raise ConfigError(f"unknown section [{section}] (known: {known})")
+        _require_section(section)
         allowed = {key.name for key in CONFIG_KEYS[section]}
         for name in cp[section]:
             if name not in allowed:
@@ -415,6 +408,7 @@ def _apply_overrides(cp: configparser.ConfigParser, overrides):
         if not (equals and dot):
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         section, key = section.strip(), key.strip()
+        _require_section(section)
         if not cp.has_section(section):
             cp.add_section(section)
         cp[section][key] = value.strip()
@@ -430,7 +424,9 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     parameter-domain violations (including the well-posedness signs)
     surface from the model layer with their bounds.
     """
-    cp = configparser.ConfigParser(interpolation=None)
+    # no section is special: [DEFAULT] is an unknown section like any other
+    # ("" cannot be written as a section header)
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))

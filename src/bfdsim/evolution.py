@@ -487,10 +487,14 @@ def require_no_nyquist(state: FieldState) -> None:
 
 @dataclass
 class EvolveSummary:
-    final_state: FieldState
+    """How a run ended: its last state (None after a blow-up), the steps
+    taken, the event log, what ended it, and the step dt it took."""
+
+    final_state: FieldState | None
     steps: int
     events: list = field(default_factory=list)
     terminated_by: str = "max_t"
+    dt: float | None = None
 
 
 def evolve(state: FieldState, cfg: SchemeConfig,
@@ -548,6 +552,6 @@ def evolve(state: FieldState, cfg: SchemeConfig,
         if stop_when is not None and stop_when(snap):
             events.append({"event": "threshold", "t": snap.t, "norm": norm})
             return EvolveSummary(final_state=snap, steps=k, events=events,
-                                 terminated_by="threshold")
+                                 terminated_by="threshold", dt=cfg.dt)
     return EvolveSummary(final_state=snap, steps=n_steps, events=events,
-                         terminated_by="max_t")
+                         terminated_by="max_t", dt=cfg.dt)

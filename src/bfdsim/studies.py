@@ -3,7 +3,9 @@ smallness persistence, and energy-equivalence statistics.
 
 Lifespan, conservation and smallness start from cfg.initial_state (the
 snapshot when one is set, read once per config and shared by the sweep's
-points); equivalence draws its own random states.
+points); equivalence draws its own random states.  Every evolving run,
+simulate's included, goes through run, the one place a blow-up becomes a
+result (terminated_by="blow-up") instead of an exception.
 Every study is deterministic given (config, seed).  Work runs as
 independent jobs (parallelism capped by the BFD_THREADS environment
 variable): one per sweep point for lifespan, one per dt for conservation,
@@ -29,7 +31,7 @@ from .energy import (
     x_norm_state,
 )
 from .errors import ConfigError, UnsupportedCaseError
-from .evolution import BlowUpSignal, evolve
+from .evolution import BlowUpSignal, EvolveSummary, SchemeConfig, default_dt, evolve
 from .initial_data import make_initial_state
 from .params import classify_case
 from .spectral import SpectralField
@@ -70,6 +72,25 @@ def _sweep_pairs(cfg: RunConfig):
     raise ConfigError("mus must be omitted (tied to epsilon) or match epsilons")
 
 
+def run(cfg: RunConfig, state: FieldState, dt: float | None = None,
+        monitors=(), stop_when=None) -> EvolveSummary:
+    """Evolve state under cfg's [scheme] settings; a blow-up is a result.
+
+    The step is dt if given, else cfg.dt, else default_dt(state).  A
+    BlowUpSignal becomes a summary with terminated_by="blow-up", no final
+    state, and the signal's steps and events; every other error of evolve
+    (an end before the start, content off the two-thirds band) raises.
+    """
+    if dt is None:
+        dt = cfg.dt if cfg.dt is not None else default_dt(state)
+    scheme = SchemeConfig(dt=dt, max_t=cfg.max_t, scheme=cfg.scheme, cadence=cfg.cadence)
+    try:
+        return evolve(state, scheme, monitors=monitors, stop_when=stop_when)
+    except BlowUpSignal as sig:
+        return EvolveSummary(final_state=None, steps=sig.steps, events=sig.events,
+                             terminated_by="blow-up", dt=dt)
+
+
 # lifespan ------------------------------------------------------------------
 
 
@@ -95,18 +116,10 @@ def _lifespan_point(cfg: RunConfig, eps: float, mu: float) -> LifespanRecord:
             return False
         return x_norm_state(snap, s, case.k, case.k_prime) > threshold
 
-    scheme = cfg.scheme_config(state)
-    try:
-        summary = evolve(state, scheme, stop_when=crossed)
-        if summary.terminated_by == "threshold":
-            t_obs = summary.final_state.t
-            term = "threshold"
-        else:
-            t_obs = cfg.max_t
-            term = "max_t"
-    except BlowUpSignal as sig:
-        t_obs = sig.t
-        term = "blow-up"
+    summary = run(cfg, state, stop_when=crossed)
+    term = summary.terminated_by
+    # a threshold or a blow-up ends the run at the time its event records
+    t_obs = cfg.max_t if term == "max_t" else summary.events[-1]["t"]
     return LifespanRecord(epsilon=eps, mu=mu, T_obs=t_obs,
                           product=eps * t_obs, terminated_by=term)
 
@@ -139,6 +152,8 @@ class ConservationResult:
 
 
 def _drift_for_dt(cfg: RunConfig, dt: float) -> float:
+    """Largest relative Hamiltonian drift of a run with step dt; inf when
+    the run blows up."""
     state = cfg.initial_state()
     h0 = hamiltonian(state)
     worst = 0.0
@@ -149,8 +164,8 @@ def _drift_for_dt(cfg: RunConfig, dt: float) -> float:
         denom = abs(h0) if h0 != 0.0 else 1.0
         worst = max(worst, abs(h - h0) / denom)
 
-    evolve(state, cfg.scheme_config(state, dt), monitors=(watch,))
-    return worst
+    summary = run(cfg, state, dt, monitors=(watch,))
+    return math.inf if summary.terminated_by == "blow-up" else worst
 
 
 def conservation_study(cfg: RunConfig) -> ConservationResult:
@@ -166,14 +181,16 @@ def conservation_study(cfg: RunConfig) -> ConservationResult:
     if cfg.snapshot is not None:
         cfg.initial_state()  # reads the snapshot once, before the jobs share it
     drifts = _run_jobs([(lambda h=h: _drift_for_dt(cfg, h)) for h in dts])
+    # an order needs positive, finite drifts: a blow-up's inf reads nan
+    usable = [0.0 < d < math.inf for d in drifts]
     pair_orders = [math.nan]
     for i in range(1, len(dts)):
         ratio_dt = dts[i - 1] / dts[i]
-        if drifts[i] > 0.0 and ratio_dt > 1.0:
+        if usable[i - 1] and usable[i] and ratio_dt > 1.0:
             pair_orders.append(math.log(drifts[i - 1] / drifts[i]) / math.log(ratio_dt))
         else:
             pair_orders.append(math.nan)
-    if len(dts) >= 2 and all(d > 0.0 for d in drifts):
+    if len(dts) >= 2 and all(usable):
         slope = np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(drifts)), 1)[0]
         order_fit = float(slope)
     else:
@@ -247,13 +264,7 @@ def smallness_check(cfg: RunConfig) -> SmallnessReport:
         rows.append(",".join([fmt(snap.t), fmt(rep.smallness), fmt(rep.noncav),
                               fmt(rep.hamiltonian), fmt(rep.x0_norm)]))
 
-    scheme = cfg.scheme_config(state)
-    terminated = "max_t"
-    try:
-        evolve(state, scheme, monitors=(watch,))
-    except BlowUpSignal:
-        terminated = "blow-up"
-
+    terminated = run(cfg, state, monitors=(watch,)).terminated_by
     cfg.write_csv("smallness.csv", "t,smallness,noncav,hamiltonian,x0_norm", rows,
                   plot=("t", ("smallness", "noncav", "x0_norm")))
     report = SmallnessReport(
@@ -262,7 +273,8 @@ def smallness_check(cfg: RunConfig) -> SmallnessReport:
         max_smallness=tracker["max_small"], max_x0=tracker["max_x0"],
         min_noncav=tracker["min_noncav"],
         precondition_ok=initial_small < 0.5,
-        invariant_held=tracker["max_small"] < 0.5,
+        # a blow-up breaks the invariant, whatever the samples before it read
+        invariant_held=terminated == "max_t" and tracker["max_small"] < 0.5,
         terminated_by=terminated,
     )
     cfg.write_manifest(asdict(report))

@@ -130,6 +130,58 @@ def test_simulate_blow_up_is_a_result_not_a_failure(tmp_path, capsys):
     assert not (out / "final.bfd").exists()
 
 
+# data whose X^0 norm is past the blow-up threshold at t = 0
+BLOW_UP = ["grid.n=32", "scheme.dt=0.1", "scheme.max_t=1.0", "initial.amplitude=3e6"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", []),
+    ("lifespan", ["study.epsilons=0.1,0.05"]),
+    ("conserve", ["study.dts=0.1,0.05"]),
+    ("smallness", ["study.smallness_target=1e12"]),
+])
+def test_a_blow_up_is_a_result_in_every_evolving_command(tmp_path, capsys,
+                                                          command, extra):
+    out = tmp_path / command
+    assert run(command, *sets(out, *BLOW_UP, *extra)) == 0
+    assert capsys.readouterr().err == ""
+    derived = json.loads((out / f"{command}_manifest.json").read_text())["derived"]
+    if command == "lifespan":
+        rows = read_rows(out / "lifespan.csv")
+        assert [r["terminated_by"] for r in rows] == ["blow-up", "blow-up"]
+    elif command == "conserve":
+        rows = read_rows(out / "conservation.csv")
+        assert [(r["drift"], r["order_fit"]) for r in rows] == [("inf", "nan")] * 2
+        assert math.isnan(derived["order_fit"])
+    else:
+        assert derived["terminated_by"] == "blow-up"
+    if command == "smallness":
+        assert derived["invariant_held"] is False
+
+
+@pytest.mark.parametrize("start", ["max_t", "off-band"])
+def test_a_rejected_simulate_leaves_no_file(tmp_path, capsys, start):
+    """evolve's admission checks run before simulate writes anything: an
+    end before the start, or a snapshot with content off the two-thirds
+    band, exits 2 and leaves output.dir without initial.bfd."""
+    overrides = ["grid.n=16", "scheme.dt=0.1"]
+    if start == "max_t":
+        overrides.append("scheme.max_t=-1")
+    else:
+        grid = GridSpec.square(16, TWO_PI, dim=1)
+        rng = np.random.default_rng(7)
+        state = FieldState.from_arrays(grid, parse_config().params,
+                                       0.05 * rng.standard_normal(grid.n),
+                                       (0.05 * rng.standard_normal(grid.n),))
+        write_snapshot(tmp_path / "noisy.bfd", state)
+        overrides += ["scheme.max_t=0.2", f"initial.snapshot={tmp_path / 'noisy.bfd'}"]
+    out = tmp_path / "out"
+    assert run("simulate", *sets(out, *overrides)) == 2
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not (out / "initial.bfd").exists()
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_resumes_from_a_snapshot(tmp_path, capsys):
     first = tmp_path / "first"
     rc = run("simulate", *sets(first, "grid.n=32", "scheme.dt=0.1",

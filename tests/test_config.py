@@ -132,6 +132,24 @@ def test_unknown_section_rejected_by_name():
     assert "model, grid, scheme, initial, output, study" in str(err.value)
 
 
+def test_default_override_is_an_unknown_section():
+    """configparser reserves [DEFAULT]; an override of it is still an
+    unknown section, not an internal error."""
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\] \(known: "):
+        cfg_from("DEFAULT.gamma=0.5")
+
+
+@pytest.mark.parametrize("body", ["[DEFAULT]\ngamma = 0.5\n", "[DEFAULT]\n"],
+                         ids=["with-a-key", "empty"])
+def test_default_section_in_a_file_is_an_unknown_section(tmp_path, body):
+    """A [DEFAULT] section would otherwise fill every section and be
+    reported as an unknown key of some other section."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(body + "[output]\ndir = out\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\] \(known: "):
+        parse_config(str(ini))
+
+
 def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigError, match="unknown key model.zeta") as err:
         cfg_from("model.zeta=1")

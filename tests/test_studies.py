@@ -1,21 +1,27 @@
 """Tests for the packaged studies: lifespan, conservation, smallness,
 energy equivalence."""
 
+import ast
+import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bfdsim import (
+    BlowUpSignal,
     ConfigError,
     GridSpec,
     ModelParams,
     ParameterDomainError,
+    SchemeConfig,
     StudyConfig,
     UnsupportedCaseError,
     conservation_study,
+    default_dt,
     equivalence_spread_monotone,
     equivalence_study,
     lifespan_study,
@@ -26,7 +32,7 @@ from bfdsim import (
 )
 from bfdsim.spectral import TWO_PI
 from bfdsim import studies
-from bfdsim.studies import EquivalenceRecord, fmt, thread_count
+from bfdsim.studies import EquivalenceRecord, fmt, run, thread_count
 
 
 def _params(**kw):
@@ -55,6 +61,47 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("BFD_THREADS", "many")
     with pytest.raises(ConfigError):
         thread_count()
+
+
+# ---------------------------------------------------------------------------
+# The one run path
+# ---------------------------------------------------------------------------
+
+def test_run_steps_with_dt_then_cfg_dt_then_the_default():
+    cfg = _conservation_cfg(max_t=0.2)
+    state = cfg.initial_state()
+    assert run(cfg, state, 0.05).dt == 0.05
+    assert run(dataclasses.replace(cfg, dt=0.1), state).dt == 0.1
+    summary = run(cfg, state)
+    assert summary.dt == default_dt(state)
+    assert summary.terminated_by == "max_t" and summary.final_state.t == pytest.approx(0.2)
+
+
+def test_run_turns_a_blow_up_into_a_result():
+    cfg = _conservation_cfg(max_t=1.0, amplitude=3e6)
+    state = cfg.initial_state()
+    with pytest.raises(BlowUpSignal) as sig:
+        studies.evolve(state, SchemeConfig(dt=0.1, max_t=1.0))
+    summary = run(cfg, state, 0.1)
+    assert summary.terminated_by == "blow-up" and summary.final_state is None
+    assert (summary.steps, summary.events, summary.dt) == \
+        (sig.value.steps, sig.value.events, 0.1)
+
+
+def test_the_package_has_one_blow_up_handler():
+    """Only studies.run catches BlowUpSignal; every evolving command runs
+    through it, so none grows its own handler."""
+    src = Path(studies.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.type)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if "BlowUpSignal" in names:
+                    found.append(path.name)
+    assert found == ["studies.py"]
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +161,30 @@ def test_lifespan_crossing_and_scaling():
         assert rec.product == pytest.approx(eps * rec.T_obs)
         horizons[eps] = rec.T_obs
     assert horizons[0.25] > horizons[0.5]
+
+
+def test_lifespan_horizon_is_the_time_of_the_ending_event(monkeypatch):
+    """T_obs at a threshold is the final state's time, and at a blow-up
+    the signal's, bitwise."""
+    ends, evolve = [], studies.evolve
+
+    def spy(state, *args, **kwargs):
+        try:
+            summary = evolve(state, *args, **kwargs)
+        except BlowUpSignal as sig:
+            ends.append(sig.t)
+            raise
+        ends.append(summary.final_state.t)
+        return summary
+
+    monkeypatch.setattr(studies, "evolve", spy)
+    records = lifespan_study(_lifespan_cfg(epsilons=(0.5,), max_t=5.0, cadence=1,
+                                           growth_factor=1.01))
+    assert records[0].terminated_by == "threshold"
+    assert records[0].T_obs == ends[-1] and 0.0 < records[0].T_obs < 5.0
+    records = lifespan_study(_lifespan_cfg(epsilons=(0.5,), amplitude=3e6))
+    assert records[0].terminated_by == "blow-up"
+    assert records[0].T_obs == ends[-1]
 
 
 def _check_lifespan_artifacts(tmp_path, plot_script):
@@ -208,6 +279,28 @@ def test_conservation_fourth_order_drift(tmp_path):
     assert len(csv) == 3
     manifest = json.loads((tmp_path / "conservation_manifest.json").read_text())
     assert manifest["derived"]["order_fit"] == result.order_fit
+
+
+@pytest.mark.parametrize("boom", [0, 1, 2])
+def test_conservation_blow_up_reads_inf_drift_and_nan_orders(monkeypatch, boom):
+    """A dt whose run blows up has drift inf; every pair order touching it,
+    and the fit, read nan; the other pair still has its order."""
+    dts = (0.2, 0.1, 0.05)
+    evolve = studies.evolve
+
+    def spy(state, scheme, *args, **kwargs):
+        if scheme.dt == dts[boom]:
+            raise BlowUpSignal(state.t, math.inf, 0, [])
+        return evolve(state, scheme, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "evolve", spy)
+    result = conservation_study(_conservation_cfg(dts=dts))
+    assert result.drifts[boom] == math.inf
+    assert all(0.0 < d < math.inf for i, d in enumerate(result.drifts) if i != boom)
+    finite = [i for i in (1, 2) if boom not in (i - 1, i)]
+    for i in (1, 2):
+        assert math.isfinite(result.pair_orders[i]) == (i in finite)
+    assert math.isnan(result.pair_orders[0]) and math.isnan(result.order_fit)
 
 
 def test_conservation_threaded_matches_serial(monkeypatch):
@@ -325,6 +418,15 @@ def test_smallness_inflated_data_flagged_but_runs():
     assert not report.precondition_ok
     assert not report.invariant_held
     assert report.terminated_by in ("max_t", "blow-up")
+
+
+def test_smallness_blow_up_before_any_sample_does_not_hold():
+    """Data that blow up at t = 0 leave no monitor sample, so the maximum
+    stays 0; the invariant is still not held."""
+    report = smallness_check(_smallness_cfg(smallness_target=1e12, max_t=1.0))
+    assert report.terminated_by == "blow-up"
+    assert report.max_smallness == 0.0
+    assert not report.invariant_held
 
 
 # ---------------------------------------------------------------------------
