@@ -371,14 +371,17 @@ class RunConfig:
 
         The document holds the command, the echo of every key, the results
         the run derived, and the package version.  Nothing is written when
-        out_dir is None.
+        out_dir is None.  The document is strict JSON: a non-finite float
+        of derived is written as the token the CSVs use ("nan", "inf",
+        "-inf"), and any other non-finite value raises ValueError.
         """
         path = self.output_path(f"{self.kind}_manifest.json")
         if path is None:
             return None
-        doc = {"command": self.kind, "config": self.echo(),
-               "derived": derived or {}, "version": __version__}
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        doc = {"command": self.kind, "config": self.echo(), "version": __version__,
+               "derived": {key: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                           for key, v in (derived or {}).items()}}
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
         return path
 
 
@@ -414,6 +417,19 @@ def _apply_overrides(cp: configparser.ConfigParser, overrides):
         cp[section][key] = value.strip()
 
 
+def _read_error(path, exc: configparser.Error) -> ConfigError:
+    """What configparser found wrong reading path, on one line naming the
+    file, the line and its text."""
+    # read_file raises a ParsingError, whose errors hold (line number,
+    # text), or an error that carries lineno itself
+    lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+    line = Path(path).read_text(encoding="utf-8").splitlines()[lineno - 1].strip()
+    what = {configparser.DuplicateOptionError: "repeats a key of its section",
+            configparser.DuplicateSectionError: "repeats a section"}.get(
+        type(exc), "is neither a [section] header nor a key = value line under one")
+    return ConfigError(f"{path}, line {lineno}: {line!r} {what}")
+
+
 def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     """Read, override, validate, and resolve a configuration.
 
@@ -429,7 +445,10 @@ def parse_config(path: str | None = None, overrides=()) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh, source=str(path))
+            try:
+                cp.read_file(fh, source=str(path))
+            except configparser.Error as exc:
+                raise _read_error(path, exc) from exc
     _apply_overrides(cp, overrides)
     _check_registry(cp)
 

@@ -13,12 +13,16 @@ them.  At eps != 0 the stepper's lattice is the two-thirds band
 (GridSpec.band_shape: rows |k_0| <= n_0/3 by columns 0..n_1/3 of the half
 lattice), which is all a stepped mover holds: every product is truncated
 by the two-thirds rule, so the stages transform, multiply and sum 44 % of
-the half lattice at 256^2.  The step drops content off the band, so it
-rejects a state that carries any (evolve checks its start state,
-step_exponential any state it did not make).  Each stage is one call of
-the stage kernel, which writes into the buffers of its thread's workspace
-(kept for the last grid shape stepped) and allocates nothing.  The xi = 0 modes decouple, are stored separately, and
-are conserved bitwise.  Classical RK4 on the primitive equations
+the half lattice at 256^2.  The step reads only the band of the movers
+and of W_hat, so a state that carries content off it, or breaks the
+pairing in column 0, is refused rather than truncated.  One function
+decides that, _require_on_band, on the diagonal variables the step
+reads: evolve runs it once on its start state, at every eps, and
+step_exponential on any state it did not make.  Each stage is one call
+of the stage kernel, which writes into the buffers of its thread's
+workspace (kept for the last grid shape stepped) and allocates nothing.
+The xi = 0 modes decouple, are stored separately, and are conserved
+bitwise.  Classical RK4 on the primitive equations
 (rhs_hat) and the half-lattice IF-RK4 stage live on only as test oracles.
 """
 
@@ -104,11 +108,12 @@ class DiagState:
     a returned state never alias a workspace buffer; its W_hat is the
     input's own array, carried through frozen.
 
-    checked marks the outputs of step_exponential at eps != 0, paired and
-    on the band by construction.  step_exponential checks any other state
-    (_require_on_band), a diagonalize output included, since diagonalize
-    serves undealiased states too; so evolve pays for one check, at its
-    first step.
+    checked marks a state that needs no band check: the outputs of
+    step_exponential at eps != 0, paired and on the band by construction,
+    and the start state of evolve, which evolve checks (_require_on_band)
+    before its first step.  step_exponential checks any other state, a
+    diagonalize output included, since diagonalize serves undealiased
+    states too.  So a run pays for one check.
     """
 
     t: float
@@ -158,9 +163,10 @@ def undiagonalize(diag: DiagState) -> FieldState:
     round-trip states with content off it) in one fresh array, with the
     self-conjugate columns made conjugate-symmetric (GridSpec.pair_columns,
     from the rows k_0 > 0), so the fields are real.  They are the fields
-    of diag when there is no content on the Nyquist modes (see
-    require_no_nyquist).  zeta_hat's slot is the scratch of the rotational
-    part before zeta_hat lands in it.
+    of diag when diag has no content on the Nyquist modes and is paired in
+    those columns, as every state step_exponential returns is, and every
+    state _require_on_band admits to BAND_TOL.  zeta_hat's slot is the
+    scratch of the rotational part before zeta_hat lands in it.
     """
     grid = diag.grid
     tab = symbol_table(grid, diag.params)
@@ -375,17 +381,22 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
 
 
 def _require_on_band(diag: DiagState) -> None:
-    """Reject movers that the eps != 0 stage would silently change.
+    """Reject a state that the eps != 0 step would silently change: the
+    one admission check of the stepper (evolve runs it on its start state
+    at every eps, step_exponential on any state it did not make).
 
-    The stage reads only the two-thirds band of the movers, scatters its
-    result into zeroed half lattices and sets column 0's rows k_0 < 0 from
-    the partner by Z+(-xi) = conj Z-(xi).  The movers must equal that to
-    BAND_TOL relative in spectral L2: content off the band (where it is
-    0) or off the pairing in column 0 raises ParameterDomainError.  The
-    pairing constrains nothing else, since off the self-conjugate columns
-    -xi is off the half lattice, and column n/2 is off the band.
+    The stage reads only the two-thirds band of the movers and of W_hat,
+    scatters its result into zeroed half lattices and sets column 0's rows
+    k_0 < 0 from the partner by Z+(-xi) = conj Z-(xi); it forms the
+    rotational part of v_hat from W_hat's band as that of a real field,
+    W(-xi) = conj W(xi).  The three arrays must equal what the stage reads
+    to BAND_TOL relative in spectral L2, against their total: content off
+    the band (where it is 0, the Nyquist modes included) or off the
+    pairing in column 0 raises ParameterDomainError.  The pairing
+    constrains nothing else, since off the self-conjugate columns -xi is
+    off the half lattice, and column n/2 is off the band.
 
-    The check reads the movers block by block and makes no half-lattice
+    The check reads the arrays block by block and makes no half-lattice
     array: column 0's rows k_0 < 0 of the band against the partner's
     mirrored there, and |Z|^2 summed over the kept rows and over the rows
     between them, which are all off the band.  The sums weigh the columns
@@ -395,7 +406,9 @@ def _require_on_band(diag: DiagState) -> None:
     grid = diag.grid
     c = grid.band_shape[-1]
     unpaired = off_band = total = 0.0
-    for Z, P in ((diag.Zp_hat, diag.Zm_hat), (diag.Zm_hat, diag.Zp_hat)):
+    Zp, Zm, W = diag.Zp_hat, diag.Zm_hat, diag.W_hat
+    # the movers pair with each other, W_hat (2-D only) with itself
+    for Z, P in ((Zp, Zm), (Zm, Zp), (W, W))[:grid.dim + 1]:
         # (re, im) pairs of floats: column 0 is [..., :2], column n/2 [..., -2:]
         re_im = np.ascontiguousarray(Z).view(np.float64)
         if grid.dim == 1:
@@ -413,11 +426,11 @@ def _require_on_band(diag: DiagState) -> None:
             off_band += 2.0 * _sq_sum(x[..., 2 * c:]) - nyquist if kept else sq
     if unpaired + off_band > BAND_TOL**2 * total:
         raise ParameterDomainError(
-            f"the movers miss Z+(-xi) = conj Z-(xi) by "
+            f"the diagonal variables miss Z+(-xi) = conj Z-(xi), W(-xi) = conj W(xi) by "
             f"{math.sqrt(unpaired / total):.3e} and carry "
-            f"{math.sqrt(off_band / total):.3e} off the two-thirds band, relative "
-            f"in spectral L2 (limit {BAND_TOL:g} for both together); build "
-            f"them with diagonalize from a dealiased state (bfdsim.dealias)")
+            f"{math.sqrt(off_band / total):.3e} off the two-thirds band (Nyquist "
+            f"content included), relative in spectral L2 (limit {BAND_TOL:g} for "
+            f"both together); dealias the state first (bfdsim.dealias)")
 
 
 def _sq_sum(x: np.ndarray) -> float:
@@ -461,30 +474,6 @@ def _step_plan(t0: float, max_t: float, dt: float) -> tuple[int, float]:
     return full + 1, span - full * dt
 
 
-def require_no_nyquist(state: FieldState) -> None:
-    """Reject a state with content off the two-thirds band, where the
-    Nyquist modes k_j = -n_j/2 lie.
-
-    The eps != 0 stepper's lattice is the band, so it would silently drop
-    that content.  On the Nyquist modes it would also break the spectrum:
-    the odd multipliers (i*xi in rhs_hat, xi/|xi| in diagonalize) see the
-    wavenumber -n_j/2 without its mirror image, so one step would make
-    the spectrum non-Hermitian.
-    """
-    grid = state.grid
-    content = total = 0.0
-    for hat in (state.zeta.hat, *(c.hat for c in state.v)):
-        mag = hat.real**2 + hat.imag**2
-        total += grid.hermitian_sum(mag)
-        mag[grid.dealias_mask] = 0.0
-        content += grid.hermitian_sum(mag)
-    if content > BAND_TOL**2 * total:
-        raise ParameterDomainError(
-            f"the start state has Nyquist content or other content off the "
-            f"two-thirds band, {math.sqrt(content / total):.3e} relative in "
-            f"spectral L2 (limit {BAND_TOL:g}); dealias it first (bfdsim.dealias)")
-
-
 @dataclass
 class EvolveSummary:
     """How a run ended: its last state (None after a blow-up), the steps
@@ -506,11 +495,13 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     When cfg.dt does not divide the interval, a short last step lands the
     run on cfg.max_t exactly.  A cfg.max_t before state.t raises
     ParameterDomainError; cfg.max_t == state.t, up to the roundoff of a
-    resumed run's clock, is a run of 0 steps.  A state with content off
-    the two-thirds band (the Nyquist modes included) above BAND_TOL
-    relative in spectral L2 raises ParameterDomainError (see
-    require_no_nyquist); a non-finite one raises BlowUpSignal at its own
-    time, before any transform of it.
+    resumed run's clock, is a run of 0 steps.  A start state whose
+    spectra hold a non-finite value raises BlowUpSignal at its own time,
+    before it is diagonalized.  Otherwise the diagonalized start state
+    passes the stepper's one admission check, _require_on_band, at every
+    eps, before the first step: content off the two-thirds band (the
+    Nyquist modes included) or off the pairing in the movers or W_hat
+    above BAND_TOL relative in spectral L2 raises ParameterDomainError.
 
     The run steps the diagonal variables; monitors receive the primitive
     state, reconstructed for them by undiagonalize.  Raises BlowUpSignal
@@ -527,8 +518,9 @@ def evolve(state: FieldState, cfg: SchemeConfig,
     if not state.is_finite():
         events.append({"event": "blow-up", "t": t0, "norm": float("inf")})
         raise BlowUpSignal(t0, float("inf"), 0, events)
-    require_no_nyquist(state)
     current = diagonalize(state)
+    _require_on_band(current)
+    current.checked = True
     for k in range(n_steps + 1):
         if k > 0:
             h = last_dt if k == n_steps else cfg.dt

@@ -91,9 +91,7 @@ class FieldState:
         return cls(t=t, zeta=zf, v=vf, params=params)
 
     def is_finite(self) -> bool:
-        if not np.all(np.isfinite(self.zeta.hat)):
-            return False
-        return all(np.all(np.isfinite(c.hat)) for c in self.v)
+        return all(np.all(np.isfinite(f.hat)) for f in (self.zeta, *self.v))
 
 
 def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None,

@@ -152,7 +152,7 @@ def test_a_blow_up_is_a_result_in_every_evolving_command(tmp_path, capsys,
     elif command == "conserve":
         rows = read_rows(out / "conservation.csv")
         assert [(r["drift"], r["order_fit"]) for r in rows] == [("inf", "nan")] * 2
-        assert math.isnan(derived["order_fit"])
+        assert derived["order_fit"] == "nan"
     else:
         assert derived["terminated_by"] == "blow-up"
     if command == "smallness":
@@ -440,6 +440,19 @@ def test_conserve_command_writes_drift_table(tmp_path, capsys):
     manifest = json.loads((out / "conserve_manifest.json").read_text())
     assert manifest["command"] == "conserve"
     assert "order_fit" in manifest["derived"]
+
+
+def test_manifests_are_strict_json(tmp_path, capsys):
+    """A single dt has no order fit: the manifest writes it as the CSV
+    token "nan", not the bare NaN that strict JSON parsers reject."""
+    out = tmp_path / "cons"
+    assert run("conserve", *sets(out, "grid.n=16", "scheme.max_t=0.2", "study.dts=0.1")) == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    text = (out / "conserve_manifest.json").read_text()
+    assert json.loads(text, parse_constant=reject)["derived"]["order_fit"] == "nan"
 
 
 def test_smallness_command_reports_the_invariant(tmp_path, capsys):

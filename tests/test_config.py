@@ -150,6 +150,24 @@ def test_default_section_in_a_file_is_an_unknown_section(tmp_path, body):
         parse_config(str(ini))
 
 
+@pytest.mark.parametrize("body, line, message", [
+    ("[]\ngamma = 0.5\n", 1, "'[]' is neither a [section] header"),
+    ("gamma = 0.5\n", 1, "'gamma = 0.5' is neither a [section] header"),
+    ("[model]\ngamma = 0.5\ngamma = 0.6\n", 3, "'gamma = 0.6' repeats a key of its section"),
+    ("[model]\ngamma = 0.5\n[model]\n", 3, "'[model]' repeats a section"),
+    ("[model]\ngamma\n", 2, "'gamma' is neither a [section] header"),
+], ids=["empty-header", "no-header", "key-twice", "section-twice", "no-value"])
+def test_unparsable_file_is_a_config_error(tmp_path, body, line, message):
+    """What configparser cannot read is a ConfigError (exit 2) on one line
+    naming the file and the line."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(body)
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(ini))
+    assert str(err.value).startswith(f"{ini}, line {line}: {message}")
+    assert "\n" not in str(err.value)
+
+
 def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigError, match="unknown key model.zeta") as err:
         cfg_from("model.zeta=1")

@@ -472,47 +472,98 @@ def test_step_rejects_the_diagonalize_output_of_an_undealiased_state():
             step_exponential(diag, 0.05)
 
 
+def test_step_rejects_rotational_content_off_the_band():
+    """The stage forms the rotational part of v_hat from the band of W_hat
+    alone, so at eps != 0 step_exponential refuses a state whose only
+    content off the band is rotational: v = (1e-3 k cos(k y), 0) with k =
+    n/3 + 1 on top of on-band data, rotational part included.  Its movers
+    are on the band; W_hat is 18 % off it."""
+    grid = GridSpec.square(24, TWO_PI, dim=2)
+    x, y = grid.x_mesh
+    k = grid.n[0] // 3 + 1
+    state = FieldState.from_arrays(
+        grid, _params(), 0.1 * np.cos(x),
+        [0.05 * np.sin(x) + 1e-3 * k * np.cos(k * y), 0.05 * np.sin(x)])
+    diag = diagonalize(state)
+    evolution._require_on_band(dataclasses.replace(diag, W_hat=np.zeros_like(diag.W_hat)))
+    with pytest.raises(ParameterDomainError, match="off the two-thirds band"):
+        step_exponential(diag, 0.01)
+    with pytest.raises(ParameterDomainError, match="off the two-thirds band"):
+        evolve(state, SchemeConfig(dt=0.01, max_t=0.05))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_evolve_runs_the_band_check_once(monkeypatch, eps):
+    """evolve checks its start state once, at every eps, and its steps
+    check nothing again."""
+    calls = []
+    check = evolution._require_on_band
+
+    def counted(diag):
+        calls.append(diag.t)
+        check(diag)
+
+    monkeypatch.setattr(evolution, "_require_on_band", counted)
+    grid = GridSpec.square(16, TWO_PI, dim=2)
+    state = _random_state(grid, _params(epsilon=eps), 5)
+    assert evolve(state, SchemeConfig(dt=0.01, max_t=0.05, cadence=2)).steps == 5
+    assert calls == [0.0]
+
+
+def _padded_band(grid: GridSpec, Z: np.ndarray) -> np.ndarray:
+    """The two-thirds band of Z on a half lattice of zeros."""
+    out = np.zeros(grid.half_shape, dtype=complex)
+    for b, f in grid.band_blocks:
+        out[f] = grid.band(Z)[b]
+    return out
+
+
 def _band_check_oracle(diag: DiagState):
     """(unpaired, off_band, total) of the band check, read off the full
-    lattice: each mover, as the whole lattice it stands for, against the
-    extension of the two bands padded with zeros to half lattices."""
+    lattice: each mover, and W_hat in 2-D, as the whole lattice it stands
+    for, against the extension of the bands padded with zeros to half
+    lattices (the movers paired with each other, W_hat with itself)."""
     grid = diag.grid
-    Zp, Zm = diag.Zp_hat, diag.Zm_hat
-    padded = np.zeros((2,) + grid.half_shape, dtype=complex)
-    for b, f in grid.band_blocks:
-        padded[f] = np.stack([grid.band(Zp), grid.band(Zm)])[b]
-    hp, hm = padded
+    pairs = [(diag.Zp_hat, diag.Zm_hat), (diag.Zm_hat, diag.Zp_hat)]
+    if diag.W_hat is not None:
+        pairs.append((diag.W_hat, diag.W_hat))
     kept = half_lattice_oracle.full_dealias_mask(grid)
     unpaired = off_band = total = 0.0
-    for Z, seen in ((half_lattice_oracle.whole(grid, Zp, Zm),
-                     half_lattice_oracle.extend_half(grid, hp, hm)),
-                    (half_lattice_oracle.whole(grid, Zm, Zp),
-                     half_lattice_oracle.extend_half(grid, hm, hp))):
-        miss = np.abs(Z - seen) ** 2
+    for Z, P in pairs:
+        whole = half_lattice_oracle.whole(grid, Z, P)
+        seen = half_lattice_oracle.extend_half(grid, _padded_band(grid, Z),
+                                               _padded_band(grid, P))
+        miss = np.abs(whole - seen) ** 2
         unpaired += float(np.sum(miss[kept]))
         off_band += float(np.sum(miss[~kept]))
-        total += float(np.sum(np.abs(Z) ** 2))
+        total += float(np.sum(np.abs(whole) ** 2))
     return unpaired, off_band, total
 
 
 def _band_check_cases(grid: GridSpec):
-    """Movers the band check must accept or reject, by name: a diagonalize
-    output, and copies of it moved off the pairing or off the band (in the
-    Nyquist column n/2 too, which the Hermitian weights count once), far
-    from the limit and close to it (1e-13 and 1e-11 relative)."""
+    """States the band check must accept or reject, by name: a diagonalize
+    output, and copies of it with a mover, or in 2-D W_hat, moved off the
+    pairing or off the band (in the Nyquist column n/2 too, which the
+    Hermitian weights count once), far from the limit and close to it
+    (1e-13 and 1e-11 relative)."""
     diag = diagonalize(_random_state(grid, _params(), 8, scale=0.5))
-    scale = math.sqrt(float(np.sum(np.abs(diag.Zp_hat) ** 2 + np.abs(diag.Zm_hat) ** 2)))
+    arrays = {"Zp_hat": diag.Zp_hat, "Zm_hat": diag.Zm_hat, "W_hat": diag.W_hat}
+    scale = math.sqrt(sum(float(np.sum(np.abs(a) ** 2))
+                          for a in arrays.values() if a is not None))
     c, k = grid.band_shape[-1], grid.n[0] // 3
     nyquist_column = (-2, -1) if grid.dim == 2 else (-1,)
     past_band = (k + 1, 1) if grid.dim == 2 else (c,)
     between_rows = (grid.n[0] // 2, 0) if grid.dim == 2 else (grid.n[0] // 2,)
     column0 = (-k, 0) if grid.dim == 2 else (0,)
     yield "paired", diag
-    for where in (nyquist_column, past_band, between_rows, column0):
+    moves = [("Zp_hat", where) for where in (nyquist_column, past_band, between_rows, column0)]
+    if grid.dim == 2:
+        moves += [("W_hat", where) for where in (past_band, column0, nyquist_column)]
+    for name, where in moves:
         for rel in (1.0, 1e-11, 1e-13):
-            Zp = diag.Zp_hat.copy()
-            Zp[where] += rel * scale
-            yield f"{where} {rel:g}", dataclasses.replace(diag, Zp_hat=Zp)
+            moved = arrays[name].copy()
+            moved[where] += rel * scale
+            yield f"{name} {where} {rel:g}", dataclasses.replace(diag, **{name: moved})
 
 
 @pytest.mark.parametrize("n", [(64,), (16, 16), (24, 18)], ids=str)
