@@ -24,7 +24,9 @@ Lam^s zeta, Lam^s v, is formed once per state and kept in its memo
 report row, or the points of one equivalence state, share it.  The c_i
 are kept there too, per s, variant and the parameters other than eps: the
 points of an equivalence sweep that share mu run the symmetrizer once,
-and the rest is scalar arithmetic.
+and the rest is scalar arithmetic.  So are the X^s norms, per (s, k, k',
+mu): evolve's blow-up test and a report row of the same snapshot read
+one evaluation.
 The noncav column of energy_report is min(1 - eps*zeta) alone
 (system.noncav_margin); the steepness proxy eps*W^{1,inf} is formed only
 by system.noncavitation_margin.
@@ -143,15 +145,23 @@ def _bessel_fields(state: FieldState, s: float) -> tuple[SpectralField, ...]:
 
 
 def _x_norms(state: FieldState, s: float, k: int, k_prime: int):
-    """(x_norm of zeta in X^s_{mu^k}, [x_norm of each v_j in X^s_{mu^k'}]),
-    from the memo's |hat|^2."""
+    """(x_norm of zeta in X^s_{mu^k}, (x_norm of each v_j in X^s_{mu^k'})),
+    from the memo's |hat|^2, and kept in the memo under ("x", s, k, k',
+    mu): evolve's blow-up test and energy_report's x0_norm read the same
+    norms of one snapshot, and the points of an equivalence sweep that
+    share mu the same calE_s."""
     if s < 0.0 or k < 0 or k_prime < 0:
         raise ParameterDomainError("s and k must be nonnegative")
     grid, mu = state.grid, state.params.mu
-    z_abs2, *v_abs2 = _abs2(state)
-    v_weight = sobolev_weight(grid, s, k_prime, mu)
-    return (math.sqrt(grid.abs2_l2_sq(z_abs2, sobolev_weight(grid, s, k, mu))),
-            [math.sqrt(grid.abs2_l2_sq(a, v_weight)) for a in v_abs2])
+    key = ("x", s, k, k_prime, mu)
+    norms = state.memo.get(key)
+    if norms is None:
+        z_abs2, *v_abs2 = _abs2(state)
+        v_weight = sobolev_weight(grid, s, k_prime, mu)
+        norms = state.memo[key] = (
+            math.sqrt(grid.abs2_l2_sq(z_abs2, sobolev_weight(grid, s, k, mu))),
+            tuple(math.sqrt(grid.abs2_l2_sq(a, v_weight)) for a in v_abs2))
+    return norms
 
 
 def _operands(grid: GridSpec, pairs) -> np.ndarray:

@@ -20,7 +20,10 @@ decides that, _require_on_band, on the diagonal variables the step
 reads: evolve runs it once on its start state, at every eps, and
 step_exponential on any state it did not make.  Each stage is one call
 of the stage kernel, which writes into the buffers of its thread's
-workspace (kept for the last grid shape stepped) and allocates nothing.
+workspace (kept for the last grid shape stepped) and allocates nothing:
+it makes one stacked inverse transform of its fields (zeta, v) and one
+stacked forward transform of its products (zeta v_j, |v|^2), and
+multiplies by each per-mode table in one ufunc call on its band.
 The xi = 0 modes decouple, are stored separately, and are conserved
 bitwise.  Classical RK4 on the primitive equations
 (rhs_hat) and the half-lattice IF-RK4 stage live on only as test oracles.
@@ -195,9 +198,12 @@ class _Workspace:
     and step_exponential write only into its buffers, and every array they
     return to a caller is fresh, so no output aliases a buffer.  Spectra
     live on the two-thirds band (grid.band_shape), the stepper's lattice,
-    real arrays on the grid, and fft_work is the scratch of the band
-    transforms (GridSpec.band_work); each +- pair is one stacked (2, ...)
-    array, so one ufunc call updates both movers.
+    real arrays on the grid.  A stage transforms its fields and its
+    products as stacks, one ifft_real of spectra into values and one
+    product_hat of products back into spectra, with fft_work the scratch
+    of those band transforms (GridSpec.band_work of dim + 1 fields); each
+    +- pair is one stacked (2, ...) array, so one ufunc call updates both
+    movers.
     """
 
     def __init__(self, grid: GridSpec):
@@ -206,12 +212,14 @@ class _Workspace:
 
         count = grid.dim + 1
         self.shape = grid.n
-        # zeta_hat and the v_hats of a stage, then its two product spectra;
-        # spectra[:2] is also the scratch of the RK combinations
+        # zeta_hat and the v_hats of a stage, then the spectra of its
+        # products; spectra[:2] is also the scratch of the RK combinations
         self.spectra = band(count)
         self.values = np.empty((count,) + grid.n)
-        self.work = (np.empty(grid.n), np.empty(grid.n))
-        self.fft_work = grid.band_work()
+        self.products = np.empty((count,) + grid.n)
+        self.fft_work = grid.band_work(count)
+        # the impedance on the band, gathered from tab.ratio_sqrt each step
+        self.impedance = np.empty(grid.band_shape)
         # stage: a stage's input movers, overwritten by its forcing (f+, f-);
         # acc: the RK sum; z0: the input movers of the step
         self.stage = band(2)
@@ -227,11 +235,11 @@ class _Workspace:
         """Form the rotational part of v_hat from diag.W_hat, once per step."""
         if self.rot is None:
             return
-        u1, u2 = diag.grid.unit_xi
-        for b, f in diag.grid.band_blocks:
-            W, rp, rm = diag.W_hat[f], self.rot[0][b], self.rot[1][b]
-            np.multiply(np.multiply(W, 1j, out=rp), u2[f], out=rp)
-            np.multiply(np.multiply(W, -1j, out=rm), u1[f], out=rm)
+        u1, u2 = diag.grid.band_unit_xi
+        rp, rm = self.rot
+        W = diag.grid.band(diag.W_hat, out=rm)
+        np.multiply(np.multiply(W, 1j, out=rp), u2, out=rp)
+        np.multiply(np.multiply(W, -1j, out=rm), u1, out=rm)
 
     def phase(self, tab: SymbolTable, h: float):
         """The stacked half-step and full-step phases (e_h, e_f) of the
@@ -239,8 +247,8 @@ class _Workspace:
         e_f = e_h**2, recomputed only when tab or h changes."""
         if self.phase_key is None or self.phase_key[0] is not tab or self.phase_key[1] != h:
             e_h = self.e_h
-            for b, f in tab.grid.band_blocks:
-                np.multiply(tab.Omega[f], -0.5j * h, out=e_h[0][b])
+            tab.grid.band(tab.Omega, out=e_h[0])
+            e_h[0] *= -0.5j * h
             np.exp(e_h[0], out=e_h[0])
             np.conjugate(e_h[0], out=e_h[1])
             np.multiply(e_h, e_h, out=self.e_f)
@@ -272,8 +280,7 @@ def _reconstruct(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
     zhat, vhats = ws.spectra[0], ws.spectra[1:]
     # Z+ - Z- waits in zhat's slot, which vhats does not overlap
     np.subtract(Zp, Zm, out=zhat)
-    for b, f in diag.grid.band_blocks:
-        np.multiply(zhat[b], tab.mover_velocity[f], out=vhats[b])
+    np.multiply(zhat, tab.band_mover_velocity, out=vhats)
     np.multiply(np.add(Zp, Zm, out=zhat), 0.5, out=zhat)
     if ws.rot is not None:
         vhats += ws.rot
@@ -295,18 +302,18 @@ def _stage(diag: DiagState, tab: SymbolTable, ws: _Workspace, Z):
     and at eps = 0 both are 0.  Reads the band movers Z (which may be
     ws.stage), the rotational part set by ws.set_rotation and the zero
     mode of diag, and writes the forcing into ws.stage, which it returns.
-    The impedance r is read from tab.ratio_sqrt by the band's row blocks.
+    The fields go through one stacked inverse transform, their products
+    through one stacked forward transform (quadratic_products), and the
+    impedance r is the band step_exponential gathered into ws.impedance.
     """
     grid = diag.grid
-    _reconstruct(diag, tab, ws, Z)
-    zr, *vr = (grid.ifft_real(hat, out=values, work=ws.fft_work)
-               for hat, values in zip(ws.spectra, ws.values))
-    div_zv, vsq = quadratic_products(zr, vr, grid, out=ws.spectra[:2], work=ws.work,
-                                     fft_work=ws.fft_work)
+    spectra = _reconstruct(diag, tab, ws, Z)
+    grid.ifft_real(spectra, out=ws.values, work=ws.fft_work)
+    div_zv, vsq = quadratic_products(ws.values, grid, products=ws.products, out=spectra,
+                                     work=ws.fft_work)
     div_zv *= tab.forcing_div
     vsq *= tab.forcing_vsq
-    for b, f in grid.band_blocks:
-        vsq[b] *= tab.ratio_sqrt[f]
+    vsq *= ws.impedance
     fp, fm = ws.stage
     np.add(div_zv, vsq, out=fp)
     np.subtract(div_zv, vsq, out=fm)
@@ -322,8 +329,9 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
     stage kernel on the two-thirds band (grid.band_shape), the stepper's
     lattice, in the buffers of the thread's workspace, with the RK
     combinations formed in place as running sums on the stacked pair
-    (Z+, Z-); the phases are cached per dt and the rotational part of
-    v_hat is formed once per step.  The result is scattered into fresh
+    (Z+, Z-); the phases are cached per dt, and the rotational part of
+    v_hat and the band of the impedance (tab.ratio_sqrt) are formed once
+    per step.  The result is scattered into fresh
     zeroed half-lattice arrays, and column 0's rows k_0 < 0 are set from
     the partner by Z+(-xi) = conj Z-(xi), so the step reads only the band
     of diag: the returned state is paired bitwise and carries nothing off
@@ -346,6 +354,7 @@ def step_exponential(diag: DiagState, dt: float) -> DiagState:
 
     ws = _workspace(grid)
     ws.set_rotation(diag)
+    grid.band(tab.ratio_sqrt, out=ws.impedance)
     e_h, e_f = ws.phase(tab, h)
     z0, acc, tmp = ws.z0, ws.acc, ws.spectra[:2]
     grid.band(diag.Zp_hat, out=z0[0])

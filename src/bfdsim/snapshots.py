@@ -31,9 +31,9 @@ def write_snapshot(path, state: FieldState) -> None:
     header = " ".join(parts) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(state.zeta.values, dtype="<f8").tobytes())
-        for comp in state.v:
-            fh.write(np.ascontiguousarray(comp.values, dtype="<f8").tobytes())
+        # each field's buffer goes to the file as it is, with no bytes copy
+        for f in (state.zeta, *state.v):
+            fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
 
 
 def read_snapshot(path):

@@ -30,32 +30,35 @@ The mover stages and every real product run on the half lattice or the
 band: GridSpec.product_hat is the one product kernel, used by the mover
 forcing and the energy layer alike.
 
-fft, ifft_real and product_hat also take a stack of fields on the half
-lattice, an array with one leading axis, and return one.  On a grid of at
-most STACK_MAX_POINTS points the stack is one rfftn/irfftn call with
-axes= the grid axes; above it they loop over the leading axis, one call
-per field into a slice of the result.  Both ways are bitwise equal to
-per-field calls.  The threshold is fixed: it is the size-dependent choice
-a planner makes (Frigo & Johnson, "The design and implementation of
-FFTW3", Proc. IEEE 2005), without timing anything at run time.
-Per-field calls against one stacked call, best of 7 on a 2-vCPU Intel
-Xeon KVM guest with numpy 2.4.6 (pocketfft), in microseconds:
+fft, ifft_real and product_hat also take a stack of fields, an array
+with one leading axis, on the half lattice or on the band, and return
+one.  On a grid of at most STACK_MAX_POINTS points the stack is one
+transform call over the grid axes; above it they loop over the leading
+axis, one call per field into a slice of the result (on the band with one
+field's scratch).  Both ways are bitwise equal to per-field calls.  The
+threshold is fixed: it is the size-dependent choice a planner makes
+(Frigo & Johnson, "The design and implementation of FFTW3", Proc. IEEE
+2005), without timing anything at run time.  Band transforms of 3 fields
+into reused out= buffers, per-field calls against one stacked call, best
+of 10 on a 2-vCPU Intel Xeon KVM guest with numpy 2.4.6 (pocketfft), in
+microseconds:
 
-    grid   fields   rfftn          irfftn
-    32^2   3          60 -> 36       76 -> 36
-    32^2   5         127 -> 70      138 -> 47
-    64^2   3         139 -> 128     149 -> 72
-    64^2   5         188 -> 175     285 -> 188
-    128^2  3         420 -> 680     444 -> 697
-    128^2  5         729 -> 1315    462 -> 808
-    256^2  3        1050 -> 2122   1099 -> 2310
+    grid   inverse       forward
+    32^2    47 -> 24      38 -> 20
+    64^2    79 -> 55      65 -> 46
+    128^2  198 -> 170    165 -> 147
+    256^2  748 -> 773    636 -> 670
 
-The energy layer stacks its operands and products (bfdsim.energy); the
-IF-RK4 band stage does not.  On the band, fft, ifft_real and
-product_hat take an optional out= array (numpy >= 2.0 transforms write it
-directly) and a work= tuple of scratch arrays (GridSpec.band_work); the
-IF-RK4 stages pass the buffers of their thread's workspace, which
-bfdsim.evolution owns, and every other call returns a fresh array.
+At 128^2 the band stack still wins a little, but half-lattice stacks
+with fresh outputs already lose there (420 -> 680 us for 3 rfftn), and a
+stacked scratch costs (count - 1) half-lattice arrays; one threshold
+serves both layouts.  The energy layer stacks its operands and products
+(bfdsim.energy), and each IF-RK4 stage its fields and its products
+(bfdsim.evolution).  On the band, fft, ifft_real and product_hat take an
+optional out= array (numpy >= 2.0 transforms write it directly) and a
+work= scratch array (GridSpec.band_work); the IF-RK4 stages pass the
+buffers of their thread's workspace, which bfdsim.evolution owns, and
+every other call returns a fresh array.
 The wavenumbers are xi_j = 2*pi*k_j/L_j for integer k_j.
 Quadrature on the torus is the rectangle rule, which is exact for
 band-limited integrands, and Parseval takes the form
@@ -220,6 +223,11 @@ class GridSpec:
         rows = np.concatenate([self.xi[0][:k + 1], self.xi[0][self.n[0] - k:]])
         return rows[:, None], self.xi[1][None, :cols]
 
+    @cached_property
+    def band_unit_xi(self) -> tuple[np.ndarray, ...]:
+        """The components of unit_xi on the two-thirds band."""
+        return tuple(self.band(u) for u in self.unit_xi)
+
     def band(self, arr: np.ndarray, out=None) -> np.ndarray:
         """The two-thirds band of a half-lattice array, into out if given;
         leading axes are kept."""
@@ -229,17 +237,16 @@ class GridSpec:
             out[b] = arr[f]
         return out
 
-    def band_work(self) -> tuple[np.ndarray, ...]:
-        """Scratch arrays of the band transforms (the work= of fft and
-        ifft_real): a half-lattice array for the forward passes, and in 2D a
-        zero half-lattice array and an (n_0, n_1//3 + 1) array whose rows
-        between the band's two blocks are zero, for the inverse passes.
-        The transforms keep those zeros."""
-        forward = np.empty(self.half_shape, dtype=np.complex128)
-        if self.dim == 1:
-            return (forward,)
-        return (forward, np.zeros(self.half_shape, dtype=np.complex128),
-                np.zeros((self.n[0], self.band_shape[-1]), dtype=np.complex128))
+    def band_work(self, count: int = 1) -> np.ndarray:
+        """Scratch of the band transforms (the work= of fft and ifft_real)
+        of a stack of count fields, or of one field: a half-lattice array
+        for each field that one transform call takes, so (count,) +
+        half_shape on a grid of at most STACK_MAX_POINTS points and
+        half_shape above it, where a stack goes one field per call.  The
+        forward passes overwrite it whole; the inverse passes zero what
+        they read past the band before writing the band into it."""
+        lead = (count,) if count > 1 and self.npoints <= STACK_MAX_POINTS else ()
+        return np.empty(lead + self.half_shape, dtype=np.complex128)
 
     # transforms -----------------------------------------------------------
 
@@ -248,21 +255,17 @@ class GridSpec:
         stack of them (one leading axis), transformed as the module
         docstring says.
 
-        out, if given, is a band_shape array that receives the band instead,
-        with the scratch work (band_work, fresh if not given): rfft along the
-        last axis, then fft along axis 0 of the band's columns only, of
-        which the band keeps the rows of its two blocks.  That is rfftn's
-        own sequence of passes, so the band is bitwise the band of rfftn's
-        output."""
+        out, if given, is a band_shape array (a stack of them for a stack)
+        that receives the band instead, with the scratch work (band_work,
+        fresh if not given): rfft along the last axis, then fft along axis
+        0 of the band's columns only, of which the band keeps the rows of
+        its two blocks.  That is rfftn's own sequence of passes, so the band
+        is bitwise the band of rfftn's output."""
         if out is None:
             if values.ndim > self.dim:
                 return self._stacked(np.fft.rfftn, values, self.half_shape, np.complex128)
             return np.fft.rfftn(values)
-        work = self.band_work() if work is None else work
-        hat = np.fft.rfft(values, axis=-1, out=work[0])[..., :out.shape[-1]]
-        if self.dim == 2:
-            np.fft.fft(hat, axis=0, out=hat)
-        return self.band(hat, out=out)
+        return self._band_passes(self._band_fft, values, out, work)
 
     def ifft(self, hat: np.ndarray) -> np.ndarray:
         """Complex values of a spectrum in numpy's fftn layout; no package
@@ -270,9 +273,9 @@ class GridSpec:
         return np.fft.ifftn(hat)
 
     def ifft_real(self, hat: np.ndarray, out=None, work=None) -> np.ndarray:
-        """Real values of a half-lattice spectrum, of a stack of them (one
-        leading axis, transformed as the module docstring says), or of a
-        band one (band_shape).
+        """Real values of a half-lattice spectrum or of a band one
+        (band_shape), or of each of a stack of either (one leading axis),
+        transformed as the module docstring says.
 
         A band spectrum takes irfftn's passes, into out if given, with the
         scratch work (band_work, fresh if not given): in 2D, ifft along
@@ -286,13 +289,41 @@ class GridSpec:
             if hat.ndim == self.dim:
                 return np.fft.irfftn(hat, s=self.n, axes=tuple(range(self.dim)))
             return self._stacked(np.fft.irfftn, hat, self.n, np.float64, s=self.n)
+        if out is None:
+            out = np.empty(hat.shape[:hat.ndim - self.dim] + self.n)
+        return self._band_passes(self._band_ifft, hat, out, work)
+
+    def _band_passes(self, passes, arrs: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+        """passes (_band_fft or _band_ifft) from arrs into out, for one
+        field or a stack: one call on a grid of at most STACK_MAX_POINTS
+        points, else one call per field into a slice of out, sharing one
+        field's scratch."""
+        stack = arrs.ndim > self.dim
+        if work is None:
+            work = self.band_work(len(arrs) if stack else 1)
+        if stack and self.npoints > STACK_MAX_POINTS:
+            for field, dest in zip(arrs, out):
+                passes(field, dest, work)
+            return out
+        return passes(arrs, out, work)
+
+    def _band_fft(self, values: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        hat = np.fft.rfft(values, axis=-1, out=work)[..., :self.band_shape[-1]]
+        if self.dim == 2:
+            np.fft.fft(hat, axis=-2, out=hat)
+        return self.band(hat, out=out)
+
+    def _band_ifft(self, hat: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         if self.dim == 1:
             return np.fft.irfft(hat, n=self.n[0], out=out)
-        _, half, cols = self.band_work() if work is None else work
+        k, c = self.n[0] // 3, self.band_shape[-1]
+        work[..., c:] = 0.0
+        work[..., k + 1:self.n[0] - k, :c] = 0.0
         for b, f in self.band_blocks:
-            cols[f] = hat[b]
-        np.fft.ifft(cols, axis=0, out=half[:, :cols.shape[1]])
-        return np.fft.irfft(half, n=self.n[1], axis=1, out=out)
+            work[f] = hat[b]
+        cols = work[..., :c]
+        np.fft.ifft(cols, axis=-2, out=cols)
+        return np.fft.irfft(work, n=self.n[1], axis=-1, out=out)
 
     def _stacked(self, transform, stack: np.ndarray, shape: tuple, dtype, **kw) -> np.ndarray:
         """transform (np.fft.rfftn or irfftn) of every field of a stack over
@@ -311,8 +342,9 @@ class GridSpec:
         """Half-lattice spectrum of a real product, or of each of a stack
         of them, truncated by the two-thirds rule.
 
-        out, if given, is a band_shape array that receives the band (the
-        modes the rule keeps) instead, with the scratch work of fft."""
+        out, if given, is a band_shape array (a stack of them for a stack)
+        that receives the band (the modes the rule keeps) instead, with the
+        scratch work of fft."""
         hat = self.fft(values, out=out, work=work)
         if out is None:
             hat *= self.dealias_mask

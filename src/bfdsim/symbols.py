@@ -74,9 +74,9 @@ def multipliers(abs2, params: ModelParams) -> dict[str, np.ndarray]:
 class SymbolTable:
     """Multiplier arrays over one grid for one parameter set.
 
-    Every array lives on the rfftn half lattice (grid.half_shape) but two.
-    The linear symbols are those of multipliers; the rest fold the
-    per-mode constants of the IF-RK4 stage into one multiplier each:
+    The linear symbols are those of multipliers, on the rfftn half
+    lattice (grid.half_shape); the rest fold the per-mode constants of the
+    IF-RK4 stage into one multiplier each:
 
         forcing_div = (eps/gamma) / (1 + b*mu*|xi|^2),
         forcing_vsq = (eps/(2*gamma)) * i|xi| / (1 + d*mu*|xi|^2),
@@ -87,8 +87,10 @@ class SymbolTable:
     div(zeta v)_hat, plus or minus r*forcing_vsq times (|v|^2)_hat.  The
     two forcing multipliers live on the two-thirds band (grid.band_shape),
     the stage's lattice; mover_velocity lives on the half lattice, since
-    undiagonalize reads it there too, and the stage reads its band blocks
-    (grid.band_blocks).
+    undiagonalize reads it there too, and band_mover_velocity is its copy
+    on the band, so a stage multiplies by it in one call.  The stage
+    gathers the band of the impedance from ratio_sqrt once per step
+    instead, and that of Omega once per dt (see bfdsim.evolution).
     sigma, omega1 and omega2 are read by no stage, so they are derived on
     access rather than stored.
     """
@@ -105,6 +107,7 @@ class SymbolTable:
     forcing_div: np.ndarray = field(repr=False)
     forcing_vsq: np.ndarray = field(repr=False)
     mover_velocity: np.ndarray = field(repr=False)
+    band_mover_velocity: np.ndarray = field(repr=False)
 
     @property
     def sigma(self) -> np.ndarray:
@@ -136,8 +139,9 @@ def symbol_table(grid: GridSpec, params: ModelParams) -> SymbolTable:
     sym = multipliers(grid.abs2_xi, params)
     band = grid.band
     eps, gamma = params.epsilon, params.gamma
+    mover_velocity = np.stack([0.5 * u / sym["impedance"] for u in grid.unit_xi])
     return SymbolTable(
         grid=grid, params=params, **sym,
         forcing_div=eps / gamma / band(sym["helmholtz_b"]),
         forcing_vsq=eps / (2.0 * gamma) * 1j * band(grid.abs_xi) / band(sym["helmholtz_d"]),
-        mover_velocity=np.stack([0.5 * u / sym["impedance"] for u in grid.unit_xi]))
+        mover_velocity=mover_velocity, band_mover_velocity=band(mover_velocity))

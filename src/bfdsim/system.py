@@ -39,10 +39,11 @@ class FieldState:
     memo holds what the energy layer derives from the fields, not from t:
     the |hat|^2 of zeta and of each v_j, the dealiased values of every
     v_j v_k, and per s the Bessel-weighted fields Lam^s zeta, Lam^s v_j
-    with their values, all free of params; and the eps-free pairings
+    with their values, all free of params; the eps-free pairings
     (c0, c1[, c2]) of E_s = c0 + eps*c1 + eps^2*c2, under the key ("es",
     s, variant, params with epsilon = 0), since they depend on every
-    parameter but eps (see bfdsim.energy).  Each entry is filled on first
+    parameter but eps; and the X^s norms of zeta and each v_j under ("x",
+    s, k, k', mu) (see bfdsim.energy).  Each entry is filled on first
     use and read everywhere after.  That is sound because a state's fields
     are never reassigned and their arrays never mutated in place (the
     SpectralField contract): other fields make another FieldState, whose
@@ -94,41 +95,38 @@ class FieldState:
         return all(np.all(np.isfinite(f.hat)) for f in (self.zeta, *self.v))
 
 
-def quadratic_products(zr: np.ndarray, vr, grid: GridSpec, out=None, work=None,
-                       fft_work=None):
-    """Half-lattice spectra (div(zeta v)_hat, (|v|^2)_hat) of the quadratic terms.
+def quadratic_products(values: np.ndarray, grid: GridSpec, products=None, out=None,
+                       work=None):
+    """Spectra (div(zeta v)_hat, (|v|^2)_hat) of the quadratic terms.
 
-    zr and vr are zeta and the velocity components in physical space.  Each
-    product goes through GridSpec.product_hat, the one product kernel, so
-    it is truncated by the two-thirds rule and returned on the half lattice
-    (last axis 0..n/2).
-
-    out, if given, is a pair of band_shape arrays that receive the two
-    spectra's two-thirds band instead (the IF-RK4 stage's lattice), with
-    work a pair of real grid arrays as scratch for the products and
-    fft_work the scratch of the band transforms.  The IF-RK4 stage kernel
-    passes buffers of the evolution workspace, so a stage allocates
-    nothing here.  Without out every array is fresh.
+    values is the real stack [zeta, v_1, ..., v_dim] in physical space;
+    its zeta slot is spent as scratch, so values is overwritten there.
+    The products [zeta v_1, ..., zeta v_dim, |v|^2] are formed as one real
+    stack, in products if given, and go through GridSpec.product_hat, the
+    one product kernel, in one call: they are truncated by the two-thirds
+    rule and returned on the half lattice (last axis 0..n/2), or, with out
+    a (dim + 1,) + band_shape stack, on the two-thirds band (the IF-RK4
+    stage's lattice), with work the scratch of the band transforms.  The
+    two spectra returned are slots of one (dim + 1) stack, out when given.
+    The IF-RK4 stage kernel passes buffers of the evolution workspace, so
+    a stage allocates nothing here.
     """
-    if out is None:
-        div_zv = vsq_hat = prod = square = None
-        xis = grid.xi_mesh
-    else:
-        (div_zv, vsq_hat), (prod, square) = out, work
-        xis = grid.band_xi
-    for j, (xi, comp) in enumerate(zip(xis, vr)):
-        # vsq_hat is free until |v|^2 lands in it, so it holds the j >= 1 terms
-        hat = grid.product_hat(np.multiply(zr, comp, out=prod),
-                               out=div_zv if j == 0 else vsq_hat, work=fft_work)
-        hat *= 1j * xi
-        if j == 0:
-            div_zv = hat
-        else:
-            div_zv += hat
-    vsq = np.multiply(vr[0], vr[0], out=prod)
+    dim = grid.dim
+    zr, vr = values[0], values[1:]
+    if products is None:
+        products = np.empty_like(values)
+    np.multiply(zr, vr, out=products[:dim])
+    vsq = np.multiply(vr[0], vr[0], out=products[dim])
     for comp in vr[1:]:
-        vsq += np.multiply(comp, comp, out=square)
-    return div_zv, grid.product_hat(vsq, out=vsq_hat, work=fft_work)
+        vsq += np.multiply(comp, comp, out=zr)
+    hats = grid.product_hat(products, out=out, work=work)
+    xis = grid.xi_mesh if out is None else grid.band_xi
+    div_zv = hats[0]
+    div_zv *= 1j * xis[0]
+    for hat, xi in zip(hats[1:dim], xis[1:]):
+        hat *= 1j * xi
+        div_zv += hat
+    return div_zv, hats[dim]
 
 
 def rhs_hat(zhat: np.ndarray, vhats: tuple[np.ndarray, ...], grid: GridSpec,
@@ -149,9 +147,8 @@ def rhs_hat(zhat: np.ndarray, vhats: tuple[np.ndarray, ...], grid: GridSpec,
     num_v = (1.0 - gamma) * table.one_minus_cmu * zhat
 
     if eps != 0.0:
-        zr = grid.ifft_real(zhat)
-        vr = [grid.ifft_real(vh) for vh in vhats]
-        div_zv, vsq_hat = quadratic_products(zr, vr, grid)
+        values = grid.ifft_real(np.stack([zhat, *vhats]))
+        div_zv, vsq_hat = quadratic_products(values, grid)
         num_z = num_z - eps * div_zv
         num_v = num_v - eps / (2.0 * gamma) * vsq_hat
     dz = -num_z / (gamma * table.helmholtz_b)

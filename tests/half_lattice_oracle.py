@@ -98,9 +98,7 @@ def _stage(diag: DiagState, consts, Z):
     origin = (0,) * grid.dim
     zhat[origin] = diag.zero_mode[0]
     vhats[(slice(None),) + origin] = diag.zero_mode[1]
-    zr = grid.ifft_real(zhat)
-    vr = [grid.ifft_real(vh) for vh in vhats]
-    div_zv, vsq = quadratic_products(zr, vr, grid)
+    div_zv, vsq = quadratic_products(grid.ifft_real(np.stack([zhat, *vhats])), grid)
     div_zv *= forcing_div
     vsq *= forcing_vsq
     vsq *= r

@@ -452,9 +452,10 @@ def test_symmetrizer_apply_equals_the_per_field_oracle_bitwise(n, b, d):
 
 def test_with_params_shares_the_memo_and_other_fields_do_not():
     """A with_params state keeps the fields and the memo, so the v_j v_k,
-    the |hat|^2, the Bessel-weighted fields and the eps-free pairings of
-    E_s that one point forms serve the next; a state with other v, a copy,
-    or a dataclasses.replace of another field starts empty."""
+    the |hat|^2, the Bessel-weighted fields, the eps-free pairings of E_s
+    and the X^s norms (per s, k, k' and mu) that one point forms serve the
+    next; a state with other v, a copy, or a dataclasses.replace of another
+    field starts empty."""
     grid = GridSpec.square(16, TWO_PI, dim=2)
     p = _params(epsilon=0.2, b=0.25, d=1.0 / 6.0)
     state = make_initial_state(grid, p, profile="random_bandlimited", amplitude=0.3,
@@ -466,12 +467,17 @@ def test_with_params_shares_the_memo_and_other_fields_do_not():
     es_key = ("es", 1.5, "b!=d", p.replace(epsilon=0.0, mu=0.05))
     assert set(state.memo) == {"vv", ("bessel", 1.5), es_key}
     calE_s(state, 1.5)
-    assert set(point.memo) == {"vv", ("bessel", 1.5), es_key, "abs2"}
+    x_key = ("x", 1.5, 3, 3, 0.1)
+    assert set(point.memo) == {"vv", ("bessel", 1.5), es_key, "abs2", x_key}
     filled = dict(state.memo)
     vv = filled["vv"]
     energy_report(point, s=1.5)
-    assert state.memo.keys() == filled.keys()
+    assert set(state.memo) == set(filled) | {("x", 1.5, 3, 3, 0.05), ("x", 0.0, 1, 1, 0.05)}
     assert all(state.memo[k] is v for k, v in filled.items())
+    energy_report(state, s=1.5)
+    assert set(state.memo) == set(filled) | {("x", 1.5, 3, 3, 0.05), ("x", 0.0, 1, 1, 0.05),
+                                             ("x", 0.0, 1, 1, 0.1),
+                                             ("es", 1.5, "b!=d", p.replace(epsilon=0.0))}
 
     doubled = FieldState(t=state.t, zeta=state.zeta, v=tuple(2.0 * c for c in state.v),
                          params=p)
@@ -481,6 +487,35 @@ def test_with_params_shares_the_memo_and_other_fields_do_not():
     energy_Es(doubled, 1.5)
     np.testing.assert_allclose(doubled.memo["vv"][0][1], 4.0 * vv[0][1],
                                rtol=1e-12, atol=1e-14)
+
+
+def test_evolve_and_energy_report_share_one_x_norm_evaluation(monkeypatch):
+    """evolve's blow-up test reads a snapshot's X^0_{mu} norms, and the
+    energy_report of that snapshot reads them again as x0_norm and (case 7,
+    k = k' = 1, s = 0) as calE_s: one evaluation serves all three, that
+    is two sobolev_weight calls (zeta's and v's) per snapshot."""
+    from bfdsim import energy
+
+    calls = []
+    inner = energy.sobolev_weight
+    monkeypatch.setattr(energy, "sobolev_weight",
+                        lambda grid, *args: calls.append(args) or inner(grid, *args))
+    grid = GridSpec.square(16, 8.0 * math.pi, dim=2)
+    p = _params(b=0.0, c=-1.0 / 12.0, d=0.0)
+    assert classify_case(p).case_id == 7
+    state = make_initial_state(grid, p, profile="random_bandlimited", amplitude=0.3,
+                               seed=5, velocity="random")
+    per_snapshot = []
+
+    def report(snap):
+        rep = energy_report(snap, s=0.0)
+        assert rep.x0_norm == x_norm_state(snap, 0.0, 1, 1)
+        per_snapshot.append(len(calls))
+
+    summary = evolve(state, SchemeConfig(dt=0.05, max_t=0.2), monitors=[report])
+    assert summary.steps == 4
+    assert np.diff([0] + per_snapshot).tolist() == [2] * 5
+    assert set(calls) == {(0.0, 1, p.mu)}
 
 
 def _fresh_copy(state: FieldState, params: ModelParams) -> FieldState:

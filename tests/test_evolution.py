@@ -671,6 +671,38 @@ def test_second_step_allocates_little_beyond_its_output():
     assert peak - base <= 3 * math.prod(grid.half_shape) * np.dtype(np.complex128).itemsize
 
 
+@pytest.mark.parametrize("n, dim", [(64, 2), (128, 2), (64, 1)])
+def test_a_step_transforms_each_stage_as_two_stacks(monkeypatch, n, dim):
+    """Each of the four stages makes one ifft_real of its dim + 1 fields and
+    one fft (product_hat) of its dim + 1 products, each a stack, so a step
+    makes 4 of each; and every step reads the impedance tab.ratio_sqrt the
+    same nonzero number of times."""
+    grid = GridSpec.square(n, TWO_PI, dim=dim)
+    diag = diagonalize(_random_state(grid, _params(epsilon=0.1), 22))
+    shapes = {"fft": [], "ifft_real": [], "ratio_sqrt": []}
+    for name in ("fft", "ifft_real"):
+        inner = getattr(GridSpec, name)
+
+        def counting(self, arr, *args, _inner=inner, _seen=shapes[name], **kw):
+            _seen.append(arr.shape)
+            return _inner(self, arr, *args, **kw)
+
+        monkeypatch.setattr(GridSpec, name, counting)
+    table = type(symbol_table(grid, diag.params))
+    impedance = table.ratio_sqrt.fget
+    monkeypatch.setattr(table, "ratio_sqrt", property(
+        lambda tab: shapes["ratio_sqrt"].append(None) or impedance(tab)))
+    reads = []
+    for _ in range(3):
+        for seen in shapes.values():
+            seen.clear()
+        diag = step_exponential(diag, 0.05)
+        assert shapes["fft"] == [(dim + 1,) + grid.n] * 4
+        assert shapes["ifft_real"] == [(dim + 1,) + grid.band_shape] * 4
+        reads.append(len(shapes["ratio_sqrt"]))
+    assert reads[0] > 0 and reads == [reads[0]] * 3
+
+
 # ---------------------------------------------------------------------------
 # evolve(): monitors, events, termination
 # ---------------------------------------------------------------------------

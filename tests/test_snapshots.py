@@ -37,6 +37,24 @@ def test_roundtrip_bit_exact(tmp_path, dim):
         np.testing.assert_array_equal(got, want.values)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_payload_is_each_field_as_little_endian_float64(tmp_path, dim):
+    """After the header line, the file holds zeta's values and then each
+    v_j's, row-major little-endian float64: byte for byte their tobytes(),
+    whether the values came from real data or from a spectrum."""
+    grid = GridSpec(n=(8, 6)[:dim], length=(TWO_PI, 1.25)[:dim])
+    state = _state(grid, seed=3)
+    spectral = FieldState(t=state.t, zeta=SpectralField(grid, hat=state.zeta.hat),
+                          v=state.v, params=state.params)
+    for st in (state, spectral):
+        path = tmp_path / "payload.bfd"
+        write_snapshot(path, st)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        assert header.startswith(b"BFDv1 ")
+        fields = (st.zeta, *st.v)
+        assert payload == b"".join(f.values.astype("<f8").tobytes() for f in fields)
+
+
 def test_roundtrip_rectangular_grid(tmp_path):
     grid = GridSpec(n=(8, 16), length=(TWO_PI, 1.25))
     state = _state(grid, seed=5, t=-2.0)
