@@ -36,7 +36,6 @@ from .system import (
     frozen_symbol_matrices,
     hermitian_defect,
     noncavitation_margin,
-    rescale_from_unit,
     rescale_to_unit,
     rhs_hat,
 )
@@ -47,7 +46,6 @@ from .energy import (
     energy_report,
     equivalence_ratio,
     hamiltonian,
-    hamiltonian_coercivity_form,
     variational_check,
     variational_gradients,
     x_norm,
@@ -93,12 +91,11 @@ __all__ = [
     "SymbolTable", "sigma_of", "symbol_table",
     # system
     "FieldState", "FrozenSymbolMatrices", "frozen_symbol_matrices",
-    "hermitian_defect", "noncavitation_margin", "rescale_from_unit",
-    "rescale_to_unit", "rhs_hat",
+    "hermitian_defect", "noncavitation_margin", "rescale_to_unit", "rhs_hat",
     # energies
     "EnergyReport", "calE_s", "energy_Es", "energy_report",
-    "equivalence_ratio", "hamiltonian", "hamiltonian_coercivity_form",
-    "variational_check", "variational_gradients", "x_norm", "x_norm_state",
+    "equivalence_ratio", "hamiltonian", "variational_check",
+    "variational_gradients", "x_norm", "x_norm_state",
     # evolution
     "BlowUpSignal", "DiagState", "EvolveSummary", "SchemeConfig", "default_dt",
     "diagonalize", "evolve", "step_exponential", "undiagonalize",

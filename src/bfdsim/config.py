@@ -248,7 +248,9 @@ class RunConfig:
     mode_k, which reads the grid) run here and raise ConfigError naming
     the key.  kind is the command name and names the manifest.  scheme is
     not a config key: it names the one integrator, and SchemeConfig
-    admits only "exponential".
+    admits only "exponential".  It stays a field because gate 05 of
+    tests/test_acceptance.py passes scheme="exponential" to StudyConfig,
+    this class.
     """
 
     params: ModelParams

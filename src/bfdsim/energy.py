@@ -470,22 +470,6 @@ def variational_check(state: FieldState) -> float:
     return worst
 
 
-def hamiltonian_coercivity_form(state: FieldState) -> float:
-    """Lower-bound bracket ||zeta||^2 + mu||grad zeta||^2 + ||v||^2
-    + 2*mu*(1 - eps*||zeta||^2)||grad v||^2 used to gauge H's positivity."""
-    grid = state.grid
-    p = state.params
-    z_abs2, *v_abs2 = _abs2(state)
-    z_l2 = grid.abs2_l2_sq(z_abs2)
-    out = z_l2 + p.mu * grid.abs2_l2_sq(z_abs2, grid.abs2_xi)
-    grad_v = 0.0
-    for a in v_abs2:
-        out += grid.abs2_l2_sq(a)
-        grad_v += grid.abs2_l2_sq(a, grid.abs2_xi)
-    out += 2.0 * p.mu * (1.0 - p.epsilon * z_l2) * grad_v
-    return out
-
-
 def energy_report(state: FieldState, s: float = 0.0,
                   case: CaseClass | None = None) -> EnergyReport:
     """Assemble the standard diagnostic row for one instant.

@@ -57,6 +57,8 @@ class SchemeConfig:
     """Step, end time and monitor cadence of an evolve run.
 
     scheme names the one integrator, IF-RK4; it admits only "exponential".
+    It stays a field because gate 05 of tests/test_acceptance.py and the
+    perfbench workloads pass scheme="exponential".
     """
 
     dt: float

@@ -14,7 +14,7 @@ of eight coefficient cases, each with its own energy weights (k, k').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IllPosedParametersError, ParameterDomainError
 
@@ -43,8 +43,7 @@ VARIANT_B_ZERO = "b=0"
 class ModelParams:
     """Immutable parameter set for one run.
 
-    delta and epsilon2 are derived: delta = sqrt(mu / mu2), epsilon2 =
-    epsilon * delta.  epsilon = 0 is allowed and yields the linear system.
+    epsilon = 0 is allowed and yields the linear system.
     """
 
     gamma: float
@@ -55,8 +54,6 @@ class ModelParams:
     b: float
     c: float
     d: float
-    delta: float = field(init=False)
-    epsilon2: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -70,11 +67,9 @@ class ModelParams:
         for name in ("a", "b", "c", "d"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterDomainError(f"{name} must be finite")
-        object.__setattr__(self, "delta", math.sqrt(self.mu / self.mu2))
-        object.__setattr__(self, "epsilon2", self.epsilon * self.delta)
 
     def replace(self, **kw) -> "ModelParams":
-        """Return a copy with some of the independent fields changed."""
+        """Return a copy with some of the fields changed."""
         base = dict(
             gamma=self.gamma, epsilon=self.epsilon, mu=self.mu, mu2=self.mu2,
             a=self.a, b=self.b, c=self.c, d=self.d,
@@ -90,7 +85,6 @@ class CaseClass:
     case_id: int
     k: int
     k_prime: int
-    hamiltonian: bool
     variant: str
 
 
@@ -186,8 +180,7 @@ def classify_case(params: ModelParams, case_override: int | None = None) -> Case
         variant = symmetrizer_variant(params)
     else:
         variant = _variant_for_case(case_id, params)
-    return CaseClass(case_id=case_id, k=k, k_prime=k_prime,
-                     hamiltonian=params.b == params.d, variant=variant)
+    return CaseClass(case_id=case_id, k=k, k_prime=k_prime, variant=variant)
 
 
 def _variant_for_case(case_id: int, params: ModelParams) -> str:

@@ -133,10 +133,6 @@ class GridSpec:
         return float(np.prod(self.dx))
 
     @cached_property
-    def volume(self) -> float:
-        return float(np.prod(self.length))
-
-    @cached_property
     def x(self) -> tuple[np.ndarray, ...]:
         """Per-axis coordinate arrays, open at the right endpoint."""
         return tuple(np.arange(m) * (L / m) for m, L in zip(self.n, self.length))
@@ -268,8 +264,11 @@ class GridSpec:
         return self._band_passes(self._band_fft, values, out, work)
 
     def ifft(self, hat: np.ndarray) -> np.ndarray:
-        """Complex values of a spectrum in numpy's fftn layout; no package
-        code calls it, perfbench/spans.py wraps it."""
+        """Complex values of a spectrum in numpy's fftn layout.
+
+        No package code calls it.  It stays because perfbench/spans.py
+        looks it up in GridSpec.__dict__ to wrap it, so deleting it breaks
+        the benchmark's tracer and perfbench/smoke.py."""
         return np.fft.ifftn(hat)
 
     def ifft_real(self, hat: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -442,10 +441,6 @@ class SpectralField:
         return cls(grid, real=np.array(values, dtype=np.float64, copy=True))
 
     @classmethod
-    def from_spectral(cls, grid: GridSpec, hat) -> "SpectralField":
-        return cls(grid, hat=np.array(hat, dtype=np.complex128, copy=True))
-
-    @classmethod
     def zeros(cls, grid: GridSpec) -> "SpectralField":
         return cls(grid, real=np.zeros(grid.n))
 
@@ -462,13 +457,6 @@ class SpectralField:
             self.grid.pair_columns(hat, hat)
             self._hat = hat
         return self._hat
-
-    def copy(self) -> "SpectralField":
-        f = SpectralField.__new__(SpectralField)
-        f.grid = self.grid
-        f._real = None if self._real is None else self._real.copy()
-        f._hat = None if self._hat is None else self._hat.copy()
-        return f
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)

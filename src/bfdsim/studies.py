@@ -190,7 +190,8 @@ def conservation_study(cfg: RunConfig) -> ConservationResult:
             pair_orders.append(math.log(drifts[i - 1] / drifts[i]) / math.log(ratio_dt))
         else:
             pair_orders.append(math.nan)
-    if len(dts) >= 2 and all(usable):
+    # a fit needs two distinct dts: on one repeated dt polyfit is singular
+    if len(set(dts)) >= 2 and all(usable):
         slope = np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(drifts)), 1)[0]
         order_fit = float(slope)
     else:

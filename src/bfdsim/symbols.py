@@ -124,7 +124,11 @@ class SymbolTable:
 
     @property
     def ratio_sqrt(self) -> np.ndarray:
-        """sqrt(omega1/(g*omega2)), the mode-splitting impedance."""
+        """sqrt(omega1/(g*omega2)), the mode-splitting impedance.
+
+        The same array as impedance, read under this name by the stepper
+        and the initial data.  It stays a property because
+        perfbench/spans.py wraps it by name to count its reads per step."""
         return self.impedance
 
     @property

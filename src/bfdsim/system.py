@@ -47,9 +47,9 @@ class FieldState:
     use and read everywhere after.  That is sound because a state's fields
     are never reassigned and their arrays never mutated in place (the
     SpectralField contract): other fields make another FieldState, whose
-    memo starts empty, and copy() starts one too.  with_params keeps the
-    fields, so it shares the memo: the points of the equivalence sweep
-    score one state through it, running the symmetrizer once per mu.
+    memo starts empty.  with_params keeps the fields, so it shares the
+    memo: the points of the equivalence sweep score one state through it,
+    running the symmetrizer once per mu.
     """
 
     t: float
@@ -80,10 +80,6 @@ class FieldState:
         out = FieldState(t=self.t, zeta=self.zeta, v=self.v, params=params)
         out.memo = self.memo
         return out
-
-    def copy(self) -> "FieldState":
-        return FieldState(t=self.t, zeta=self.zeta.copy(),
-                          v=tuple(c.copy() for c in self.v), params=self.params)
 
     @classmethod
     def from_arrays(cls, grid: GridSpec, params: ModelParams, zeta, v, t: float = 0.0):
@@ -321,17 +317,3 @@ def rescale_to_unit(state: FieldState) -> FieldState:
     v = tuple(SpectralField(new_grid, real=p.epsilon * c.values) for c in state.v)
     return FieldState(t=state.t / root, zeta=zeta, v=v, params=new_params)
 
-
-def rescale_from_unit(state: FieldState, epsilon: float, mu: float) -> FieldState:
-    """Inverse of rescale_to_unit for the given target (epsilon, mu)."""
-    p = state.params
-    if epsilon <= 0.0 or mu <= 0.0:
-        raise ParameterDomainError("epsilon and mu must be > 0")
-    root = math.sqrt(mu)
-    new_params = ModelParams(gamma=p.gamma, epsilon=epsilon, mu=mu, mu2=p.mu2 * mu,
-                             a=p.a, b=p.b, c=p.c, d=p.d)
-    grid = state.grid
-    new_grid = GridSpec(n=grid.n, length=tuple(L * root for L in grid.length))
-    zeta = SpectralField(new_grid, real=state.zeta.values / epsilon)
-    v = tuple(SpectralField(new_grid, real=c.values / epsilon) for c in state.v)
-    return FieldState(t=state.t * root, zeta=zeta, v=v, params=new_params)

@@ -13,13 +13,15 @@ equal results.  When they are not,
 
 prints the largest relative change of each family's values between the
 two files: the equivalence ratio_min and ratio_max, each energy_report
-column and the coercivity form, and whether the gradients' SHA-256 lines
-are equal.  It covers the equivalence study of the eight coefficient
-cases at 16^2 and 32^2 (s = 2, (eps, mu) in {1e-2, 1e-3, 1e-4}^2), and
-energy_report at s = 0, 1.5 and 2, hamiltonian_coercivity_form and a
-SHA-256 of the variational_gradients spectra, for random states of every
-case on 16^2, 32^2, 64^2, 128^2 and a 64-point line.  It uses only the
-public API, so any version of bfdsim since RunConfig runs it.
+column, and whether the gradients' SHA-256 lines are equal.  It covers
+the equivalence study of the eight coefficient cases at 16^2 and 32^2
+(s = 2, (eps, mu) in {1e-2, 1e-3, 1e-4}^2), and energy_report at s = 0,
+1.5 and 2 and a SHA-256 of the variational_gradients spectra, for random
+states of every case on 16^2, 32^2, 64^2, 128^2 and a 64-point line.  It
+uses only the public API, so any version of bfdsim since RunConfig runs
+it.  Make both files with one version of this script: --compare exits
+when the files label different lines, as they do when the script's
+families differ.
 """
 
 import hashlib
@@ -33,7 +35,6 @@ from bfdsim import (
     classify_case,
     energy_report,
     equivalence_study,
-    hamiltonian_coercivity_form,
     make_initial_state,
     variational_gradients,
 )
@@ -83,7 +84,6 @@ def report_lines():
                 cols = _hex(rep.hamiltonian, rep.E_s, rep.calE_s, rep.ratio,
                             rep.x0_norm, rep.noncav, rep.smallness)
                 yield f"report {label} s={s} {cols}"
-            yield f"coercivity {label} {_hex(hamiltonian_coercivity_form(state))}"
             dz, dv = variational_gradients(state)
             digest = hashlib.sha256(b"".join(h.tobytes() for h in (dz, *dv)))
             yield f"gradients {label} {digest.hexdigest()}"
@@ -92,8 +92,7 @@ def report_lines():
 # family -> names of the float.hex values that end each of its lines
 FAMILIES = {"equivalence": ("ratio_min", "ratio_max"),
             "report": ("hamiltonian", "E_s", "calE_s", "ratio", "x0_norm", "noncav",
-                       "smallness"),
-            "coercivity": ("coercivity",)}
+                       "smallness")}
 
 
 def _values(path: str) -> dict:

@@ -6,12 +6,18 @@ contract on stderr, and the artifact set each subcommand leaves behind.
 """
 
 import csv
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bfdsim
 from bfdsim import FieldState, GridSpec, __version__, parse_config
 from bfdsim.cli import main
 from bfdsim.evolution import evolve
@@ -52,6 +58,25 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def test_public_names_resolve_once():
+    """The Python front end: every bfdsim.__all__ name resolves, so
+    `from bfdsim import *` works, each is listed once, and the names
+    deleted as unused stay gone."""
+    assert len(bfdsim.__all__) == len(set(bfdsim.__all__))
+    namespace = {}
+    exec("from bfdsim import *", namespace)
+    for name in bfdsim.__all__:
+        assert namespace[name] is getattr(bfdsim, name)
+    for name in ("rescale_from_unit", "hamiltonian_coercivity_form"):
+        assert name not in bfdsim.__all__ and not hasattr(bfdsim, name)
+    for cls, attr in ((bfdsim.SpectralField, "from_spectral"), (bfdsim.SpectralField, "copy"),
+                      (bfdsim.FieldState, "copy"), (bfdsim.GridSpec, "volume")):
+        assert not hasattr(cls, attr)
+    assert [f.name for f in dataclasses.fields(bfdsim.ModelParams)] == [
+        "gamma", "epsilon", "mu", "mu2", "a", "b", "c", "d"]
+    assert "hamiltonian" not in {f.name for f in dataclasses.fields(bfdsim.CaseClass)}
+
+
 def test_top_level_help_lists_commands_and_keys(capsys):
     with pytest.raises(SystemExit) as stop:
         run("--help")
@@ -61,6 +86,11 @@ def test_top_level_help_lists_commands_and_keys(capsys):
         assert name in out
     for key in HELP_KEYS:
         assert f"    {key:<16} default " in out
+    # python -m bfdsim.cli runs the same main
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "bfdsim.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == out
 
 
 def test_subcommand_help_carries_the_registry(capsys):

@@ -29,7 +29,6 @@ from bfdsim.energy import (
     bessel_weight,
     calE_s,
     csv_header,
-    hamiltonian_coercivity_form,
     sobolev_weight,
     symmetrizer_apply,
     variational_gradients,
@@ -94,6 +93,10 @@ def test_x_norm_rejects_negative_orders():
         x_norm(u, -1.0, 0, 0.1)
     with pytest.raises(ParameterDomainError):
         x_norm(u, 0.0, -1, 0.1)
+    state = FieldState(t=0.0, zeta=u, v=(u,), params=_params())
+    for s, k, k_prime in ((-1.0, 0, 0), (0.0, -1, 0), (0.0, 0, -1)):
+        with pytest.raises(ParameterDomainError):
+            x_norm_state(state, s, k, k_prime)
 
 
 def test_x_norm_state_combines_components():
@@ -454,8 +457,8 @@ def test_with_params_shares_the_memo_and_other_fields_do_not():
     """A with_params state keeps the fields and the memo, so the v_j v_k,
     the |hat|^2, the Bessel-weighted fields, the eps-free pairings of E_s
     and the X^s norms (per s, k, k' and mu) that one point forms serve the
-    next; a state with other v, a copy, or a dataclasses.replace of another
-    field starts empty."""
+    next; a state with other v, a new FieldState of the same fields, or a
+    dataclasses.replace of another field starts empty."""
     grid = GridSpec.square(16, TWO_PI, dim=2)
     p = _params(epsilon=0.2, b=0.25, d=1.0 / 6.0)
     state = make_initial_state(grid, p, profile="random_bandlimited", amplitude=0.3,
@@ -481,7 +484,8 @@ def test_with_params_shares_the_memo_and_other_fields_do_not():
 
     doubled = FieldState(t=state.t, zeta=state.zeta, v=tuple(2.0 * c for c in state.v),
                          params=p)
-    others = (doubled, state.copy(), dataclasses.replace(state, t=1.0))
+    same_fields = FieldState(t=state.t, zeta=state.zeta, v=state.v, params=p)
+    others = (doubled, same_fields, dataclasses.replace(state, t=1.0))
     for other in others:
         assert other.memo is not state.memo and other.memo == {}
     energy_Es(doubled, 1.5)
@@ -643,6 +647,18 @@ def test_forced_case_energy_stays_comparable():
 # Coercivity and reports
 # ---------------------------------------------------------------------------
 
+def _coercivity_bracket(state):
+    """||zeta||^2 + mu||grad zeta||^2 + ||v||^2 + 2*mu*(1 - eps*||zeta||^2)||grad v||^2,
+    the lower-bound bracket that gauges H's positivity."""
+    grid, p = state.grid, state.params
+    z_abs2, *v_abs2 = (f.hat.real**2 + f.hat.imag**2 for f in (state.zeta, *state.v))
+    z_l2 = grid.abs2_l2_sq(z_abs2)
+    v_l2 = sum(grid.abs2_l2_sq(a) for a in v_abs2)
+    grad_v = sum(grid.abs2_l2_sq(a, grid.abs2_xi) for a in v_abs2)
+    return (z_l2 + p.mu * grid.abs2_l2_sq(z_abs2, grid.abs2_xi) + v_l2
+            + 2.0 * p.mu * (1.0 - p.epsilon * z_l2) * grad_v)
+
+
 def test_coercivity_form_closed_form():
     g = GridSpec.square(32, TWO_PI, dim=1)
     p = _params(gamma=0.5, epsilon=0.2, mu=0.3)
@@ -653,7 +669,7 @@ def test_coercivity_form_closed_form():
     z2 = alpha**2 * np.pi
     v2 = beta**2 * np.pi
     expect = z2 * (1 + p.mu) + v2 + 2 * p.mu * (1 - p.epsilon * z2) * v2
-    assert hamiltonian_coercivity_form(state) == pytest.approx(expect, rel=1e-12)
+    assert _coercivity_bracket(state) == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma,c3", [(0.9, 0.35), (0.5, 0.90)])
@@ -664,7 +680,7 @@ def test_hamiltonian_coercive_at_small_data(gamma, c3):
     p = _params(gamma=gamma, epsilon=0.05, mu=0.05, mu2=1.0)
     for seed in range(20):
         state = _random_state(g, p, seed, scale=0.3)
-        assert hamiltonian(state) >= c3 * hamiltonian_coercivity_form(state)
+        assert hamiltonian(state) >= c3 * _coercivity_bracket(state)
 
 
 def test_energy_report_row_and_header():

@@ -1,7 +1,5 @@
 """Tests for parameter validation, the alpha family, and case classification."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -29,15 +27,9 @@ def _params(**kw):
 # ModelParams construction and domain checks
 # ---------------------------------------------------------------------------
 
-def test_derived_fields():
-    p = _params(mu=0.04, mu2=0.25, epsilon=0.5)
-    assert p.delta == pytest.approx(math.sqrt(0.04 / 0.25), rel=0, abs=0)
-    assert p.epsilon2 == pytest.approx(0.5 * p.delta, rel=0, abs=0)
-
-
 def test_epsilon_zero_allowed():
     p = _params(epsilon=0.0)
-    assert p.epsilon == 0.0 and p.epsilon2 == 0.0
+    assert p.epsilon == 0.0
 
 
 @pytest.mark.parametrize("kw", [
@@ -58,7 +50,9 @@ def test_replace_rebuilds_derived():
     q = p.replace(mu=0.01, epsilon=0.3)
     assert q.mu == 0.01 and q.epsilon == 0.3
     assert q.gamma == p.gamma and q.b == p.b
-    assert q.delta == pytest.approx(math.sqrt(0.01 / p.mu2), rel=0, abs=0)
+    # equal, hash included, to the same parameters built directly
+    built = _params(mu=0.01, epsilon=0.3)
+    assert q == built and hash(q) == hash(built)
     # original untouched (frozen dataclass)
     assert p.mu == 0.1
 
@@ -149,11 +143,6 @@ def test_case_weights_frozen():
                             5: (3, 4), 6: (1, 3), 7: (1, 1), 8: (0, 1)}
 
 
-def test_hamiltonian_flag_tracks_bd():
-    assert classify_case(_params()).hamiltonian          # b = d
-    assert not classify_case(_params(b=0.25, d=1.0 / 6.0)).hamiltonian
-
-
 def test_illposed_rejection_names_violations():
     with pytest.raises(IllPosedParametersError) as err:
         classify_case(_params(a=0.1, c=0.2, b=B, d=B))
@@ -192,6 +181,12 @@ def test_case_override_weights_and_variant():
         classify_case(p, case_override=5)
     ok = classify_case(_params(b=0.0, d=B), case_override=6)
     assert ok.variant == "b=0"
+
+    # cases 2 and 4 take the variant the coefficients sit on
+    distinct = _params(b=0.25, d=1.0 / 6.0)
+    for case_id in (2, 4):
+        assert classify_case(distinct, case_override=case_id).variant == "b!=d"
+        assert classify_case(p, case_override=case_id).variant == "b=d"
 
 
 def test_case_override_range():

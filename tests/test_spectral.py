@@ -56,13 +56,15 @@ def test_grid_basic_properties():
     assert g.npoints == 128
     assert g.dx == pytest.approx((TWO_PI / 8, 2 * TWO_PI / 16))
     assert g.cell_volume == pytest.approx(g.dx[0] * g.dx[1])
-    assert g.volume == pytest.approx(TWO_PI * 2 * TWO_PI)
 
 
 def test_grid_square_and_1d():
     g = GridSpec.square(16, TWO_PI, dim=1)
     assert g.dim == 1 and g.n == (16,)
     assert GridSpec.square(8, 1.0).n == (8, 8)
+    # scalars are taken as one axis
+    scalar = GridSpec(n=16, length=TWO_PI)
+    assert scalar.n == (16,) and scalar.length == (TWO_PI,) and scalar == g
 
 
 @pytest.mark.parametrize("kw", [
@@ -246,6 +248,7 @@ def test_is_hermitian_detects_asymmetry():
     (0, n/2) does not."""
     for g, where, mirror in ((GridSpec.square(8, TWO_PI, dim=1), (0,), None),
                              (GridSpec.square(8, TWO_PI, dim=2), (1, 0), (-1, 0))):
+        assert g.is_hermitian(np.zeros(g.half_shape, dtype=complex))
         hat = SpectralField.from_real(g, np.cos(g.x_mesh[0])).hat.copy()
         assert g.is_hermitian(hat)
         hat[(1,) * g.dim] += 1.0j * 0.5  # inside (0, n/2): still a real field
@@ -296,7 +299,7 @@ def test_dealiased_product_matches_fine_grid():
         hat = np.zeros(17, dtype=complex)
         for k in range(1, 6):
             hat[k] = rng.standard_normal() + 1j * rng.standard_normal()
-        return SpectralField.from_spectral(g, hat)
+        return SpectralField(g, hat=hat)
 
     for seed in range(5):
         u = bandlimited(10 + seed)
@@ -352,6 +355,8 @@ def test_divergence_of_perp_gradient_vanishes():
     d1, d2 = gradient(f)
     div = divergence((-1.0 * d2, d1))
     np.testing.assert_allclose(div.values, 0.0, atol=1e-12)
+    with pytest.raises(GridMismatchError):
+        divergence((d1,))  # a 2-D grid needs two components
 
 
 def test_gradient_1d():
@@ -418,8 +423,7 @@ def test_field_lazy_sync():
     u = rng.standard_normal(g.n)
     f = SpectralField.from_real(g, u)
     np.testing.assert_allclose(f.values, u)
-    np.testing.assert_allclose(
-        SpectralField.from_spectral(g, f.hat).values, u, atol=1e-12)
+    np.testing.assert_allclose(SpectralField(g, hat=f.hat).values, u, atol=1e-12)
 
 
 def test_field_arithmetic_and_copy():
@@ -429,8 +433,11 @@ def test_field_arithmetic_and_copy():
     np.testing.assert_allclose((f + h).values, f.values + h.values, atol=1e-12)
     np.testing.assert_allclose((f - h).values, f.values - h.values, atol=1e-12)
     np.testing.assert_allclose((2.5 * f).values, 2.5 * f.values, atol=1e-12)
-    c = f.copy()
-    np.testing.assert_allclose(c.values, f.values, rtol=0, atol=0)
+    # from_real copies its input, so the field does not see later writes to it
+    u = f.values.copy()
+    c = SpectralField.from_real(g, u)
+    u[:] = 0.0
+    np.testing.assert_array_equal(c.values, f.values)
 
 
 def test_cross_grid_arithmetic_rejected():

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,9 @@ def _lifespan_cfg(**kw):
 def test_lifespan_requires_epsilons():
     with pytest.raises(ConfigError):
         lifespan_study(_lifespan_cfg(epsilons=()))
+    # the equivalence sweep needs them too
+    with pytest.raises(ConfigError):
+        equivalence_study(_equivalence_cfg(epsilons=()))
 
 
 def test_lifespan_mus_length_mismatch():
@@ -263,6 +267,13 @@ def test_conservation_exact_for_linear_flow():
     assert result.drifts[0] <= 1e-12
     assert math.isnan(result.pair_orders[0])
     assert math.isnan(result.order_fit)  # single dt: no fit
+
+    # one dt given twice is no ladder either: no fit, and no RankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = conservation_study(_conservation_cfg(dts=(0.1, 0.1)))
+    assert result.drifts[0] == result.drifts[1] > 0.0
+    assert math.isnan(result.pair_orders[1]) and math.isnan(result.order_fit)
 
 
 def test_conservation_fourth_order_drift(tmp_path):
