@@ -11,17 +11,20 @@ case, 4 I/O error or malformed snapshot, 5 internal failure.  Failures
 print one line ``error: <slug>: <detail>`` to stderr.  A blow-up is a
 result, not a failure, in every command that evolves a state (simulate,
 lifespan, conserve, smallness): each runs through studies.run, records the
-blow-up in its artifacts and exits 0.  Every command writes through its
-RunConfig (write_csv, write_manifest), which also gives the start state of
-a run.  simulate writes initial.bfd after its run, so a start that evolve
-rejects (exit 2) leaves no file behind.
+blow-up in its artifacts and exits 0.  Each of the four writes its record
+through studies.write_record: events.jsonl, and dt, steps and
+terminated_by in the manifest's derived (a list per sweep point for
+lifespan and conserve).  Every command writes through its RunConfig
+(write_csv, write_manifest), which also gives the start state of a run.
+simulate writes initial.bfd after its run, so a start that evolve rejects
+(exit 2) leaves no file behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import itertools
 import sys
 from pathlib import Path
 
@@ -38,6 +41,7 @@ from .studies import (
     lifespan_study,
     run,
     smallness_check,
+    write_record,
 )
 from .symbols import symbol_table
 
@@ -67,24 +71,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(cfg: RunConfig) -> int:
     state = cfg.initial_state()
     case = cfg.case
-    rows: list[str] = []
+    index = itertools.count()
 
-    def monitor(snap):
-        rows.append(energy_report(snap, s=0.0, case=case).csv_row())
-        i = len(rows) - 1
+    def sample(snap):
+        row = energy_report(snap, s=0.0, case=case).csv_row()
+        i = next(index)
         if cfg.snapshot_every > 0 and i > 0 and i % cfg.snapshot_every == 0:
             write_snapshot(cfg.output_path(f"snap_{i:06d}.bfd"), snap)
+        return row
 
-    summary = run(cfg, state, monitors=(monitor,))
+    summary = run(cfg, state, sample=sample)
     write_snapshot(cfg.output_path("initial.bfd"), state)
     if summary.final_state is not None:
         write_snapshot(cfg.output_path("final.bfd"), summary.final_state)
-    cfg.write_csv("report.csv", csv_header(), rows,
+    cfg.write_csv("report.csv", csv_header(), summary.samples,
                   plot=("t", ("hamiltonian", "x0_norm", "noncav", "smallness")))
-    cfg.write_csv("events.jsonl", None,
-                  [json.dumps(e, sort_keys=True) for e in summary.events])
-    cfg.write_manifest({"dt": summary.dt, "steps": summary.steps,
-                        "terminated_by": summary.terminated_by})
+    write_record(cfg, summary)
     print(f"simulate: {summary.steps} steps, terminated by {summary.terminated_by}; "
           f"wrote {Path(cfg.out_dir)}")
     return 0

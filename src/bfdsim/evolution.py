@@ -488,13 +488,17 @@ def _step_plan(t0: float, max_t: float, dt: float) -> tuple[int, float]:
 @dataclass
 class EvolveSummary:
     """How a run ended: its last state (None after a blow-up), the steps
-    taken, the event log, what ended it, and the step dt it took."""
+    taken, the event log, what ended it, and the step dt it took.
+
+    samples holds what studies.run's sample returned at each cadence
+    point, in time order; evolve leaves it empty."""
 
     final_state: FieldState | None
     steps: int
     events: list = field(default_factory=list)
     terminated_by: str = "max_t"
     dt: float | None = None
+    samples: list = field(default_factory=list)
 
 
 def evolve(state: FieldState, cfg: SchemeConfig,

@@ -5,7 +5,14 @@ Lifespan, conservation and smallness start from cfg.initial_state (the
 snapshot when one is set, read once per config and shared by the sweep's
 points); equivalence draws its own random states.  Every evolving run,
 simulate's included, goes through run, the one place a blow-up becomes a
-result (terminated_by="blow-up") instead of an exception.
+result (terminated_by="blow-up") instead of an exception, and the one
+sample path: run keeps what its sample returns at each cadence point, and
+each command reduces those samples (a CSV, a maximum, a drift, a
+crossing).  Every evolving command then calls write_record once, after a
+sweep's points are merged: it writes events.jsonl, each event naming its
+sweep point (epsilon and mu for lifespan, dt for conservation), and the
+manifest's dt, steps and terminated_by, one value for a single run and a
+list in sweep order for a sweep.
 Every study is deterministic given (config, seed).  Work runs as
 independent jobs (parallelism capped by the BFD_THREADS environment
 variable): one per sweep point for lifespan, one per dt for conservation,
@@ -16,10 +23,12 @@ are written with 17 significant digits so re-runs are byte-identical.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -73,22 +82,45 @@ def _sweep_pairs(cfg: RunConfig):
 
 
 def run(cfg: RunConfig, state: FieldState, dt: float | None = None,
-        monitors=(), stop_when=None) -> EvolveSummary:
+        sample=None, stop_when=None) -> EvolveSummary:
     """Evolve state under cfg's [scheme] settings; a blow-up is a result.
 
-    The step is dt if given, else cfg.dt, else default_dt(state).  A
-    BlowUpSignal becomes a summary with terminated_by="blow-up", no final
-    state, and the signal's steps and events; every other error of evolve
-    (an end before the start, content off the two-thirds band) raises.
+    The step is dt if given, else cfg.dt, else default_dt(state).
+    sample(snap) runs at every cadence point, and the summary's samples
+    hold its values in time order, those before a blow-up included.
+    stop_when(value) reads each sample's value and ends the run with
+    terminated_by="threshold" when true.  A BlowUpSignal becomes a summary
+    with terminated_by="blow-up", no final state, and the signal's steps
+    and events; every other error of evolve (an end before the start,
+    content off the two-thirds band) raises.
     """
     if dt is None:
         dt = cfg.dt if cfg.dt is not None else default_dt(state)
     scheme = SchemeConfig(dt=dt, max_t=cfg.max_t, scheme=cfg.scheme, cadence=cfg.cadence)
+    samples = []
+    monitors = () if sample is None else (lambda snap: samples.append(sample(snap)),)
+    stop = None if stop_when is None else (lambda snap: stop_when(samples[-1]))
     try:
-        return evolve(state, scheme, monitors=monitors, stop_when=stop_when)
+        return replace(evolve(state, scheme, monitors=monitors, stop_when=stop), samples=samples)
     except BlowUpSignal as sig:
         return EvolveSummary(final_state=None, steps=sig.steps, events=sig.events,
-                             terminated_by="blow-up", dt=dt)
+                             terminated_by="blow-up", dt=dt, samples=samples)
+
+
+def write_record(cfg: RunConfig, summaries, points=None, derived: dict | None = None) -> None:
+    """Write the record of a command's runs: events.jsonl, and each run's
+    dt, steps and terminated_by in the manifest beside derived.
+
+    summaries is one summary, or with points a sweep's summaries in
+    parameter order, where points[i] (a dict) names point i: its events
+    carry those keys, and each run field is a list in sweep order.
+    """
+    runs = [({}, summaries)] if points is None else list(zip(points, summaries))
+    cfg.write_csv("events.jsonl", None, [json.dumps({**point, **e}, sort_keys=True)
+                                         for point, s in runs for e in s.events])
+    fields = {key: [getattr(s, key) for _, s in runs] for key in ("dt", "steps", "terminated_by")}
+    cfg.write_manifest({**(derived or {}),
+                        **{key: v if points is not None else v[0] for key, v in fields.items()}})
 
 
 # lifespan ------------------------------------------------------------------
@@ -103,41 +135,41 @@ class LifespanRecord:
     terminated_by: str
 
 
-def _lifespan_point(cfg: RunConfig, eps: float, mu: float) -> LifespanRecord:
+def _lifespan_point(cfg: RunConfig, eps: float, mu: float) -> tuple[LifespanRecord, EvolveSummary]:
+    """The record and the run of one sweep point, stopped when the
+    monitored X^s_{mu^k} norm passes growth_factor times its start; the
+    threshold event records that norm and the threshold beside evolve's
+    X^0 norm."""
     params = cfg.params.replace(epsilon=eps, mu=mu)
     case = classify_case(params, cfg.case_override)
     state = cfg.initial_state(params)
-    s = cfg.monitor_s(cfg.grid)
-    initial = x_norm_state(state, s, case.k, case.k_prime)
-    threshold = cfg.growth_factor * initial
-
-    def crossed(snap: FieldState) -> bool:
-        if initial == 0.0:
-            return False
-        return x_norm_state(snap, s, case.k, case.k_prime) > threshold
-
-    summary = run(cfg, state, stop_when=crossed)
+    norm = partial(x_norm_state, s=cfg.monitor_s(cfg.grid), k=case.k, k_prime=case.k_prime)
+    initial = norm(state)
+    # zero data never cross
+    threshold = cfg.growth_factor * initial if initial != 0.0 else math.inf
+    summary = run(cfg, state, sample=norm, stop_when=lambda value: value > threshold)
     term = summary.terminated_by
+    if term == "threshold":
+        summary.events[-1].update(monitored_norm=summary.samples[-1], threshold=threshold)
     # a threshold or a blow-up ends the run at the time its event records
     t_obs = cfg.max_t if term == "max_t" else summary.events[-1]["t"]
-    return LifespanRecord(epsilon=eps, mu=mu, T_obs=t_obs,
-                          product=eps * t_obs, terminated_by=term)
+    return LifespanRecord(epsilon=eps, mu=mu, T_obs=t_obs, product=eps * t_obs,
+                          terminated_by=term), summary
 
 
 def lifespan_study(cfg: RunConfig) -> list[LifespanRecord]:
-    """Observed norm-doubling horizon per epsilon; emits CSV + manifest."""
+    """Observed norm-doubling horizon per epsilon; emits CSV, events and
+    manifest."""
     pairs = _sweep_pairs(cfg)
     if cfg.snapshot is not None:
         cfg.initial_state()  # reads the snapshot once, before the jobs share it
-    records = _run_jobs([
-        (lambda e=e, m=m: _lifespan_point(cfg, e, m)) for e, m in pairs
-    ])
+    records, summaries = zip(*_run_jobs([partial(_lifespan_point, cfg, e, m) for e, m in pairs]))
     rows = [",".join([fmt(r.epsilon), fmt(r.mu), fmt(r.T_obs), fmt(r.product),
                       r.terminated_by]) for r in records]
     cfg.write_csv("lifespan.csv", "epsilon,mu,T_obs,product,terminated_by", rows,
                   plot=("epsilon", ("T_obs", "product"), True))
-    cfg.write_manifest()
-    return records
+    write_record(cfg, summaries, [{"epsilon": e, "mu": m} for e, m in pairs])
+    return list(records)
 
 
 # conservation --------------------------------------------------------------
@@ -151,21 +183,15 @@ class ConservationResult:
     order_fit: float
 
 
-def _drift_for_dt(cfg: RunConfig, dt: float) -> float:
-    """Largest relative Hamiltonian drift of a run with step dt; inf when
-    the run blows up."""
+def _drift_for_dt(cfg: RunConfig, dt: float) -> tuple[float, EvolveSummary]:
+    """Largest relative Hamiltonian drift of a run with step dt (inf when
+    the run blows up), and the run."""
     state = cfg.initial_state()
     h0 = hamiltonian(state)
-    worst = 0.0
-
-    def watch(snap: FieldState):
-        nonlocal worst
-        h = hamiltonian(snap)
-        denom = abs(h0) if h0 != 0.0 else 1.0
-        worst = max(worst, abs(h - h0) / denom)
-
-    summary = run(cfg, state, dt, monitors=(watch,))
-    return math.inf if summary.terminated_by == "blow-up" else worst
+    denom = abs(h0) if h0 != 0.0 else 1.0
+    summary = run(cfg, state, dt, sample=hamiltonian)
+    worst = max((abs(h - h0) / denom for h in summary.samples), default=0.0)
+    return (math.inf if summary.terminated_by == "blow-up" else worst), summary
 
 
 def conservation_study(cfg: RunConfig) -> ConservationResult:
@@ -180,7 +206,7 @@ def conservation_study(cfg: RunConfig) -> ConservationResult:
         raise ConfigError("conservation study requires a dts list")
     if cfg.snapshot is not None:
         cfg.initial_state()  # reads the snapshot once, before the jobs share it
-    drifts = _run_jobs([(lambda h=h: _drift_for_dt(cfg, h)) for h in dts])
+    drifts, summaries = zip(*_run_jobs([partial(_drift_for_dt, cfg, h) for h in dts]))
     # an order needs positive, finite drifts: a blow-up's inf reads nan
     usable = [0.0 < d < math.inf for d in drifts]
     pair_orders = [math.nan]
@@ -200,7 +226,7 @@ def conservation_study(cfg: RunConfig) -> ConservationResult:
             for h, dr, po in zip(dts, drifts, pair_orders)]
     cfg.write_csv("conservation.csv", "dt,drift,order_fit", rows,
                   plot=("dt", ("drift",), True))
-    cfg.write_manifest({"order_fit": order_fit})
+    write_record(cfg, summaries, [{"dt": h} for h in dts], {"order_fit": order_fit})
     return ConservationResult(dts=tuple(dts), drifts=tuple(drifts),
                               pair_orders=tuple(pair_orders), order_fit=order_fit)
 
@@ -253,32 +279,24 @@ def smallness_check(cfg: RunConfig) -> SmallnessReport:
                            v=tuple(scale * c for c in state.v), params=params)
     initial_small = eps * grid.spectral_l2_sq(state.zeta.hat)
 
-    rows: list[str] = []
-    tracker = {"max_small": 0.0, "max_x0": 0.0, "min_noncav": math.inf}
-    x0_initial = x_norm_state(state, 0.0, 1, 1)
-
-    def watch(snap: FieldState):
-        rep = energy_report(snap, s=0.0)
-        tracker["max_small"] = max(tracker["max_small"], rep.smallness)
-        tracker["max_x0"] = max(tracker["max_x0"], rep.x0_norm)
-        tracker["min_noncav"] = min(tracker["min_noncav"], rep.noncav)
-        rows.append(",".join([fmt(snap.t), fmt(rep.smallness), fmt(rep.noncav),
-                              fmt(rep.hamiltonian), fmt(rep.x0_norm)]))
-
-    terminated = run(cfg, state, monitors=(watch,)).terminated_by
-    cfg.write_csv("smallness.csv", "t,smallness,noncav,hamiltonian,x0_norm", rows,
+    summary = run(cfg, state, sample=lambda snap: energy_report(snap, s=0.0))
+    reps = summary.samples
+    columns = ("t", "smallness", "noncav", "hamiltonian", "x0_norm")
+    cfg.write_csv("smallness.csv", ",".join(columns),
+                  [",".join(fmt(getattr(r, c)) for c in columns) for r in reps],
                   plot=("t", ("smallness", "noncav", "x0_norm")))
+    max_small = max((r.smallness for r in reps), default=0.0)
     report = SmallnessReport(
         epsilon=eps, target=cfg.smallness_target,
-        initial_smallness=initial_small, initial_x0=x0_initial,
-        max_smallness=tracker["max_small"], max_x0=tracker["max_x0"],
-        min_noncav=tracker["min_noncav"],
+        initial_smallness=initial_small, initial_x0=x_norm_state(state, 0.0, 1, 1),
+        max_smallness=max_small, max_x0=max((r.x0_norm for r in reps), default=0.0),
+        min_noncav=min((r.noncav for r in reps), default=math.inf),
         precondition_ok=initial_small < 0.5,
         # a blow-up breaks the invariant, whatever the samples before it read
-        invariant_held=terminated == "max_t" and tracker["max_small"] < 0.5,
-        terminated_by=terminated,
+        invariant_held=summary.terminated_by == "max_t" and max_small < 0.5,
+        terminated_by=summary.terminated_by,
     )
-    cfg.write_manifest(asdict(report))
+    write_record(cfg, summary, derived=asdict(report))
     return report
 
 

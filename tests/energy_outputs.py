@@ -28,7 +28,53 @@ import hashlib
 import math
 import sys
 
-from bfdsim import (
+# family -> names of the float.hex values that end each of its lines
+FAMILIES = {"equivalence": ("ratio_min", "ratio_max"),
+            "report": ("hamiltonian", "E_s", "calE_s", "ratio", "x0_norm", "noncav",
+                       "smallness")}
+
+
+def _values(path: str) -> dict:
+    """label -> values of every line of an output file; a gradients line's
+    value is its digest."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            family = line.split(" ", 1)[0]
+            width = len(FAMILIES.get(family, ("digest",)))
+            label, *vals = line.rstrip("\n").rsplit(" ", width)
+            out[label] = vals if family == "gradients" else [float.fromhex(v) for v in vals]
+    return out
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(path_a: str, path_b: str) -> list[str]:
+    a, b = _values(path_a), _values(path_b)
+    if a.keys() != b.keys():
+        raise SystemExit(f"the files label different lines: {sorted(a.keys() ^ b.keys())[:5]}")
+    lines = []
+    for family, names in FAMILIES.items():
+        labels = [k for k in a if k.startswith(family + " ")]
+        for i, name in enumerate(names):
+            worst = max((_rel(a[k][i], b[k][i]) for k in labels), default=0.0)
+            lines.append(f"{family} {name} max_rel_change {worst:.3g} over {len(labels)} lines")
+    labels = [k for k in a if k.startswith("gradients ")]
+    equal = sum(a[k] == b[k] for k in labels)
+    lines.append(f"gradients sha_equal {equal} of {len(labels)} lines")
+    return lines
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--compare"]:
+    print("\n".join(compare(*sys.argv[2:4])))
+    sys.exit(0)
+
+# --compare reads only the two files, so it runs without bfdsim importable
+from bfdsim import (  # noqa: E402
     GridSpec,
     ModelParams,
     RunConfig,
@@ -89,50 +135,6 @@ def report_lines():
             yield f"gradients {label} {digest.hexdigest()}"
 
 
-# family -> names of the float.hex values that end each of its lines
-FAMILIES = {"equivalence": ("ratio_min", "ratio_max"),
-            "report": ("hamiltonian", "E_s", "calE_s", "ratio", "x0_norm", "noncav",
-                       "smallness")}
-
-
-def _values(path: str) -> dict:
-    """label -> values of every line of an output file; a gradients line's
-    value is its digest."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            family = line.split(" ", 1)[0]
-            width = len(FAMILIES.get(family, ("digest",)))
-            label, *vals = line.rstrip("\n").rsplit(" ", width)
-            out[label] = vals if family == "gradients" else [float.fromhex(v) for v in vals]
-    return out
-
-
-def _rel(a: float, b: float) -> float:
-    if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    return abs(a - b) / max(abs(a), abs(b))
-
-
-def compare(path_a: str, path_b: str) -> list[str]:
-    a, b = _values(path_a), _values(path_b)
-    if a.keys() != b.keys():
-        raise SystemExit(f"the files label different lines: {sorted(a.keys() ^ b.keys())[:5]}")
-    lines = []
-    for family, names in FAMILIES.items():
-        labels = [k for k in a if k.startswith(family + " ")]
-        for i, name in enumerate(names):
-            worst = max((_rel(a[k][i], b[k][i]) for k in labels), default=0.0)
-            lines.append(f"{family} {name} max_rel_change {worst:.3g} over {len(labels)} lines")
-    labels = [k for k in a if k.startswith("gradients ")]
-    equal = sum(a[k] == b[k] for k in labels)
-    lines.append(f"gradients sha_equal {equal} of {len(labels)} lines")
-    return lines
-
-
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--compare"]:
-        print("\n".join(compare(*sys.argv[2:4])))
-    else:
-        for line in (*equivalence_lines(), *report_lines()):
-            print(line)
+    for line in (*equivalence_lines(), *report_lines()):
+        print(line)

@@ -26,7 +26,41 @@ import json
 import math
 import sys
 
-from bfdsim import GridSpec, ModelParams, SchemeConfig, classify_case, evolve, make_initial_state
+
+def _runs(path: str) -> dict:
+    """run label -> the rest of its line."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            label, rest = line.rstrip("\n").split(" steps=", 1)
+            out[label] = rest
+    return out
+
+
+def compare(path_a: str, path_b: str) -> list[str]:
+    """One line per run that differs between the two files (missing from
+    one of them included); empty when they agree."""
+    a, b = _runs(path_a), _runs(path_b)
+    out = [f"differs: {label}" for label in a if label in b and a[label] != b[label]]
+    out += [f"only in {path}: {label}" for path, x, y in ((path_a, a, b), (path_b, b, a))
+            for label in x if label not in y]
+    return out
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--compare"]:
+    diffs = compare(*sys.argv[2:4])
+    print("\n".join(diffs) if diffs else f"no difference in {len(_runs(sys.argv[2]))} runs")
+    sys.exit(1 if diffs else 0)
+
+# --compare reads only the two files, so it runs without bfdsim importable
+from bfdsim import (  # noqa: E402
+    GridSpec,
+    ModelParams,
+    SchemeConfig,
+    classify_case,
+    evolve,
+    make_initial_state,
+)
 
 B, C, D = 5.0 / 24.0, -1.0 / 12.0, 1.0 / 6.0
 # case id -> (b, c, d), the rows of the case table this set runs
@@ -66,30 +100,6 @@ def lines(grids=GRIDS):
                 yield run_line(grid, case, eps)
 
 
-def _runs(path: str) -> dict:
-    """run label -> the rest of its line."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            label, rest = line.rstrip("\n").split(" steps=", 1)
-            out[label] = rest
-    return out
-
-
-def compare(path_a: str, path_b: str) -> list[str]:
-    """One line per run that differs between the two files (missing from
-    one of them included); empty when they agree."""
-    a, b = _runs(path_a), _runs(path_b)
-    out = [f"differs: {label}" for label in a if label in b and a[label] != b[label]]
-    out += [f"only in {path}: {label}" for path, x, y in ((path_a, a, b), (path_b, b, a))
-            for label in x if label not in y]
-    return out
-
-
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--compare"]:
-        diffs = compare(*sys.argv[2:4])
-        print("\n".join(diffs) if diffs else f"no difference in {len(_runs(sys.argv[2]))} runs")
-        sys.exit(1 if diffs else 0)
     for line in lines(QUICK_GRIDS if "--quick" in sys.argv[1:] else GRIDS):
         print(line)

@@ -162,20 +162,41 @@ def test_simulate_blow_up_is_a_result_not_a_failure(tmp_path, capsys):
 
 # data whose X^0 norm is past the blow-up threshold at t = 0
 BLOW_UP = ["grid.n=32", "scheme.dt=0.1", "scheme.max_t=1.0", "initial.amplitude=3e6"]
-
-
-@pytest.mark.parametrize("command, extra", [
+EVOLVING = [
     ("simulate", []),
     ("lifespan", ["study.epsilons=0.1,0.05"]),
     ("conserve", ["study.dts=0.1,0.05"]),
     ("smallness", ["study.smallness_target=1e12"]),
-])
+]
+
+
+def _run_record(out, command):
+    """The events and the manifest's derived of an evolving command's run,
+    after checking that both carry the run: dt, steps and terminated_by
+    are one value for a single run and a list in sweep order for a
+    sweep, whose events name their point."""
+    events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    derived = json.loads((out / f"{command}_manifest.json").read_text())["derived"]
+    fields = [derived[key] for key in ("dt", "steps", "terminated_by")]
+    point = {"lifespan": {"epsilon", "mu"}, "conserve": {"dt"}}.get(command)
+    if point is None:
+        assert not any(isinstance(f, list) for f in fields)
+    else:
+        assert all(isinstance(f, list) and len(f) == 2 for f in fields)
+        assert all(point <= set(e) for e in events)
+    return events, derived
+
+
+@pytest.mark.parametrize("command, extra", EVOLVING)
 def test_a_blow_up_is_a_result_in_every_evolving_command(tmp_path, capsys,
                                                           command, extra):
     out = tmp_path / command
     assert run(command, *sets(out, *BLOW_UP, *extra)) == 0
     assert capsys.readouterr().err == ""
-    derived = json.loads((out / f"{command}_manifest.json").read_text())["derived"]
+    events, derived = _run_record(out, command)
+    runs = 2 if command in ("lifespan", "conserve") else 1
+    assert [e["event"] for e in events] == ["blow-up"] * runs
+    assert derived["steps"] == ([0, 0] if runs == 2 else 0)
     if command == "lifespan":
         rows = read_rows(out / "lifespan.csv")
         assert [r["terminated_by"] for r in rows] == ["blow-up", "blow-up"]
@@ -187,6 +208,26 @@ def test_a_blow_up_is_a_result_in_every_evolving_command(tmp_path, capsys,
         assert derived["terminated_by"] == "blow-up"
     if command == "smallness":
         assert derived["invariant_held"] is False
+    if runs == 2:
+        assert derived["terminated_by"] == ["blow-up", "blow-up"]
+
+
+@pytest.mark.parametrize("command, extra", EVOLVING)
+def test_a_run_to_max_t_is_recorded_in_every_evolving_command(tmp_path, capsys,
+                                                               command, extra):
+    """Small data run to max_t: every evolving command writes an empty
+    events.jsonl and the steps of each run to t = 0.2 at its dt."""
+    out = tmp_path / command
+    sweep = [x for x in extra if not x.startswith("study.smallness_target")]
+    assert run(command, *sets(out, "grid.n=16", "scheme.max_t=0.2",
+                              "initial.amplitude=0.05", *sweep)) == 0
+    assert capsys.readouterr().err == ""
+    events, derived = _run_record(out, command)
+    assert events == []
+    dts, steps, ends = (derived[key] if isinstance(derived[key], list) else [derived[key]]
+                        for key in ("dt", "steps", "terminated_by"))
+    assert ends == ["max_t"] * len(dts)
+    assert steps == [math.ceil(0.2 / dt - 1e-9) for dt in dts]
 
 
 @pytest.mark.parametrize("start", ["max_t", "off-band"])

@@ -1,5 +1,10 @@
 """Tests for the evolve output hasher, tests/evolve_outputs.py, on its
-smallest configuration."""
+smallest configuration, and of both output scripts' --compare."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import evolve_outputs
 
@@ -27,3 +32,31 @@ def test_compare_names_the_runs_that_differ(tmp_path):
     assert evolve_outputs.compare(str(a), str(b)) == [f"differs: {label}"]
     assert evolve_outputs.compare(str(a), str(c)) == [
         f"only in {a}: {lines[0].split(' steps=')[0]}"]
+
+
+def test_both_compares_run_without_bfdsim_importable(tmp_path):
+    """--compare of evolve_outputs.py and energy_outputs.py reads only the
+    two files, so it runs with no PYTHONPATH to the package."""
+    scripts = Path(__file__).parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def compare(script, a, b):
+        return subprocess.run([sys.executable, str(scripts / script), "--compare", a, b],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    run = "evolve case=1 eps=0.0 n=64 steps=9 terminated_by=max_t sha256="
+    (tmp_path / "a.txt").write_text(run + "0" * 64 + "\n")
+    (tmp_path / "b.txt").write_text(run + "1" * 64 + "\n")
+    same, differ = (compare("evolve_outputs.py", "a.txt", x) for x in ("a.txt", "b.txt"))
+    assert (same.returncode, same.stdout, same.stderr) == (0, "no difference in 1 runs\n", "")
+    assert (differ.returncode, differ.stdout) == (1, "differs: " + run.split(" steps=")[0] + "\n")
+
+    one = (1.0).hex()
+    (tmp_path / "e.txt").write_text(
+        f"equivalence n=16 case=1 eps=0.01 mu=0.01 1 {one} {one}\n"
+        f"report n=(16, 16) case=1 s=0.0 {' '.join([one] * 7)}\n"
+        f"gradients n=(16, 16) case=1 {'0' * 64}\n")
+    done = compare("energy_outputs.py", "e.txt", "e.txt")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "equivalence ratio_min max_rel_change 0 over 1 lines"
+    assert done.stdout.splitlines()[-1] == "gradients sha_equal 1 of 1 lines"

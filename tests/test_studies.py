@@ -89,6 +89,29 @@ def test_run_turns_a_blow_up_into_a_result():
         (sig.value.steps, sig.value.events, 0.1)
 
 
+def test_run_keeps_the_samples_in_time_order_up_to_a_blow_up(monkeypatch):
+    """run keeps what sample returns at each cadence point, also when the
+    run then blows up; stop_when reads those values."""
+    cfg = _conservation_cfg(max_t=0.5, cadence=2)
+    state = cfg.initial_state()
+    summary = run(cfg, state, 0.1, sample=lambda snap: snap.t)
+    assert summary.samples == pytest.approx([0.0, 0.2, 0.4, 0.5])
+    assert summary.samples == sorted(summary.samples)
+    stopped = run(cfg, state, 0.1, sample=lambda snap: snap.t, stop_when=lambda t: t > 0.1)
+    assert stopped.terminated_by == "threshold"
+    assert stopped.samples == pytest.approx([0.0, 0.2])
+    evolve = studies.evolve
+
+    def blows_up_at_the_end(state, scheme, monitors=(), stop_when=None):
+        summary = evolve(state, scheme, monitors=monitors, stop_when=stop_when)
+        raise BlowUpSignal(summary.final_state.t, math.inf, summary.steps, [])
+
+    monkeypatch.setattr(studies, "evolve", blows_up_at_the_end)
+    boom = run(cfg, state, 0.1, sample=lambda snap: snap.t)
+    assert boom.terminated_by == "blow-up"
+    assert boom.samples == summary.samples
+
+
 def test_the_package_has_one_blow_up_handler():
     """Only studies.run catches BlowUpSignal; every evolving command runs
     through it, so none grows its own handler."""
@@ -191,6 +214,24 @@ def test_lifespan_horizon_is_the_time_of_the_ending_event(monkeypatch):
     assert records[0].T_obs == ends[-1]
 
 
+def test_lifespan_threshold_event_names_the_monitored_norm(tmp_path):
+    """The threshold event keeps evolve's X^0 norm and adds the monitored
+    X^s_{mu^k} norm that crossed and the threshold it crossed."""
+    cfg = _lifespan_cfg(epsilons=(0.5,), max_t=5.0, cadence=1, growth_factor=1.01,
+                        out_dir=str(tmp_path))
+    (rec,) = lifespan_study(cfg)
+    (event,) = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+    assert event["event"] == "threshold" and event["t"] == rec.T_obs
+    assert (event["epsilon"], event["mu"]) == (0.5, 0.5)
+    params = cfg.params.replace(epsilon=0.5, mu=0.5)
+    case = studies.classify_case(params)
+    s = cfg.monitor_s(cfg.grid)
+    start = studies.x_norm_state(cfg.initial_state(params), s, case.k, case.k_prime)
+    assert event["threshold"] == cfg.growth_factor * start
+    assert event["monitored_norm"] > event["threshold"]
+    assert event["norm"] != event["monitored_norm"]
+
+
 def _check_lifespan_artifacts(tmp_path, plot_script):
     cfg = _lifespan_cfg(epsilons=(0.5,), max_t=2.0, out_dir=str(tmp_path),
                         plot_script=plot_script)
@@ -202,7 +243,12 @@ def _check_lifespan_artifacts(tmp_path, plot_script):
     manifest = json.loads((tmp_path / "lifespan_manifest.json").read_text())
     assert manifest["command"] == "lifespan"
     assert manifest["config"] == cfg.echo()
-    assert manifest["derived"] == {}
+    # the run fields, one list entry per sweep point
+    derived = manifest["derived"]
+    assert sorted(derived) == ["dt", "steps", "terminated_by"]
+    assert derived["terminated_by"] == [csv[1].split(",")[-1]]
+    assert len(derived["dt"]) == len(derived["steps"]) == 1
+    assert (tmp_path / "events.jsonl").is_file()
     assert "version" in manifest
 
 
@@ -223,14 +269,20 @@ def test_lifespan_deterministic(tmp_path):
         (out_b / "lifespan.csv").read_bytes()
 
 
+def _record_bytes(out: Path, kind: str) -> tuple[bytes, bytes]:
+    return (out / "events.jsonl").read_bytes(), (out / f"{kind}_manifest.json").read_bytes()
+
+
 def test_lifespan_threaded_matches_serial(monkeypatch, tmp_path):
-    cfg_kw = dict(epsilons=(0.5, 0.4), max_t=2.0)
+    cfg_kw = dict(epsilons=(0.5, 0.4), max_t=2.0, out_dir=str(tmp_path))
     monkeypatch.setenv("BFD_THREADS", "1")
     serial = lifespan_study(_lifespan_cfg(**cfg_kw))
+    serial_bytes = _record_bytes(tmp_path, "lifespan")
     monkeypatch.setenv("BFD_THREADS", "2")
     threaded = lifespan_study(_lifespan_cfg(**cfg_kw))
     assert [(r.epsilon, r.T_obs, r.terminated_by) for r in serial] == \
         [(r.epsilon, r.T_obs, r.terminated_by) for r in threaded]
+    assert _record_bytes(tmp_path, "lifespan") == serial_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +366,20 @@ def test_conservation_blow_up_reads_inf_drift_and_nan_orders(monkeypatch, boom):
     assert math.isnan(result.pair_orders[0]) and math.isnan(result.order_fit)
 
 
-def test_conservation_threaded_matches_serial(monkeypatch):
+def test_conservation_threaded_matches_serial(monkeypatch, tmp_path):
     """Threaded jobs on one grid shape, each with its own dt, step in their
-    own workspaces: every drift equals the serial one bitwise."""
+    own workspaces: every drift equals the serial one bitwise, and the
+    events and manifest are the serial bytes."""
     cfg = _conservation_cfg(grid=GridSpec.square(32, TWO_PI, dim=2),
-                            dts=(0.05, 0.04, 0.025, 0.02), max_t=1.0)
+                            dts=(0.05, 0.04, 0.025, 0.02), max_t=1.0,
+                            out_dir=str(tmp_path))
     monkeypatch.setenv("BFD_THREADS", "1")
     serial = conservation_study(cfg)
+    serial_bytes = _record_bytes(tmp_path, "conservation")
     monkeypatch.setenv("BFD_THREADS", "4")
     threaded = conservation_study(cfg)
     assert threaded.drifts == serial.drifts
+    assert _record_bytes(tmp_path, "conservation") == serial_bytes
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
